@@ -38,7 +38,7 @@ fn main() {
     );
 
     let mut failures = 0usize;
-    let mut index_rows: Vec<(String, String, String, usize, bool, f64)> = Vec::new();
+    let mut index_rows: Vec<(String, String, String, usize, bool)> = Vec::new();
     let started = Instant::now();
     for e in &experiments {
         let t0 = Instant::now();
@@ -65,20 +65,20 @@ fn main() {
             e.title.to_string(),
             result.checks.len(),
             ok,
-            t0.elapsed().as_secs_f64(),
         ));
         if let Err(err) = write_result(dir, &result) {
             eprintln!("    could not write results: {err}");
         }
     }
 
-    // Emit an index of the run.
+    // Emit an index of the run. No wall times: regenerating identical
+    // results leaves the file unchanged.
     let mut index = String::from(
-        "# results index\n\n| id | paper | title | checks | status | time |\n|---|---|---|---|---|---|\n",
+        "# results index\n\n| id | paper | title | checks | status |\n|---|---|---|---|---|\n",
     );
-    for (id, paper, title, checks, ok, secs) in &index_rows {
+    for (id, paper, title, checks, ok) in &index_rows {
         index.push_str(&format!(
-            "| [{id}]({id}.txt) | {paper} | {title} | {checks} | {} | {secs:.1}s |\n",
+            "| [{id}]({id}.txt) | {paper} | {title} | {checks} | {} |\n",
             if *ok { "pass" } else { "FAIL" }
         ));
     }

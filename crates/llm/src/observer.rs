@@ -231,7 +231,8 @@ impl EngineEvent<'_> {
 /// submit/step methods.
 ///
 /// The `Send` bound exists so an [`Engine`](crate::Engine) carrying an
-/// observer can migrate to a worker thread in the parallel fleet drivers.
+/// observer can move to a worker thread with the simulation it belongs to
+/// (sweeps run independent points on separate threads).
 /// Shared-state observers should hold `Arc<Mutex<..>>` rather than
 /// `Rc<RefCell<..>>`.
 pub trait EngineObserver: std::fmt::Debug + Send {

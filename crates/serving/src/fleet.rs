@@ -23,13 +23,9 @@
 //! once a session has consumed engine time, its continuation ops submit
 //! immediately, because making admitted work queue behind fresh
 //! arrivals leaves sessions half-served at their deadline with nothing
-//! to show for the GPU time already spent. Every one of those decisions
-//! is made on the coordinator thread, so the sharded parallel path
-//! stays bit-identical at any thread count. The default
+//! to show for the GPU time already spent. The default
 //! policy ([`OverloadPolicy::none`]) reproduces the historical
 //! no-deadline behaviour bit-for-bit.
-
-mod par;
 
 use std::collections::{HashMap, VecDeque};
 
@@ -134,8 +130,6 @@ pub struct FleetConfig {
     pub client: ClientModel,
     /// Deadlines, retries, admission control (default: none of them).
     pub overload: OverloadPolicy,
-    /// Worker threads for the parallel driver (`1` = sequential path).
-    pub threads: u32,
     /// Carry each session's conversation across turns: a follow-up turn's
     /// prompts are prefixed with the session's prior final context, so
     /// cross-turn KV reuse (and the offload tiers that preserve it through
@@ -172,7 +166,6 @@ impl FleetConfig {
             seed: 0,
             client: ClientModel::OpenLoopPoisson,
             overload: OverloadPolicy::none(),
-            threads: 1,
             carry_context: false,
         }
     }
@@ -223,12 +216,10 @@ impl FleetConfig {
         self
     }
 
-    /// Shards replicas across `threads` worker threads. `1` (the default)
-    /// is the sequential path; any other count produces bit-identical
-    /// reports — see the [`agentsim_session::shard`] module docs.
-    pub fn threads(mut self, threads: u32) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        self.threads = threads;
+    /// No-op, kept so existing callers still build: the fleet runs one
+    /// sequential event loop, and thread count never changed a result.
+    #[deprecated(note = "the fleet driver is sequential; thread count never changed a result")]
+    pub fn threads(self, _threads: u32) -> Self {
         self
     }
 }
@@ -551,18 +542,14 @@ impl FleetSim {
 
     /// Runs to completion and reports.
     pub fn run(mut self) -> FleetReport {
-        let threads = (self.config.threads as usize).min(self.engines.len());
-        if threads > 1 {
-            return self.run_parallel(threads);
-        }
         while let Some((now, event)) = self.queue.pop() {
             match event {
-                Event::Arrival(a) => self.on_arrival_with(None, a, now),
+                Event::Arrival(a) => self.on_arrival(a, now),
                 Event::StepDone(r) => self.on_step_done(r, now),
-                Event::ToolsDone { sid, epoch } => self.on_tools_done_event(None, sid, epoch, now),
-                Event::DeadlineExpired { sid, epoch } => self.on_deadline(None, sid, epoch, now),
+                Event::ToolsDone { sid, epoch } => self.on_tools_done_event(sid, epoch, now),
+                Event::DeadlineExpired { sid, epoch } => self.on_deadline(sid, epoch, now),
             }
-            self.drain_all(None, now);
+            self.drain_all(now);
             for r in 0..self.engines.len() {
                 self.kick(r, now);
             }
@@ -601,24 +588,9 @@ impl FleetSim {
         }
     }
 
-    #[cfg(test)]
-    fn route(&mut self, sid: u64) -> usize {
-        self.route_with(None, sid, 0)
-    }
-
     /// Routes one LLM op within `tier`'s pool. The cascade policy picks
-    /// the tier; the routing policy picks the replica inside it. The
-    /// parallel path passes its [`ShardPool`] so least-loaded reads the
-    /// coordinator's exact load mirrors instead of the (moved-away)
-    /// engines.
-    ///
-    /// [`ShardPool`]: agentsim_session::ShardPool
-    fn route_with(
-        &mut self,
-        pool: Option<&agentsim_session::ShardPool>,
-        sid: u64,
-        tier: usize,
-    ) -> usize {
+    /// the tier; the routing policy picks the replica inside it.
+    fn route(&mut self, sid: u64, tier: usize) -> usize {
         let range = self.tier_ranges[tier].clone();
         let n = range.len();
         match self.config.routing {
@@ -633,22 +605,15 @@ impl FleetSim {
             }
             Routing::LeastLoaded => range
                 .min_by_key(|&r| {
-                    let engine = match pool {
-                        Some(pool) => pool.load(r),
-                        None => self.engines[r].queue_len() + self.engines[r].running_len(),
-                    };
-                    engine + self.dispatch_calls[r]
+                    self.engines[r].queue_len()
+                        + self.engines[r].running_len()
+                        + self.dispatch_calls[r]
                 })
                 .expect("non-empty pool"),
         }
     }
 
-    fn on_arrival_with(
-        &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
-        a: Arrival,
-        now: SimTime,
-    ) {
+    fn on_arrival(&mut self, a: Arrival, now: SimTime) {
         // Chain the next arrival first, so it precedes any event this
         // one schedules at the same instant. Retries (attempt > 0) are
         // driver-issued and must not advance the client process.
@@ -668,9 +633,7 @@ impl FleetSim {
         } else {
             None
         };
-        self.begin_attempt(
-            pool, a.session, a.turn, a.attempt, tier, 0, history, now, now,
-        );
+        self.begin_attempt(a.session, a.turn, a.attempt, tier, 0, history, now, now);
     }
 
     /// The tier a fresh (non-escalated) attempt lands on under the
@@ -704,7 +667,6 @@ impl FleetSim {
     #[allow(clippy::too_many_arguments)]
     fn begin_attempt(
         &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
         sid: u64,
         turn: u64,
         attempt: u32,
@@ -753,24 +715,18 @@ impl FleetSim {
         }
         self.live += 1;
         self.max_live = self.max_live.max(self.live);
-        self.exec_with(pool, sid, cmd, now);
+        self.exec(sid, cmd, now);
     }
 
     /// Executes a session command against the routed fleet.
-    fn exec_with(
-        &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
-        sid: u64,
-        cmd: SessionCmd,
-        now: SimTime,
-    ) {
+    fn exec(&mut self, sid: u64, cmd: SessionCmd, now: SimTime) {
         match cmd {
             SessionCmd::Llm(op) => {
                 let (epoch, deadline, started, tier) = {
                     let m = self.meta[sid as usize].as_ref().expect("live session meta");
                     (m.epoch, m.deadline, m.started, m.tier)
                 };
-                let replica = self.route_with(pool.as_deref(), sid, tier);
+                let replica = self.route(sid, tier);
                 let entry = PendingOp {
                     sid,
                     epoch,
@@ -783,7 +739,7 @@ impl FleetSim {
                     // already holds engine state, so queueing its next
                     // op behind fresh arrivals would strand the GPU
                     // time it has consumed.
-                    self.admit_op(pool, replica, entry, now);
+                    self.admit_op(replica, entry, now);
                     return;
                 }
                 self.dispatch_calls[replica] += entry.calls.len();
@@ -793,7 +749,7 @@ impl FleetSim {
                         self.dispatch[replica].push_back(entry)
                     }
                 }
-                self.drain_dispatch(pool, replica, now);
+                self.drain_dispatch(replica, now);
             }
             SessionCmd::Tools { wake } => {
                 let epoch = self.epochs[sid as usize];
@@ -801,7 +757,7 @@ impl FleetSim {
                 // The session's context blocks sit idle until the tools
                 // return — tell the offload hierarchy exactly when that is.
                 if let Some((replica, hashes)) = self.ctx_hashes(sid) {
-                    self.send_hint(pool, replica, hashes, now, wake);
+                    self.send_hint(replica, hashes, now, wake);
                 }
             }
             SessionCmd::Finish(outcome) => {
@@ -829,7 +785,6 @@ impl FleetSim {
                         None => self.carry[sid as usize].clone(),
                     };
                     self.begin_attempt(
-                        pool,
                         sid,
                         m.turn,
                         m.attempt,
@@ -867,7 +822,7 @@ impl FleetSim {
                             if let Some((ctx, _)) = &m.kv_ctx {
                                 let block = self.block_size_of(m.kv_replica);
                                 let hashes = ctx.chain_hashes_cached(block).to_vec();
-                                self.send_hint(pool, m.kv_replica, hashes, now, next.at);
+                                self.send_hint(m.kv_replica, hashes, now, next.at);
                             }
                         }
                         self.queue.push(next.at, Event::Arrival(next));
@@ -923,32 +878,16 @@ impl FleetSim {
 
     /// Delivers a next-invocation prediction to `replica`'s engine (KV
     /// offload hierarchies under invocation-distance eviction).
-    fn send_hint(
-        &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
-        replica: usize,
-        hashes: Vec<u64>,
-        now: SimTime,
-        at: SimTime,
-    ) {
+    fn send_hint(&mut self, replica: usize, hashes: Vec<u64>, now: SimTime, at: SimTime) {
         if !self.hints || hashes.is_empty() {
             return;
         }
-        match pool {
-            Some(p) => p.hint(replica, hashes, now, at),
-            None => self.engines[replica].hint_next_use(&hashes, now, at),
-        }
+        self.engines[replica].hint_next_use(&hashes, now, at);
     }
 
     /// A session's tool batch finished; ignore the wake-up if the attempt
     /// was torn down (and possibly replaced) while the tools ran.
-    fn on_tools_done_event(
-        &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
-        sid: u64,
-        epoch: u64,
-        now: SimTime,
-    ) {
+    fn on_tools_done_event(&mut self, sid: u64, epoch: u64, now: SimTime) {
         let s = sid as usize;
         if self.epochs[s] != epoch || self.sessions[s].is_none() {
             return;
@@ -957,17 +896,11 @@ impl FleetSim {
             .as_mut()
             .expect("live session")
             .on_tools_done(&self.tools, now);
-        self.exec_with(pool, sid, cmd, now);
+        self.exec(sid, cmd, now);
     }
 
     /// A turn's deadline expired while its attempt was still live.
-    fn on_deadline(
-        &mut self,
-        mut pool: Option<&mut agentsim_session::ShardPool>,
-        sid: u64,
-        epoch: u64,
-        now: SimTime,
-    ) {
+    fn on_deadline(&mut self, sid: u64, epoch: u64, now: SimTime) {
         let s = sid as usize;
         if self.epochs[s] != epoch || self.sessions[s].is_none() {
             return; // The attempt finished (or was replaced) in time.
@@ -982,10 +915,7 @@ impl FleetSim {
                 let removed = self.owner.remove(&(*replica, *id));
                 debug_assert!(removed.is_some(), "meta.calls tracks live submissions");
                 self.in_flight[*replica] -= 1;
-                match pool.as_deref_mut() {
-                    Some(p) => p.cancel(*replica, now, *id),
-                    None => self.engines[*replica].cancel(now, *id),
-                }
+                self.engines[*replica].cancel(now, *id);
                 if !penalized.contains(replica) {
                     penalized.push(*replica);
                     self.admission[*replica].on_timeout();
@@ -1044,13 +974,7 @@ impl FleetSim {
     }
 
     /// Routes one completed engine call back to its session.
-    fn handle_completion(
-        &mut self,
-        pool: Option<&mut agentsim_session::ShardPool>,
-        replica: usize,
-        completion: LlmCompletion,
-        now: SimTime,
-    ) {
+    fn handle_completion(&mut self, replica: usize, completion: LlmCompletion, now: SimTime) {
         // Wasted service is priced in GPU-seconds by the replica's own
         // pool hardware, not pool 0's.
         let service = (completion.prefill_time + completion.decode_time).as_secs_f64()
@@ -1093,7 +1017,7 @@ impl FleetSim {
             .expect("live session")
             .on_call_done(seq, CallDone::from_completion(completion), &self.tools, now);
         if let Some(cmd) = cmd {
-            self.exec_with(pool, sid, cmd, now);
+            self.exec(sid, cmd, now);
         }
     }
 
@@ -1101,7 +1025,7 @@ impl FleetSim {
         let mut completions = std::mem::take(&mut self.step_scratch);
         self.engines[replica].complete_step_into(now, &mut completions);
         for completion in completions.drain(..) {
-            self.handle_completion(None, replica, completion, now);
+            self.handle_completion(replica, completion, now);
         }
         self.step_scratch = completions;
     }
@@ -1109,12 +1033,7 @@ impl FleetSim {
     /// Moves queued ops onto `replica`'s engine while its admission
     /// controller has room. Under accept-all this admits everything
     /// immediately, reproducing the historical direct-submit behaviour.
-    fn drain_dispatch(
-        &mut self,
-        mut pool: Option<&mut agentsim_session::ShardPool>,
-        replica: usize,
-        now: SimTime,
-    ) {
+    fn drain_dispatch(&mut self, replica: usize, now: SimTime) {
         while let Some(idx) = self.select_dispatch(replica) {
             let calls_len = self.dispatch[replica][idx].calls.len();
             let limit = self.admission[replica].limit();
@@ -1126,20 +1045,14 @@ impl FleetSim {
             }
             let op = self.dispatch[replica].remove(idx).expect("selected index");
             self.dispatch_calls[replica] -= calls_len;
-            self.admit_op(pool.as_deref_mut(), replica, op, now);
+            self.admit_op(replica, op, now);
         }
     }
 
     /// Submits an op's calls to `replica`'s engine, recording ownership
     /// and in-flight accounting. Marks the owning attempt started so its
     /// later ops bypass the admission queue.
-    fn admit_op(
-        &mut self,
-        mut pool: Option<&mut agentsim_session::ShardPool>,
-        replica: usize,
-        op: PendingOp,
-        now: SimTime,
-    ) {
+    fn admit_op(&mut self, replica: usize, op: PendingOp, now: SimTime) {
         let calls_len = op.calls.len();
         // Snapshot the context before the prompt moves into the engine:
         // it seeds the next-invocation hints this op's tool calls and
@@ -1151,23 +1064,13 @@ impl FleetSim {
         };
         let mut submitted = Vec::with_capacity(calls_len);
         for (seq, call) in op.calls.into_iter().enumerate() {
-            let id = match pool.as_deref_mut() {
-                Some(p) => p.submit(
-                    replica,
-                    now,
-                    call.prompt,
-                    call.out_tokens,
-                    call.gen_seed,
-                    op.priority,
-                ),
-                None => self.engines[replica].submit_with_priority(
-                    now,
-                    call.prompt,
-                    call.out_tokens,
-                    call.gen_seed,
-                    op.priority,
-                ),
-            };
+            let id = self.engines[replica].submit_with_priority(
+                now,
+                call.prompt,
+                call.out_tokens,
+                call.gen_seed,
+                op.priority,
+            );
             self.owner.insert((replica, id), (op.sid, seq as u32));
             submitted.push((replica, id));
         }
@@ -1232,10 +1135,10 @@ impl FleetSim {
 
     /// Drains every replica's dispatch queue; called after each event so
     /// completions that freed admission slots pull queued work in.
-    fn drain_all(&mut self, mut pool: Option<&mut agentsim_session::ShardPool>, now: SimTime) {
+    fn drain_all(&mut self, now: SimTime) {
         for replica in 0..self.dispatch.len() {
             if !self.dispatch[replica].is_empty() {
-                self.drain_dispatch(pool.as_deref_mut(), replica, now);
+                self.drain_dispatch(replica, now);
             }
         }
     }
@@ -1372,7 +1275,7 @@ mod tests {
     #[test]
     fn round_robin_dispatch_order_starts_at_replica_zero() {
         let mut sim = FleetSim::new(FleetConfig::react_hotpotqa(3, Routing::RoundRobin, 1.0, 3));
-        let order: Vec<usize> = (0..7).map(|sid| sim.route(sid)).collect();
+        let order: Vec<usize> = (0..7).map(|sid| sim.route(sid, 0)).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0], "post-increment rotation");
     }
 
@@ -1385,9 +1288,9 @@ mod tests {
             3,
         ));
         for sid in 0..16u64 {
-            assert_eq!(sim.route(sid), (sid % 4) as usize);
+            assert_eq!(sim.route(sid, 0), (sid % 4) as usize);
             // Repeated calls of the same session stay put.
-            assert_eq!(sim.route(sid), (sid % 4) as usize);
+            assert_eq!(sim.route(sid, 0), (sid % 4) as usize);
         }
     }
 
@@ -1395,7 +1298,7 @@ mod tests {
     fn least_loaded_picks_an_idle_replica_first() {
         let mut sim = FleetSim::new(FleetConfig::react_hotpotqa(3, Routing::LeastLoaded, 1.0, 3));
         // All replicas idle: ties break toward the lowest index.
-        assert_eq!(sim.route(9), 0);
+        assert_eq!(sim.route(9, 0), 0);
     }
 
     #[test]
@@ -1566,7 +1469,7 @@ mod tests {
     /// Closed-loop multi-turn traffic over KV-starved replicas: long
     /// think times let other sessions thrash each user's context out of
     /// HBM between turns.
-    fn run_tiered(offload: Option<agentsim_llm::OffloadConfig>, threads: u32) -> FleetReport {
+    fn run_tiered(offload: Option<agentsim_llm::OffloadConfig>) -> FleetReport {
         let mut cfg = FleetConfig::react_hotpotqa(2, Routing::SessionAffinity, 2.0, 24)
             .seed(5)
             .client(ClientModel::ClosedLoop {
@@ -1574,7 +1477,6 @@ mod tests {
                 think_time: SimDuration::from_secs(30),
             })
             .with_context_carry()
-            .threads(threads)
             .map_engines(|e| e.with_kv_fraction(0.15));
         if let Some(off) = offload {
             cfg = cfg.map_engines(|e| e.with_offload(off.clone()));
@@ -1589,8 +1491,8 @@ mod tests {
 
     #[test]
     fn invocation_distance_hints_beat_blind_lru_offload() {
-        let lru = run_tiered(Some(agentsim_llm::OffloadConfig::tiers(2048, 8192)), 1);
-        let dist = run_tiered(Some(distance_tiers()), 1);
+        let lru = run_tiered(Some(agentsim_llm::OffloadConfig::tiers(2048, 8192)));
+        let dist = run_tiered(Some(distance_tiers()));
         assert_eq!(lru.completed, dist.completed);
         assert!(
             dist.ttft_p95_s < lru.ttft_p95_s,
@@ -1608,8 +1510,8 @@ mod tests {
 
     #[test]
     fn offload_tiers_absorb_cache_thrash() {
-        let plain = run_tiered(None, 1);
-        let tiered = run_tiered(Some(distance_tiers()), 1);
+        let plain = run_tiered(None);
+        let tiered = run_tiered(Some(distance_tiers()));
         assert_eq!(tiered.completed, plain.completed);
         assert!(
             tiered.offload_demoted_blocks > 0,
@@ -1636,8 +1538,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_tiers_match_no_offload_bit_for_bit() {
-        let plain = run_tiered(None, 1);
-        let hollow = run_tiered(Some(agentsim_llm::OffloadConfig::tiers(0, 0)), 1);
+        let plain = run_tiered(None);
+        let hollow = run_tiered(Some(agentsim_llm::OffloadConfig::tiers(0, 0)));
         assert_eq!(plain.completed, hollow.completed);
         assert_eq!(plain.p95_s.to_bits(), hollow.p95_s.to_bits());
         assert_eq!(plain.ttft_p95_s.to_bits(), hollow.ttft_p95_s.to_bits());
@@ -1648,22 +1550,19 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_runs_are_deterministic_across_runs_and_threads() {
-        let a = run_tiered(Some(distance_tiers()), 1);
-        let b = run_tiered(Some(distance_tiers()), 1);
-        let par = run_tiered(Some(distance_tiers()), 2);
-        for r in [&b, &par] {
-            assert_eq!(a.p95_s.to_bits(), r.p95_s.to_bits());
-            assert_eq!(a.ttft_p95_s.to_bits(), r.ttft_p95_s.to_bits());
-            assert_eq!(a.kv_hit_rate.to_bits(), r.kv_hit_rate.to_bits());
-            assert_eq!(a.offload_demoted_blocks, r.offload_demoted_blocks);
-            assert_eq!(a.offload_promoted_tokens, r.offload_promoted_tokens);
-            assert_eq!(a.offload_host_bytes, r.offload_host_bytes);
-        }
+    fn offloaded_runs_are_deterministic_across_reruns() {
+        let a = run_tiered(Some(distance_tiers()));
+        let b = run_tiered(Some(distance_tiers()));
+        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+        assert_eq!(a.ttft_p95_s.to_bits(), b.ttft_p95_s.to_bits());
+        assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
+        assert_eq!(a.offload_demoted_blocks, b.offload_demoted_blocks);
+        assert_eq!(a.offload_promoted_tokens, b.offload_promoted_tokens);
+        assert_eq!(a.offload_host_bytes, b.offload_host_bytes);
     }
 
     /// Two cheap 8B replicas plus one 4xH100 70B replica.
-    fn hetero_cfg(cascade: CascadePolicy, threads: u32) -> FleetConfig {
+    fn hetero_cfg(cascade: CascadePolicy) -> FleetConfig {
         FleetConfig::pooled(
             vec![
                 ReplicaPool::new(EngineConfig::a100_llama8b(), 2),
@@ -1675,7 +1574,6 @@ mod tests {
         )
         .seed(9)
         .cascade(cascade)
-        .threads(threads)
     }
 
     #[test]
@@ -1712,8 +1610,8 @@ mod tests {
 
     #[test]
     fn cascade_escalates_unsolved_turns_to_the_premium_tier() {
-        let flat = FleetSim::new(hetero_cfg(CascadePolicy::none(), 1)).run();
-        let casc = FleetSim::new(hetero_cfg(escalate_only(), 1)).run();
+        let flat = FleetSim::new(hetero_cfg(CascadePolicy::none())).run();
+        let casc = FleetSim::new(hetero_cfg(escalate_only())).run();
         assert_eq!(flat.completed, 32);
         assert_eq!(casc.completed, 32);
         assert_eq!(flat.escalated, 0, "an inert policy never re-routes");
@@ -1733,8 +1631,8 @@ mod tests {
         // cannot solve straight to the top tier, so it reaches (at
         // least) the accuracy of post-hoc escalation while re-running
         // fewer turns.
-        let reactive = FleetSim::new(hetero_cfg(escalate_only(), 1)).run();
-        let screened = FleetSim::new(hetero_cfg(CascadePolicy::standard(), 1)).run();
+        let reactive = FleetSim::new(hetero_cfg(escalate_only())).run();
+        let screened = FleetSim::new(hetero_cfg(CascadePolicy::standard())).run();
         assert!(screened.solved >= reactive.solved);
         assert!(
             screened.escalated < reactive.escalated,
@@ -1750,7 +1648,7 @@ mod tests {
 
     #[test]
     fn inert_cascade_over_two_pools_keeps_the_premium_tier_idle() {
-        let flat = FleetSim::new(hetero_cfg(CascadePolicy::none(), 1)).run();
+        let flat = FleetSim::new(hetero_cfg(CascadePolicy::none())).run();
         assert_eq!(
             flat.utilization[2], 0.0,
             "tier 0 routing never touches the premium replica"
@@ -1759,16 +1657,16 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_cascade_is_deterministic_across_threads() {
-        let seq = FleetSim::new(hetero_cfg(escalate_only(), 1)).run();
-        let par = FleetSim::new(hetero_cfg(escalate_only(), 2)).run();
-        assert_eq!(seq.completed, par.completed);
-        assert_eq!(seq.solved, par.solved);
-        assert_eq!(seq.escalated, par.escalated);
-        assert_eq!(seq.p95_s.to_bits(), par.p95_s.to_bits());
-        assert_eq!(seq.tpot_p99_s.to_bits(), par.tpot_p99_s.to_bits());
-        assert_eq!(seq.kv_hit_rate.to_bits(), par.kv_hit_rate.to_bits());
-        assert_eq!(seq.wasted_gpu_s.to_bits(), par.wasted_gpu_s.to_bits());
+    fn heterogeneous_cascade_is_deterministic_across_reruns() {
+        let a = FleetSim::new(hetero_cfg(escalate_only())).run();
+        let b = FleetSim::new(hetero_cfg(escalate_only())).run();
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.solved, b.solved);
+        assert_eq!(a.escalated, b.escalated);
+        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+        assert_eq!(a.tpot_p99_s.to_bits(), b.tpot_p99_s.to_bits());
+        assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
+        assert_eq!(a.wasted_gpu_s.to_bits(), b.wasted_gpu_s.to_bits());
     }
 
     #[test]

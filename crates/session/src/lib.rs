@@ -28,7 +28,6 @@ pub mod client;
 pub mod overload;
 pub mod runner;
 pub mod seeds;
-pub mod shard;
 pub mod trace;
 
 pub use cascade::CascadePolicy;
@@ -38,5 +37,4 @@ pub use overload::{
     QueueDiscipline, RetryPolicy,
 };
 pub use runner::{CallDone, LlmOp, LlmSubmit, SessionCmd, SessionRunner, ToolRng};
-pub use shard::{Resolved, ShardPool, StepOutput};
 pub use trace::{LlmCallRecord, RequestTrace};

@@ -7,8 +7,8 @@
 //! concurrency to avoid congestion collapse. This module holds the
 //! *policy* vocabulary shared by the fleet and disaggregated drivers —
 //! the drivers own the mechanics (cancellation, dispatch queues, retry
-//! scheduling) so that every decision happens on the coordinator thread
-//! and the parallel execution paths stay bit-identical.
+//! scheduling) and make every decision in event order, so runs replay
+//! bit-identically.
 //!
 //! An [`OverloadPolicy`] combines four knobs:
 //!
@@ -127,8 +127,8 @@ impl RetryPolicy {
 /// queued work onto an engine.
 ///
 /// Implementations must be deterministic pure functions of their call
-/// sequence — drivers invoke them only from the coordinator thread, in
-/// event order, which is what keeps the parallel path bit-identical.
+/// sequence — drivers invoke them in event order, which is what keeps
+/// runs bit-identical across replays.
 pub trait AdmissionController: std::fmt::Debug + Send {
     /// Maximum engine calls this replica may have in flight right now.
     fn limit(&self) -> usize;

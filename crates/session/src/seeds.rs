@@ -45,50 +45,3 @@ pub const SINGLE_AGENT: u64 = 1;
 
 /// Fork key of the single-request driver's sequential tool stream.
 pub const SINGLE_TOOLS: u64 = 2;
-
-/// Mixed into [`shard_seed`] so per-shard streams never collide with the
-/// other named forks of the same root.
-pub const SHARD: u64 = 0x5AAD;
-
-/// Derives the root seed of shard `shard` from a driver root seed.
-///
-/// Keyed strictly by the *shard index* — a pure function of replica
-/// numbering — never by a thread id or spawn order, so a parallel run
-/// draws identical randomness at any thread count (and on one thread).
-/// The SplitMix64 finalizer decorrelates consecutive indices.
-pub fn shard_seed(root: u64, shard: u64) -> u64 {
-    let mut z = root ^ SHARD ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The derivation is part of the golden-fingerprint contract: changing
-    /// it silently would shift every seeded parallel scenario.
-    #[test]
-    fn shard_seed_derivation_is_pinned() {
-        assert_eq!(shard_seed(FLEET_ROOT, 0), 0x06e2_54b2_b744_a706);
-        assert_eq!(shard_seed(FLEET_ROOT, 1), 0x0ff6_759f_eceb_9443);
-        assert_eq!(shard_seed(FLEET_ROOT, 2), 0x3289_8120_0773_95a5);
-        assert_eq!(shard_seed(42, 7), 0xe0b2_773f_064d_4a3c);
-    }
-
-    /// Consecutive shard indices must decorrelate, and the derivation
-    /// must depend only on `(root, shard)`.
-    #[test]
-    fn shard_seed_streams_are_distinct() {
-        let seeds: Vec<u64> = (0..64).map(|s| shard_seed(FLEET_ROOT, s)).collect();
-        for (i, a) in seeds.iter().enumerate() {
-            assert_ne!(*a, 0);
-            assert_ne!(*a, FLEET_ROOT);
-            for b in &seeds[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-        assert_ne!(shard_seed(SERVING_ROOT, 3), shard_seed(FLEET_ROOT, 3));
-    }
-}
