@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload, SingleRequest};
+use agentsim_serving::{FleetSim, ServingConfig, SingleRequest, Workload};
 use agentsim_workloads::Benchmark;
 
 fn bench_single_sessions(c: &mut Criterion) {
@@ -30,14 +30,14 @@ fn bench_serving_run(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("react_hotpotqa_30req", |b| {
         b.iter(|| {
-            let cfg = ServingConfig::new(ServingWorkload::react_hotpotqa(), 1.0, 30).seed(7);
-            black_box(ServingSim::new(cfg).run())
+            let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 30).seed(7);
+            black_box(FleetSim::new(cfg).run())
         })
     });
     group.bench_function("chatbot_60req", |b| {
         b.iter(|| {
-            let cfg = ServingConfig::new(ServingWorkload::Chatbot, 4.0, 60).seed(7);
-            black_box(ServingSim::new(cfg).run())
+            let cfg = ServingConfig::new(Workload::Chatbot, 4.0, 60).seed(7);
+            black_box(FleetSim::new(cfg).run())
         })
     });
     group.finish();

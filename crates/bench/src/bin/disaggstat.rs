@@ -37,16 +37,15 @@ use std::path::PathBuf;
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_metrics::json;
 use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, FlipDirection,
-    SpanStreamWriter,
+    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FlipDirection, SpanStreamWriter,
+    Workload,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 
 /// Builds the two iso-GPU configurations compared throughout.
 fn configs(requests: u64) -> (DisaggConfig, DisaggConfig) {
-    let colocated =
-        DisaggConfig::colocated(DisaggWorkload::react_hotpotqa(), 2, 1.0, requests).seed(7);
-    let disagg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, requests).seed(7);
+    let colocated = DisaggConfig::colocated(Workload::react_hotpotqa(), 2, 1.0, requests).seed(7);
+    let disagg = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, requests).seed(7);
     (colocated, disagg)
 }
 
@@ -122,7 +121,7 @@ fn verify_stream(label: &str, writer: &SpanStreamWriter, path: &std::path::Path)
 /// Replays the pinned one-flip schedule (the `autoscale_flip_schedule`
 /// golden configuration) and checks its fingerprint bit for bit.
 fn autoscale_check() {
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 16)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 16)
         .seed(0xD15A)
         .pools(2, 2)
         .flip_cost(FlipCostModel::warm())
@@ -201,7 +200,7 @@ fn pipeline_fingerprint(report: &DisaggReport) -> (u64, u64, u64, u64, u64, u64,
 /// constants are this driver's own golden going forward.
 fn pipeline_check() {
     let cell = |chunks: u32| {
-        DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 20)
+        DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 20)
             .seed(0x9C1E)
             .pools(1, 1)
             .link(LinkSpec::pcie_gen4())

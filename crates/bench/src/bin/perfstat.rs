@@ -48,8 +48,7 @@ use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
 use agentsim_metrics::Samples;
 use agentsim_serving::{
-    qps_sweep, FleetConfig, FleetSim, Routing, ServingConfig, ServingReport, ServingSim,
-    ServingWorkload, SingleRequest,
+    qps_sweep, FleetConfig, FleetReport, FleetSim, Routing, ServingConfig, SingleRequest, Workload,
 };
 use agentsim_workloads::Benchmark;
 
@@ -78,7 +77,7 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    fn of_report(r: &ServingReport) -> Self {
+    fn of_report(r: &FleetReport) -> Self {
         Fingerprint {
             completed: r.completed,
             solved: r.solved,
@@ -96,8 +95,8 @@ struct Scenario {
     run: fn(check: bool) -> Fingerprint,
 }
 
-fn react_workload() -> ServingWorkload {
-    ServingWorkload::Agent {
+fn react_workload() -> Workload {
+    Workload::Agent {
         kind: AgentKind::React,
         benchmark: Benchmark::HotpotQa,
         config: AgentConfig::default_8b(),
@@ -109,7 +108,7 @@ fn react_workload() -> ServingWorkload {
 fn react_high_qps(check: bool) -> Fingerprint {
     let n = if check { 10 } else { 1200 };
     let cfg = ServingConfig::new(react_workload(), 40.0, n).seed(7);
-    Fingerprint::of_report(&ServingSim::new(cfg).run())
+    Fingerprint::of_report(&FleetSim::new(cfg).run())
 }
 
 /// Same load under DeepestFirst, stressing priority admission.
@@ -118,7 +117,7 @@ fn react_deepest_first(check: bool) -> Fingerprint {
     let cfg = ServingConfig::new(react_workload(), 40.0, n)
         .seed(7)
         .engine(EngineConfig::a100_llama8b().with_scheduler(SchedulerPolicy::DeepestFirst));
-    Fingerprint::of_report(&ServingSim::new(cfg).run())
+    Fingerprint::of_report(&FleetSim::new(cfg).run())
 }
 
 /// One deep LATS tree: hundreds of iterative LLM calls over a growing
@@ -153,7 +152,7 @@ fn fig14_sweep(check: bool) -> Fingerprint {
         &[0.5, 2.0, 4.0, 8.0, 16.0, 32.0]
     };
     let n = if check { 8 } else { 200 };
-    let workload = ServingWorkload::Mixed {
+    let workload = Workload::Mixed {
         agent_fraction: 0.5,
         kind: AgentKind::React,
         benchmark: Benchmark::HotpotQa,

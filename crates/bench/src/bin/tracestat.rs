@@ -23,23 +23,12 @@ use std::path::PathBuf;
 
 use agentsim_metrics::json;
 use agentsim_serving::{
-    chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, ServingSim, ServingWorkload,
-    SpanRecorder,
+    chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, SpanRecorder, Workload,
 };
 
-/// Runs open-loop ReAct/HotpotQA serving with a recorder attached.
-fn record_serving(requests: u64) -> SpanRecorder {
-    let cfg = ServingConfig::new(ServingWorkload::react_hotpotqa(), 2.0, requests).seed(7);
-    let mut sim = ServingSim::new(cfg);
-    let recorder = sim.attach_recorder();
-    sim.run();
-    recorder
-}
-
-/// Runs a 3-replica round-robin fleet with one recorder per replica.
-fn record_fleet(requests: u64) -> Vec<SpanRecorder> {
-    let cfg = FleetConfig::react_hotpotqa(3, Routing::RoundRobin, 3.0, requests).seed(7);
-    let mut sim = FleetSim::new(cfg);
+/// Runs `config` with one recorder per replica attached.
+fn record(config: impl Into<FleetConfig>) -> Vec<SpanRecorder> {
+    let mut sim = FleetSim::new(config);
     let recorders = sim.attach_recorders();
     sim.run();
     recorders
@@ -97,11 +86,16 @@ fn main() {
     let serving_requests = if check { 8 } else { 40 };
     let fleet_requests = if check { 8 } else { 30 };
 
-    let serving = record_serving(serving_requests);
+    // Open-loop ReAct/HotpotQA on one shared replica.
+    let serving =
+        record(ServingConfig::new(Workload::react_hotpotqa(), 2.0, serving_requests).seed(7))
+            .remove(0);
     let (spans, steps) = verify("serving", &serving);
     println!("serving: {spans} request spans over {steps} engine steps");
 
-    let fleet = record_fleet(fleet_requests);
+    // A 3-replica round-robin fleet.
+    let fleet =
+        record(FleetConfig::react_hotpotqa(3, Routing::RoundRobin, 3.0, fleet_requests).seed(7));
     let labels: Vec<String> = (0..fleet.len()).map(|i| format!("replica{i}")).collect();
     let pairs: Vec<(&str, &SpanRecorder)> = labels
         .iter()

@@ -6,7 +6,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
@@ -22,19 +22,19 @@ pub fn run(scale: &Scale) -> FigureResult {
     let mut p95 = Vec::new();
     for (name, chunked) in [("classic", false), ("chunked", true)] {
         for qps in [2.0, 5.0] {
-            let cfg = ServingConfig::new(ServingWorkload::Chatbot, qps, scale.serving_requests)
+            let cfg = ServingConfig::new(Workload::Chatbot, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_chunked_prefill(chunked));
-            let report = ServingSim::new(cfg).run();
+            let report = FleetSim::new(cfg).run();
             table.row(vec![
                 name.to_string(),
                 format!("{qps:.1}"),
-                format!("{:.2}", report.throughput()),
+                format!("{:.2}", report.throughput),
                 format!("{:.1}", report.p50_s),
                 format!("{:.1}", report.p95_s),
                 "-".to_string(),
             ]);
-            p95.push((name, qps, report.p95_s, report.throughput()));
+            p95.push((name, qps, report.p95_s, report.throughput));
         }
     }
     result.table("ShareGPT serving under the two schedulers", table);

@@ -3,7 +3,7 @@
 
 use agentsim_agents::AgentKind;
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload, SingleRequest};
+use agentsim_serving::{FleetSim, ServingConfig, SingleRequest, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -38,16 +38,16 @@ pub fn run(scale: &Scale) -> FigureResult {
         let seq_qps = 1.0 / seq_latency;
 
         // Concurrent: open-loop at an offered load near saturation.
-        let workload = ServingWorkload::Agent {
+        let workload = Workload::Agent {
             kind: AgentKind::React,
             benchmark,
             config: agentsim_agents::AgentConfig::default_8b(),
         };
-        let report = ServingSim::new(
+        let report = FleetSim::new(
             ServingConfig::new(workload, 4.0, scale.serving_requests).seed(scale.seed),
         )
         .run();
-        let conc_qps = report.throughput();
+        let conc_qps = report.throughput;
         let gain = conc_qps / seq_qps;
         gains.push((benchmark, gain));
         table.row(vec![

@@ -18,7 +18,7 @@
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
 use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, HysteresisConfig,
+    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, HysteresisConfig, Workload,
 };
 use agentsim_simkit::SimDuration;
 
@@ -42,7 +42,7 @@ fn hysteresis() -> AutoscalePolicy {
 }
 
 fn run_split(
-    workload: DisaggWorkload,
+    workload: Workload,
     qps: f64,
     n: u64,
     seed: u64,
@@ -81,14 +81,10 @@ pub fn run(scale: &Scale) -> FigureResult {
     let workloads = [
         (
             "react (prefill-heavy)",
-            DisaggWorkload::react_hotpotqa(),
+            Workload::react_hotpotqa(),
             [2.0, 2.2],
         ),
-        (
-            "chatbot (decode-heavy)",
-            DisaggWorkload::Chatbot,
-            [2.0, 4.0],
-        ),
+        ("chatbot (decode-heavy)", Workload::Chatbot, [2.0, 4.0]),
     ];
 
     let mut table = Table::with_columns(&[
@@ -200,7 +196,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     // Determinism: the adaptive path replays bit-identically — flips,
     // drains, and reconfiguration gaps included.
     let a = run_split(
-        DisaggWorkload::react_hotpotqa(),
+        Workload::react_hotpotqa(),
         2.0,
         n,
         scale.seed,
@@ -208,7 +204,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         hysteresis(),
     );
     let b = run_split(
-        DisaggWorkload::react_hotpotqa(),
+        Workload::react_hotpotqa(),
         2.0,
         n,
         scale.seed,

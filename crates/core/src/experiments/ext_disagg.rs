@@ -16,7 +16,7 @@
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
@@ -57,7 +57,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         "Extension: disaggregated prefill/decode serving vs colocated, iso-GPU",
     );
     let n = scale.serving_requests;
-    let workload = DisaggWorkload::react_hotpotqa;
+    let workload = Workload::react_hotpotqa;
 
     // Panel 1: QPS sweep, 2 colocated replicas vs 1 prefill + 1 decode.
     let qps_points = [0.5, 1.0, 2.0, 3.0];

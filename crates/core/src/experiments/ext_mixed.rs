@@ -4,7 +4,7 @@
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -28,16 +28,16 @@ pub fn run(scale: &Scale) -> FigureResult {
     let mut rows = Vec::new();
     for agent_fraction in [0.0, 0.2, 0.5] {
         let workload = if agent_fraction == 0.0 {
-            ServingWorkload::Chatbot
+            Workload::Chatbot
         } else {
-            ServingWorkload::Mixed {
+            Workload::Mixed {
                 agent_fraction,
                 kind: AgentKind::React,
                 benchmark: Benchmark::HotpotQa,
                 config: AgentConfig::default_8b(),
             }
         };
-        let mut report = ServingSim::new(
+        let mut report = FleetSim::new(
             ServingConfig::new(workload, qps, scale.serving_requests).seed(scale.seed),
         )
         .run();
@@ -63,7 +63,7 @@ pub fn run(scale: &Scale) -> FigureResult {
             } else {
                 format!("{agent_p50:.1}")
             },
-            format!("{:.2}", report.utilization),
+            format!("{:.2}", report.utilization[0]),
             format!("{:.2}", report.kv_hit_rate),
         ]);
         rows.push((agent_fraction, chat_p50, chat_p95));

@@ -15,7 +15,7 @@
 
 use agentsim_gpu::LinkSpec;
 use agentsim_metrics::Table;
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
@@ -56,7 +56,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         "Extension: layer-wise pipelined KV transfers (chunked-link model)",
     );
     let n = scale.serving_requests;
-    let workload = DisaggWorkload::react_hotpotqa;
+    let workload = Workload::react_hotpotqa;
 
     // Panel 1: chunk-count sweep on the contended cell — 1P+1D over
     // PCIe, where serial migrations queue behind each other.

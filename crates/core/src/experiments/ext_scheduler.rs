@@ -7,7 +7,7 @@
 
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -33,7 +33,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         ("deepest-first", SchedulerPolicy::DeepestFirst),
     ] {
         for qps in [1.5, 3.0] {
-            let workload = ServingWorkload::Agent {
+            let workload = Workload::Agent {
                 kind: agentsim_agents::AgentKind::React,
                 benchmark: Benchmark::HotpotQa,
                 config: agentsim_agents::AgentConfig::default_8b(),
@@ -41,12 +41,12 @@ pub fn run(scale: &Scale) -> FigureResult {
             let cfg = ServingConfig::new(workload, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_scheduler(policy));
-            let report = ServingSim::new(cfg).run();
-            let in_flight = report.latencies.summary().mean() * report.throughput();
+            let report = FleetSim::new(cfg).run();
+            let in_flight = report.latencies.summary().mean() * report.throughput;
             table.row(vec![
                 name.to_string(),
                 format!("{qps:.1}"),
-                format!("{:.2}", report.throughput()),
+                format!("{:.2}", report.throughput),
                 format!("{:.1}", report.p50_s),
                 format!("{:.1}", report.p95_s),
                 format!("{in_flight:.1}"),
@@ -66,11 +66,10 @@ pub fn run(scale: &Scale) -> FigureResult {
     let deepest = get("deepest-first", 3.0);
     result.check(
         "deepest-first-does-not-lose-throughput",
-        deepest.throughput() > 0.9 * fcfs.throughput(),
+        deepest.throughput > 0.9 * fcfs.throughput,
         format!(
             "throughput at 3 QPS: deepest-first {:.2} vs FCFS {:.2}",
-            deepest.throughput(),
-            fcfs.throughput()
+            deepest.throughput, fcfs.throughput
         ),
     );
     result.check(

@@ -7,7 +7,7 @@
 //! not modeled.
 
 use agentsim_metrics::Table;
-use agentsim_serving::{RequestSpan, ServingConfig, ServingSim, ServingWorkload, SpanRecorder};
+use agentsim_serving::{FleetSim, RequestSpan, ServingConfig, SpanRecorder, Workload};
 use agentsim_simkit::SimDuration;
 
 use crate::figure::{FigureResult, Scale};
@@ -48,8 +48,8 @@ fn breakdown(spans: &[RequestSpan]) -> Breakdown {
     }
 }
 
-fn record(workload: ServingWorkload, qps: f64, requests: u64, seed: u64) -> SpanRecorder {
-    let mut sim = ServingSim::new(ServingConfig::new(workload, qps, requests).seed(seed));
+fn record(workload: Workload, qps: f64, requests: u64, seed: u64) -> SpanRecorder {
+    let mut sim = FleetSim::new(ServingConfig::new(workload, qps, requests).seed(seed));
     let recorder = sim.attach_recorder();
     sim.run();
     recorder
@@ -75,10 +75,10 @@ pub fn run(scale: &Scale) -> FigureResult {
     ]);
     let mut rows = Vec::new();
     for (label, workload, qps) in [
-        ("chatbot", ServingWorkload::Chatbot, 0.5),
-        ("chatbot (loaded)", ServingWorkload::Chatbot, 8.0),
-        ("react", ServingWorkload::react_hotpotqa(), 0.5),
-        ("react (loaded)", ServingWorkload::react_hotpotqa(), 4.0),
+        ("chatbot", Workload::Chatbot, 0.5),
+        ("chatbot (loaded)", Workload::Chatbot, 8.0),
+        ("react", Workload::react_hotpotqa(), 0.5),
+        ("react (loaded)", Workload::react_hotpotqa(), 4.0),
     ] {
         let recorder = record(workload, qps, n, scale.seed);
         let spans = recorder.spans();

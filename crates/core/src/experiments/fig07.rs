@@ -2,14 +2,14 @@
 //! ReAct agent, processing one request at a time with prefix caching.
 
 use agentsim_metrics::{Histogram, Table};
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
 const TRICKLE_QPS: f64 = 0.02; // one request at a time
 
-fn trickle(workload: ServingWorkload, scale: &Scale) -> agentsim_serving::ServingReport {
-    ServingSim::new(
+fn trickle(workload: Workload, scale: &Scale) -> agentsim_serving::FleetReport {
+    FleetSim::new(
         ServingConfig::new(workload, TRICKLE_QPS, scale.serving_requests).seed(scale.seed),
     )
     .run()
@@ -21,8 +21,8 @@ pub fn run(scale: &Scale) -> FigureResult {
         "fig07",
         "Latency distribution: ShareGPT chatbot vs ReAct agent (Fig. 7)",
     );
-    let chatbot = trickle(ServingWorkload::Chatbot, scale);
-    let agent = trickle(ServingWorkload::react_hotpotqa(), scale);
+    let chatbot = trickle(Workload::Chatbot, scale);
+    let agent = trickle(Workload::react_hotpotqa(), scale);
 
     let mut table = Table::with_columns(&["Workload", "p50 s", "p95 s", "max s", "p95-p50 s"]);
     for (name, r) in [("ShareGPT", &chatbot), ("ReAct/HotpotQA", &agent)] {

@@ -6,14 +6,14 @@
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
 use agentsim_serving::{
-    peak_throughput, qps_sweep, qps_sweep_observed, Phase, ServingWorkload, SweepPoint,
+    peak_throughput, qps_sweep, qps_sweep_observed, Phase, SweepPoint, Workload,
 };
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
 
-fn agent_workload(benchmark: Benchmark) -> ServingWorkload {
-    ServingWorkload::Agent {
+fn agent_workload(benchmark: Benchmark) -> Workload {
+    Workload::Agent {
         kind: agentsim_agents::AgentKind::React,
         benchmark,
         config: agentsim_agents::AgentConfig::default_8b(),
@@ -47,7 +47,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         for p in &observed {
             table.row(vec![
                 format!("{:.2}", p.qps),
-                format!("{:.2}", p.report.throughput()),
+                format!("{:.2}", p.report.throughput),
                 format!("{:.1}", p.report.p50_s),
                 format!("{:.1}", p.report.p95_s),
             ]);
@@ -124,7 +124,7 @@ pub fn run(scale: &Scale) -> FigureResult {
 
     // The other two workloads need no span attribution: plain sweeps.
     for (name, workload) in [
-        ("ShareGPT", ServingWorkload::Chatbot),
+        ("ShareGPT", Workload::Chatbot),
         ("ReAct/WebShop", agent_workload(Benchmark::WebShop)),
     ] {
         let points: &[f64] = if name == "ShareGPT" {
@@ -143,7 +143,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         for p in &sweep {
             table.row(vec![
                 format!("{:.2}", p.qps),
-                format!("{:.2}", p.report.throughput()),
+                format!("{:.2}", p.report.throughput),
                 format!("{:.1}", p.report.p50_s),
                 format!("{:.1}", p.report.p95_s),
             ]);

@@ -3,7 +3,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{peak_throughput, qps_sweep, ServingWorkload};
+use agentsim_serving::{peak_throughput, qps_sweep, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -20,10 +20,10 @@ pub fn run(scale: &Scale) -> FigureResult {
     let mut gains = Vec::new();
 
     for (name, workload, points) in [
-        ("ShareGPT", ServingWorkload::Chatbot, &chatbot_points[..]),
+        ("ShareGPT", Workload::Chatbot, &chatbot_points[..]),
         (
             "ReAct/HotpotQA",
-            ServingWorkload::Agent {
+            Workload::Agent {
                 kind: agentsim_agents::AgentKind::React,
                 benchmark: Benchmark::HotpotQa,
                 config: agentsim_agents::AgentConfig::default_8b(),
@@ -52,8 +52,8 @@ pub fn run(scale: &Scale) -> FigureResult {
                 format!("{:.2}", a.qps),
                 format!("{:.1}", a.report.p95_s),
                 format!("{:.1}", b.report.p95_s),
-                format!("{:.2}", a.report.throughput()),
-                format!("{:.2}", b.report.throughput()),
+                format!("{:.2}", a.report.throughput),
+                format!("{:.2}", b.report.throughput),
             ]);
         }
         result.table(&format!("{name}: prefix caching on vs off"), table);

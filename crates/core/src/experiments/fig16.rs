@@ -3,7 +3,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -29,7 +29,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let mut max_savings = Vec::new();
     for (benchmark, qps) in [(Benchmark::HotpotQa, 0.2), (Benchmark::WebShop, 0.1)] {
         let run_one = |caching: bool| {
-            let workload = ServingWorkload::Agent {
+            let workload = Workload::Agent {
                 kind: agentsim_agents::AgentKind::React,
                 benchmark,
                 config: agentsim_agents::AgentConfig::default_8b(),
@@ -37,7 +37,7 @@ pub fn run(scale: &Scale) -> FigureResult {
             let cfg = ServingConfig::new(workload, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_prefix_caching(caching));
-            ServingSim::new(cfg).run()
+            FleetSim::new(cfg).run()
         };
         let on = run_one(true);
         let off = run_one(false);

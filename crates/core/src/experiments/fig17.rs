@@ -3,7 +3,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetSim, ServingConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -31,7 +31,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let qps = 3.0;
     let mut rows = Vec::new();
     for fraction in FRACTIONS {
-        let workload = ServingWorkload::Agent {
+        let workload = Workload::Agent {
             kind: agentsim_agents::AgentKind::React,
             benchmark: Benchmark::HotpotQa,
             config: agentsim_agents::AgentConfig::default_8b(),
@@ -39,10 +39,10 @@ pub fn run(scale: &Scale) -> FigureResult {
         let cfg = ServingConfig::new(workload, qps, scale.serving_requests)
             .seed(scale.seed)
             .engine(EngineConfig::a100_llama8b().with_kv_fraction(fraction));
-        let report = ServingSim::new(cfg).run();
+        let report = FleetSim::new(cfg).run();
         table.row(vec![
             format!("{fraction:.2}"),
-            format!("{:.2}", report.throughput()),
+            format!("{:.2}", report.throughput),
             format!("{:.1}", report.p95_s),
             format!("{:.2}", report.kv_hit_rate),
             report.evictions.to_string(),
@@ -59,11 +59,10 @@ pub fn run(scale: &Scale) -> FigureResult {
 
     result.check(
         "tiny-pool-collapses-throughput",
-        tiny.throughput() < 0.8 * full.throughput(),
+        tiny.throughput < 0.8 * full.throughput,
         format!(
             "10% pool: {:.2} vs 200% pool: {:.2} QPS (paper: -86.3%)",
-            tiny.throughput(),
-            full.throughput()
+            tiny.throughput, full.throughput
         ),
     );
     result.check(
@@ -84,11 +83,10 @@ pub fn run(scale: &Scale) -> FigureResult {
     );
     result.check(
         "moderate-pool-still-degrades",
-        small.throughput() <= full.throughput() * 1.02 && small.kv_hit_rate <= full.kv_hit_rate,
+        small.throughput <= full.throughput * 1.02 && small.kv_hit_rate <= full.kv_hit_rate,
         format!(
             "30% pool: {:.2} QPS, hit {:.2} (paper: 35% lower throughput than 200%)",
-            small.throughput(),
-            small.kv_hit_rate
+            small.throughput, small.kv_hit_rate
         ),
     );
     result

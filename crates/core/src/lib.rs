@@ -35,7 +35,7 @@ pub use figure::{Check, FigureResult, Scale};
 pub use agentsim_agents::{AgentConfig, AgentKind};
 pub use agentsim_llm::EngineConfig;
 pub use agentsim_serving::{
-    qps_sweep, ServingConfig, ServingSim, ServingWorkload, SingleOutcome, SingleRequest,
+    qps_sweep, FleetSim, ServingConfig, SingleOutcome, SingleRequest, Workload,
 };
 pub use agentsim_workloads::Benchmark;
 
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use agentsim_metrics::{Histogram, Samples, Summary, Table};
     pub use agentsim_serving::{
         peak_throughput, qps_sweep, ClientModel, FleetConfig, FleetSim, ReplicaPool, Routing,
-        ServingConfig, ServingSim, ServingWorkload, SingleRequest,
+        ServingConfig, SingleRequest, Workload,
     };
     pub use agentsim_simkit::{SimDuration, SimTime};
     pub use agentsim_workloads::Benchmark;

@@ -1,59 +1,18 @@
 //! Disaggregated-serving configuration: pool sizes, interconnect, and
 //! routing policies.
 
-use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_llm::EngineConfig;
-use agentsim_session::{validate_load, ClientModel, QueueDiscipline};
+use agentsim_session::{validate_load, ClientModel, QueueDiscipline, Workload};
 use agentsim_simkit::SimDuration;
-use agentsim_workloads::Benchmark;
 
 use crate::autoscale::AutoscalePolicy;
 
-/// What kind of traffic the disaggregated cluster receives. Mirrors the
-/// colocated drivers so a what-if comparison changes *only* the serving
-/// topology.
-#[derive(Debug, Clone)]
-pub enum DisaggWorkload {
-    /// Non-agentic single-turn chatbot traffic (ShareGPT).
-    Chatbot,
-    /// Agentic traffic: every request runs this agent on this benchmark.
-    Agent {
-        /// The agent framework.
-        kind: AgentKind,
-        /// The benchmark tasks are drawn from.
-        benchmark: Benchmark,
-        /// The agent configuration.
-        config: AgentConfig,
-    },
-    /// A blend: each arrival is an agent session with probability
-    /// `agent_fraction`, otherwise a chatbot request. Uses the same
-    /// per-turn class draw as the colocated driver's mixed workload, so
-    /// the identical seed classifies identically.
-    Mixed {
-        /// Probability that an arrival is an agent session.
-        agent_fraction: f64,
-        /// The agent framework for agent arrivals.
-        kind: AgentKind,
-        /// The benchmark agent tasks are drawn from.
-        benchmark: Benchmark,
-        /// The agent configuration.
-        config: AgentConfig,
-    },
-}
-
-impl DisaggWorkload {
-    /// A ReAct-on-HotpotQA workload with default configuration (the
-    /// paper's canonical agent serving setup; prefill-heavy because every
-    /// iteration re-reads the growing history).
-    pub fn react_hotpotqa() -> Self {
-        DisaggWorkload::Agent {
-            kind: AgentKind::React,
-            benchmark: Benchmark::HotpotQa,
-            config: AgentConfig::default(),
-        }
-    }
-}
+/// The disaggregated driver's traffic description: the workload enum
+/// every driver shares, so a what-if comparison changes *only* the
+/// serving topology. Kept as an alias for existing callers; new code
+/// names [`Workload`].
+pub type DisaggWorkload = Workload;
 
 /// How a call is assigned to a replica within one pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +63,7 @@ pub struct DisaggConfig {
     /// How migrated calls pick a decode replica.
     pub decode_routing: PoolRouting,
     /// Traffic description.
-    pub workload: DisaggWorkload,
+    pub workload: Workload,
     /// Offered load, requests per second.
     pub qps: f64,
     /// Requests (sessions) to issue.
@@ -146,7 +105,7 @@ pub struct DisaggConfig {
 
 impl DisaggConfig {
     /// A 1-prefill + 1-decode split over NVLink, default 8B replicas.
-    pub fn new(workload: DisaggWorkload, qps: f64, num_requests: u64) -> Self {
+    pub fn new(workload: Workload, qps: f64, num_requests: u64) -> Self {
         validate_load(qps, num_requests);
         DisaggConfig {
             prefill_engine: EngineConfig::a100_llama8b(),
@@ -173,7 +132,7 @@ impl DisaggConfig {
     /// The colocated baseline at iso-GPU count: `replicas` role-free
     /// engines, no transfers, same arrivals. What-if comparisons hold
     /// everything else fixed.
-    pub fn colocated(workload: DisaggWorkload, replicas: u32, qps: f64, num_requests: u64) -> Self {
+    pub fn colocated(workload: Workload, replicas: u32, qps: f64, num_requests: u64) -> Self {
         assert!(replicas > 0, "need at least one replica");
         let mut cfg = DisaggConfig::new(workload, qps, num_requests);
         cfg.prefill_replicas = replicas;
@@ -328,7 +287,7 @@ mod tests {
 
     #[test]
     fn defaults_split_one_one_over_nvlink() {
-        let cfg = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10);
+        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 10);
         assert_eq!(cfg.prefill_replicas, 1);
         assert_eq!(cfg.decode_replicas, 1);
         assert!(!cfg.is_colocated());
@@ -338,7 +297,7 @@ mod tests {
 
     #[test]
     fn colocated_mode_has_no_decode_pool() {
-        let cfg = DisaggConfig::colocated(DisaggWorkload::Chatbot, 2, 1.0, 10);
+        let cfg = DisaggConfig::colocated(Workload::Chatbot, 2, 1.0, 10);
         assert!(cfg.is_colocated());
         assert_eq!(cfg.total_replicas(), 2);
     }
@@ -346,12 +305,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one prefill replica")]
     fn empty_prefill_pool_rejected() {
-        let _ = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 1).pools(0, 1);
+        let _ = DisaggConfig::new(Workload::Chatbot, 1.0, 1).pools(0, 1);
     }
 
     #[test]
     fn overload_knobs_default_off() {
-        let cfg = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10);
+        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 10);
         assert!(cfg.max_inflight_prefill.is_none());
         assert!(cfg.deadline.is_none());
         assert_eq!(cfg.discipline, QueueDiscipline::Fifo);
@@ -361,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs a deadline")]
     fn deadline_drop_without_deadline_rejected() {
-        DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10)
+        DisaggConfig::new(Workload::Chatbot, 1.0, 10)
             .discipline(QueueDiscipline::DeadlineDrop)
             .validate_overload();
     }
@@ -369,7 +328,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "only acted on by DeadlineDrop")]
     fn deadline_without_deadline_drop_rejected() {
-        DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10)
+        DisaggConfig::new(Workload::Chatbot, 1.0, 10)
             .deadline(SimDuration::from_secs(10))
             .validate_overload();
     }
@@ -377,18 +336,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive finite qps")]
     fn non_finite_load_rejected() {
-        let _ = DisaggConfig::new(DisaggWorkload::Chatbot, f64::NAN, 10);
+        let _ = DisaggConfig::new(Workload::Chatbot, f64::NAN, 10);
     }
 
     #[test]
     #[should_panic(expected = "capacity for a call")]
     fn zero_wide_gate_rejected() {
-        let _ = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10).max_inflight_prefill(0);
+        let _ = DisaggConfig::new(Workload::Chatbot, 1.0, 10).max_inflight_prefill(0);
     }
 
     #[test]
     fn autoscale_defaults_off_with_warm_flips() {
-        let cfg = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10);
+        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 10);
         assert!(matches!(cfg.autoscale, AutoscalePolicy::Disabled));
         assert_eq!(cfg.flip_cost, FlipCostModel::warm());
         let cfg = cfg

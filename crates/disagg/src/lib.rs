@@ -35,6 +35,7 @@ pub mod report;
 pub mod sim;
 pub mod transfer;
 
+pub use agentsim_session::Workload;
 pub use autoscale::{
     AutoscalePolicy, FlipDirection, HysteresisConfig, HysteresisController, PinnedController,
     PoolController, PoolObservation, ScheduleController,

@@ -37,19 +37,16 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{Engine, EngineObserver, EngineRole, LlmCompletion, MigratedRequest, RequestId};
 use agentsim_metrics::Samples;
 use agentsim_session::{
-    seeds, Arrival, ArrivalProcess, CallDone, LlmSubmit, QueueDiscipline, SessionCmd,
-    SessionRunner, ToolRng,
+    seeds, Arrival, ArrivalProcess, CallDone, LlmSubmit, QueueDiscipline, SessionCmd, SessionRunner,
 };
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
-use agentsim_workloads::{ShareGptGenerator, TaskGenerator};
 
 use crate::autoscale::{FlipDirection, PoolController};
-use crate::config::{DisaggConfig, DisaggWorkload, PoolRouting};
+use crate::config::{DisaggConfig, PoolRouting};
 use crate::report::{CallRecord, DisaggReport, FlipRecord, LinkStats};
 use crate::transfer::TransferScheduler;
 
@@ -178,9 +175,11 @@ impl DisaggSim {
     /// # Panics
     ///
     /// Panics when the configuration enables autoscaling in colocated
-    /// mode — a role-free pool has nothing to flip.
+    /// mode — a role-free pool has nothing to flip — or when the workload
+    /// fails [`agentsim_session::Workload::validate`].
     pub fn new(config: DisaggConfig) -> Self {
         config.validate_overload();
+        config.workload.validate();
         let prefill_role = if config.is_colocated() {
             EngineRole::Colocated
         } else {
@@ -333,66 +332,20 @@ impl DisaggSim {
         if let Some(next) = self.client.after_arrival(now) {
             self.queue.push(next.at, Event::Arrival(next));
         }
-        let (runner, cmd) = match self.config.workload {
-            DisaggWorkload::Chatbot => self.start_chatbot(a.turn, now),
-            DisaggWorkload::Agent {
-                kind,
-                benchmark,
-                config,
-            } => self.start_agent(a.turn, now, kind, benchmark, config),
-            DisaggWorkload::Mixed {
-                agent_fraction,
-                kind,
-                benchmark,
-                config,
-            } => {
-                // Same per-turn class draw as the colocated driver's
-                // mixed workload: identical seeds classify identically.
-                let mut class_rng = self.root_rng.fork(a.turn ^ seeds::MIXED_CLASS);
-                if class_rng.chance(agent_fraction) {
-                    self.start_agent(a.turn, now, kind, benchmark, config)
-                } else {
-                    self.start_chatbot(a.turn, now)
-                }
-            }
-        };
+        let (runner, cmd) = self.config.workload.start_session(
+            a.turn,
+            self.config.seed,
+            &self.root_rng,
+            None,
+            None,
+            &self.tools,
+            now,
+        );
         let slot = &mut self.sessions[a.session as usize];
         assert!(slot.is_none(), "session {} already live", a.session);
         *slot = Some(runner);
         self.session_deadline[a.session as usize] = self.config.deadline.map(|d| now + d);
         self.exec(a.session, cmd, now);
-    }
-
-    fn start_chatbot(&mut self, turn: u64, now: SimTime) -> (SessionRunner, SessionCmd) {
-        let query = ShareGptGenerator::new(self.config.seed).query(turn);
-        SessionRunner::chatbot(
-            query.prompt,
-            query.output_tokens,
-            query.gen_seed,
-            turn,
-            self.root_rng.fork(turn ^ seeds::CHATBOT_SESSION),
-            now,
-        )
-    }
-
-    fn start_agent(
-        &mut self,
-        turn: u64,
-        now: SimTime,
-        kind: AgentKind,
-        benchmark: agentsim_workloads::Benchmark,
-        config: AgentConfig,
-    ) -> (SessionRunner, SessionCmd) {
-        let task = TaskGenerator::new(benchmark, self.config.seed).task(turn);
-        SessionRunner::agent(
-            kind,
-            &task,
-            config,
-            self.root_rng.fork(turn ^ seeds::AGENT_SESSION),
-            ToolRng::ForkByTime,
-            &self.tools,
-            now,
-        )
     }
 
     /// Work a routing policy sees on `replica`: `queued + running`.
@@ -915,11 +868,12 @@ impl DisaggSim {
 mod tests {
     use super::*;
     use crate::autoscale::AutoscalePolicy;
+    use agentsim_agents::{AgentConfig, AgentKind};
     use agentsim_gpu::{FlipCostModel, LinkSpec};
-    use agentsim_session::ClientModel;
+    use agentsim_session::{ClientModel, Workload};
 
     fn react(qps: f64, n: u64) -> DisaggReport {
-        DisaggSim::new(DisaggConfig::new(DisaggWorkload::react_hotpotqa(), qps, n).seed(1)).run()
+        DisaggSim::new(DisaggConfig::new(Workload::react_hotpotqa(), qps, n).seed(1)).run()
     }
 
     #[test]
@@ -944,7 +898,7 @@ mod tests {
 
     #[test]
     fn colocated_mode_never_transfers() {
-        let cfg = DisaggConfig::colocated(DisaggWorkload::react_hotpotqa(), 2, 0.5, 10).seed(1);
+        let cfg = DisaggConfig::colocated(Workload::react_hotpotqa(), 2, 0.5, 10).seed(1);
         let r = DisaggSim::new(cfg).run();
         assert_eq!(r.completed, 10);
         assert_eq!(r.migrated_calls, 0);
@@ -968,7 +922,7 @@ mod tests {
 
     #[test]
     fn slower_links_lengthen_ttft() {
-        let base = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.5, 10).seed(2);
+        let base = DisaggConfig::new(Workload::react_hotpotqa(), 0.5, 10).seed(2);
         let fast = DisaggSim::new(base.clone().link(LinkSpec::nvlink4())).run();
         let slow_spec = LinkSpec {
             name: "slow",
@@ -997,7 +951,7 @@ mod tests {
 
     #[test]
     fn chatbot_traffic_is_served_too() {
-        let cfg = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 12).seed(3);
+        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 12).seed(3);
         let r = DisaggSim::new(cfg).run();
         assert_eq!(r.completed, 12);
         assert_eq!(r.calls.len(), 12, "one call per chatbot request");
@@ -1005,7 +959,7 @@ mod tests {
 
     #[test]
     fn closed_loop_runs_through_the_disagg_topology() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 12)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 12)
             .seed(4)
             .client(ClientModel::ClosedLoop {
                 concurrency: 3,
@@ -1020,7 +974,7 @@ mod tests {
 
     #[test]
     fn pinned_controller_matches_disabled_bit_for_bit() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.8, 10)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 10)
             .seed(9)
             .pools(2, 2);
         let disabled = DisaggSim::new(cfg.clone()).run();
@@ -1033,7 +987,7 @@ mod tests {
 
     #[test]
     fn scheduled_flip_moves_a_replica_and_telescopes() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.8, 12)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 12)
             .seed(6)
             .pools(2, 2)
             .flip_cost(FlipCostModel::warm())
@@ -1068,7 +1022,7 @@ mod tests {
     fn infeasible_schedule_entries_are_dropped() {
         // 1P+1D: both pools are at the one-replica floor, so neither
         // direction is feasible; the run must not stall or panic.
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.8, 8)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 8)
             .seed(7)
             .autoscale(AutoscalePolicy::Schedule(vec![
                 (SimTime::from_secs_f64(1.0), FlipDirection::PrefillToDecode),
@@ -1082,14 +1036,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a decode pool")]
     fn autoscaling_the_colocated_baseline_panics() {
-        let cfg = DisaggConfig::colocated(DisaggWorkload::Chatbot, 2, 1.0, 4)
+        let cfg = DisaggConfig::colocated(Workload::Chatbot, 2, 1.0, 4)
             .autoscale(AutoscalePolicy::Pinned);
         let _ = DisaggSim::new(cfg);
     }
 
     #[test]
     fn wide_gate_changes_nothing_observable() {
-        let base = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 10).seed(5);
+        let base = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 10).seed(5);
         let open = DisaggSim::new(base.clone()).run();
         let gated = DisaggSim::new(base.max_inflight_prefill(1_000)).run();
         assert_eq!(gated.completed, 10);
@@ -1100,7 +1054,7 @@ mod tests {
 
     #[test]
     fn tight_gate_still_completes_every_turn() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 12)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 12)
             .seed(5)
             .max_inflight_prefill(1);
         let r = DisaggSim::new(cfg).run();
@@ -1115,7 +1069,7 @@ mod tests {
     fn op_wider_than_the_gate_runs_alone() {
         // Best-of-N submits all N samples as one op; a 1-call gate must
         // admit it via the head-of-line exception, not deadlock.
-        let workload = DisaggWorkload::Agent {
+        let workload = Workload::Agent {
             kind: AgentKind::BestOfN,
             benchmark: agentsim_workloads::Benchmark::HotpotQa,
             config: AgentConfig::default(),
@@ -1133,7 +1087,7 @@ mod tests {
 
     #[test]
     fn deadline_drop_sheds_under_pressure() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 4.0, 24)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 4.0, 24)
             .seed(5)
             .max_inflight_prefill(1)
             .discipline(QueueDiscipline::DeadlineDrop)
@@ -1150,7 +1104,7 @@ mod tests {
 
     #[test]
     fn gated_run_is_deterministic_across_reruns() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 4.0, 20)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 4.0, 20)
             .seed(6)
             .pools(2, 2)
             .max_inflight_prefill(2)
@@ -1169,7 +1123,7 @@ mod tests {
         use crate::autoscale::HysteresisConfig;
         // ReAct traffic is prefill-heavy; with a hair-trigger band the
         // controller should pull a decode replica over.
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 24)
+        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 24)
             .seed(8)
             .pools(1, 3)
             .flip_cost(FlipCostModel::zero())
@@ -1188,5 +1142,17 @@ mod tests {
             "sustained prefill pressure must pull a decode replica over (flips: {:?})",
             r.flips
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "agent_fraction 1.5")]
+    fn invalid_workload_is_rejected_at_build() {
+        let workload = Workload::Mixed {
+            agent_fraction: 1.5,
+            kind: AgentKind::React,
+            benchmark: agentsim_workloads::Benchmark::HotpotQa,
+            config: AgentConfig::default(),
+        };
+        DisaggSim::new(DisaggConfig::new(workload, 1.0, 4));
     }
 }

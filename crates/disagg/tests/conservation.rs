@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::{EngineEvent, EngineObserver, RequestId};
 
@@ -101,7 +101,7 @@ fn run_tallied(cfg: DisaggConfig) -> (DisaggReport, Tallies, Tallies) {
 
 #[test]
 fn every_request_prefills_exactly_once_and_terminates_exactly_once() {
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.8, 12)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 12)
         .seed(11)
         .pools(2, 2);
     let (report, prefill, decode) = run_tallied(cfg);
@@ -155,7 +155,7 @@ fn every_request_prefills_exactly_once_and_terminates_exactly_once() {
 
 #[test]
 fn transferred_bytes_match_prefill_side_kv_footprint() {
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 0.8, 10)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 10)
         .seed(5)
         .link(LinkSpec::pcie_gen4());
     let (report, prefill, _) = run_tallied(cfg);
@@ -179,7 +179,7 @@ fn transferred_bytes_match_prefill_side_kv_footprint() {
 fn decode_pool_occupancy_never_exceeds_capacity() {
     // Push hard enough that decode pools are busy and preemption is
     // plausible; the occupancy invariant must hold at every step.
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 3.0, 20)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 3.0, 20)
         .seed(13)
         .pools(2, 1);
     let (report, prefill, decode) = run_tallied(cfg);
@@ -199,13 +199,13 @@ fn zero_cost_link_reproduces_colocated_token_counts() {
     // drawn from timing-dependent RNG forks.)
     let n = 24;
     let disagg = DisaggSim::new(
-        DisaggConfig::new(DisaggWorkload::Chatbot, 1.5, n)
+        DisaggConfig::new(Workload::Chatbot, 1.5, n)
             .seed(21)
             .link(LinkSpec::zero_cost()),
     )
     .run();
     let colocated =
-        DisaggSim::new(DisaggConfig::colocated(DisaggWorkload::Chatbot, 1, 1.5, n).seed(21)).run();
+        DisaggSim::new(DisaggConfig::colocated(Workload::Chatbot, 1, 1.5, n).seed(21)).run();
 
     assert_eq!(disagg.completed, n);
     assert_eq!(colocated.completed, n);

@@ -1,6 +1,6 @@
 //! Differential test: the disaggregated driver, collapsed to its
 //! degenerate configuration (colocated single replica, zero-cost link,
-//! autoscaling disabled), must reproduce the colocated `ServingSim`
+//! autoscaling disabled), must reproduce the single-replica `FleetSim`
 //! golden fingerprints **bit for bit** — the same constants pinned in
 //! `crates/serving/tests/golden_determinism.rs`.
 //!
@@ -11,7 +11,7 @@
 //! from the serving one.
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
 use agentsim_workloads::Benchmark;
@@ -40,15 +40,15 @@ impl Fingerprint {
     }
 }
 
-fn workload(name: &str) -> DisaggWorkload {
+fn workload(name: &str) -> Workload {
     match name {
-        "chatbot" => DisaggWorkload::Chatbot,
-        "agent" => DisaggWorkload::Agent {
+        "chatbot" => Workload::Chatbot,
+        "agent" => Workload::Agent {
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
             config: AgentConfig::default_8b(),
         },
-        "mixed" => DisaggWorkload::Mixed {
+        "mixed" => Workload::Mixed {
             agent_fraction: 0.5,
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
@@ -91,7 +91,7 @@ macro_rules! differential {
             };
             assert_eq!(
                 got, want,
-                "{} diverged from the colocated ServingSim golden — the \
+                "{} diverged from the single-replica FleetSim golden — the \
                  disagg driver no longer degenerates to the serving one",
                 $name
             );

@@ -14,7 +14,7 @@
 use std::sync::{Arc, Mutex};
 
 use agentsim_disagg::{
-    AutoscalePolicy, DisaggConfig, DisaggSim, DisaggWorkload, FlipDirection, TransferScheduler,
+    AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, TransferScheduler, Workload,
 };
 use agentsim_gpu::LinkSpec;
 use agentsim_kvcache::TokenBuf;
@@ -124,7 +124,7 @@ fn flip_scheduled_into_a_migration_storm_completes_cleanly() {
         bandwidth_bytes_per_s: 5e8,
         latency: SimDuration::from_millis(2),
     };
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 16)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 16)
         .seed(0xF11)
         .pools(1, 2)
         .link(slow)
@@ -172,7 +172,7 @@ fn flip_into_partially_shipped_chunked_migrations_lands_every_chunk() {
         bandwidth_bytes_per_s: 5e8,
         latency: SimDuration::from_millis(2),
     };
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 16)
+    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 16)
         .seed(0xF11)
         .pools(1, 2)
         .link(slow)

@@ -8,7 +8,7 @@
 //! Floats are pinned via `f64::to_bits` — exact equality, no tolerance.
 
 use agentsim_disagg::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, FlipDirection,
+    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FlipDirection, Workload,
 };
 use agentsim_gpu::FlipCostModel;
 use agentsim_simkit::SimTime;
@@ -43,17 +43,17 @@ fn run(cfg: DisaggConfig) -> Fingerprint {
 }
 
 fn disagg_cfg() -> DisaggConfig {
-    DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 16).seed(0xD15A)
+    DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 16).seed(0xD15A)
 }
 
 fn colocated_cfg() -> DisaggConfig {
-    DisaggConfig::colocated(DisaggWorkload::react_hotpotqa(), 2, 1.0, 16).seed(0xD15A)
+    DisaggConfig::colocated(Workload::react_hotpotqa(), 2, 1.0, 16).seed(0xD15A)
 }
 
 /// A deterministic one-flip schedule over a 2P+2D split: at t=8s a
 /// prefill replica drains and joins the decode pool.
 fn flip_cfg() -> DisaggConfig {
-    DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 16)
+    DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 16)
         .seed(0xD15A)
         .pools(2, 2)
         .flip_cost(FlipCostModel::warm())

@@ -4,7 +4,7 @@
 //! reruns, and vanish completely at zero capacity.
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::{EngineConfig, OffloadConfig};
 use agentsim_workloads::Benchmark;
@@ -50,7 +50,7 @@ fn config(offload: Option<OffloadConfig>) -> DisaggConfig {
         engine = engine.with_offload(off);
     }
     DisaggConfig::new(
-        DisaggWorkload::Agent {
+        Workload::Agent {
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
             config: AgentConfig::default_8b(),

@@ -10,8 +10,7 @@
 //! scheduler has changed behaviour it promised only to generalize.
 
 use agentsim_disagg::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, FlipDirection,
-    PoolRouting,
+    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FlipDirection, PoolRouting, Workload,
 };
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_session::ClientModel;
@@ -56,7 +55,7 @@ fn check(cfg: DisaggConfig, want: Fingerprint, label: &str) {
 }
 
 fn routing_cell(prefill: PoolRouting, decode: PoolRouting) -> DisaggConfig {
-    DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.5, 24)
+    DisaggConfig::new(Workload::react_hotpotqa(), 1.5, 24)
         .seed(0xD1A6)
         .pools(2, 2)
         .prefill_routing(prefill)
@@ -120,7 +119,7 @@ fn routing_ll_ll_matches_pre_pipeline() {
 #[test]
 fn chatbot_open_loop_matches_pre_pipeline() {
     check(
-        DisaggConfig::new(DisaggWorkload::Chatbot, 2.0, 24)
+        DisaggConfig::new(Workload::Chatbot, 2.0, 24)
             .seed(0xD1A6)
             .pools(2, 2),
         Fingerprint {
@@ -140,7 +139,7 @@ fn chatbot_open_loop_matches_pre_pipeline() {
 #[test]
 fn agent_closed_loop_matches_pre_pipeline() {
     check(
-        DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.2, 20)
+        DisaggConfig::new(Workload::react_hotpotqa(), 1.2, 20)
             .seed(0xC11E)
             .pools(2, 2)
             .client(ClientModel::ClosedLoop {
@@ -167,7 +166,7 @@ fn contended_pcie_cell_matches_pre_pipeline() {
     // 1P+1D split over PCIe. Queueing arithmetic must survive the
     // chunked generalization untouched.
     check(
-        DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 20)
+        DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 20)
             .seed(0x9C1E)
             .pools(1, 1)
             .link(LinkSpec::pcie_gen4()),
@@ -188,7 +187,7 @@ fn contended_pcie_cell_matches_pre_pipeline() {
 #[test]
 fn autoscale_flip_matches_pre_pipeline() {
     check(
-        DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 16)
+        DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 16)
             .seed(0xD15A)
             .pools(2, 2)
             .flip_cost(FlipCostModel::warm())

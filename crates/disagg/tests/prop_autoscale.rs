@@ -17,7 +17,7 @@
 //!    equal to the flip-cost model) and never exceed the schedule;
 //! 5. the same configuration replays bit-identically.
 
-use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggSim, DisaggWorkload, FlipDirection};
+use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, Workload};
 use agentsim_gpu::FlipCostModel;
 use agentsim_simkit::SimTime;
 use proptest::prelude::*;
@@ -63,9 +63,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 
 fn run(s: &Scenario) -> agentsim_disagg::DisaggReport {
     let workload = if s.chatbot {
-        DisaggWorkload::Chatbot
+        Workload::Chatbot
     } else {
-        DisaggWorkload::react_hotpotqa()
+        Workload::react_hotpotqa()
     };
     let schedule: Vec<(SimTime, FlipDirection)> = s
         .schedule

@@ -31,15 +31,17 @@ use std::collections::{HashMap, VecDeque};
 
 use agentsim_agents::{AgentConfig, AgentKind, Cognition};
 use agentsim_kvcache::{EvictionPolicy, TokenBuf};
-use agentsim_llm::{Engine, EngineConfig, LlmCompletion, ModelTier, RequestId};
+use agentsim_llm::{Engine, EngineConfig, EngineObserver, LlmCompletion, ModelTier, RequestId};
 use agentsim_metrics::Samples;
 use agentsim_session::{
     seeds, validate_load, AdmissionController, Arrival, ArrivalProcess, CallDone, CascadePolicy,
-    ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd, SessionRunner, ToolRng,
+    ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd, SessionRunner, Workload,
 };
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
 use agentsim_workloads::{Benchmark, Task, TaskGenerator};
+
+use crate::report::FleetReport;
 
 /// How the router assigns each LLM call to a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +104,8 @@ impl ReplicaPool {
     }
 }
 
-/// Configuration of a fleet run (agentic traffic).
+/// Configuration of a fleet run. A one-replica fleet is the paper's
+/// §IV-C shared-replica server ([`crate::ServingConfig`] builds one).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Replica pools, ordered cheap-to-premium. Replicas are numbered
@@ -112,10 +115,12 @@ pub struct FleetConfig {
     /// Routing policy (applied *within* a tier's pool — the cascade
     /// policy picks the tier, the routing policy picks the replica).
     pub routing: Routing,
-    /// Agent framework served.
-    pub kind: AgentKind,
-    /// Benchmark tasks are drawn from.
-    pub benchmark: Benchmark,
+    /// Traffic description. Agent turns on tier `t` run with
+    /// `pools[t].agent`, the fleet's one source of truth for the agent
+    /// configuration: an agent or mixed workload's own `config` must
+    /// equal pool 0's (checked at build). Chatbot turns always run on
+    /// tier 0 and never escalate.
+    pub workload: Workload,
     /// Tier selection and failure-driven escalation across pools.
     /// [`CascadePolicy::none`] (the default) keeps every turn on tier 0,
     /// reproducing the historical single-tier behaviour bit-for-bit.
@@ -136,6 +141,10 @@ pub struct FleetConfig {
     /// think time) becomes possible. Off by default — turns are
     /// independent tasks.
     pub carry_context: bool,
+    /// Root-stream key: [`seeds::FLEET_ROOT`], or [`seeds::SERVING_ROOT`]
+    /// for a [`crate::ServingConfig`], whose single-replica runs share
+    /// their streams with `DisaggSim`.
+    pub(crate) root: u64,
 }
 
 impl FleetConfig {
@@ -151,15 +160,18 @@ impl FleetConfig {
     }
 
     /// ReAct/HotpotQA across an explicit set of replica pools, ordered
-    /// cheap-to-premium.
+    /// cheap-to-premium. [`FleetConfig::workload`] swaps the traffic.
     pub fn pooled(pools: Vec<ReplicaPool>, routing: Routing, qps: f64, num_requests: u64) -> Self {
         assert!(!pools.is_empty(), "fleet needs at least one pool");
         validate_load(qps, num_requests);
         FleetConfig {
+            workload: Workload::Agent {
+                kind: AgentKind::React,
+                benchmark: Benchmark::HotpotQa,
+                config: pools[0].agent,
+            },
             pools,
             routing,
-            kind: AgentKind::React,
-            benchmark: Benchmark::HotpotQa,
             cascade: CascadePolicy::none(),
             qps,
             num_requests,
@@ -167,6 +179,7 @@ impl FleetConfig {
             client: ClientModel::OpenLoopPoisson,
             overload: OverloadPolicy::none(),
             carry_context: false,
+            root: seeds::FLEET_ROOT,
         }
     }
 
@@ -181,6 +194,13 @@ impl FleetConfig {
         for pool in &mut self.pools {
             pool.engine = f(pool.engine.clone());
         }
+        self
+    }
+
+    /// Replaces the traffic description. An agent or mixed workload's
+    /// `config` must equal `pools[0].agent`.
+    pub fn workload(mut self, workload: Workload) -> Self {
+        self.workload = workload;
         self
     }
 
@@ -224,96 +244,6 @@ impl FleetConfig {
     }
 }
 
-/// Results of a fleet run.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Offered load.
-    pub offered_qps: f64,
-    /// Turns completed *within their deadline* (all turns when the run
-    /// has no deadline).
-    pub completed: u64,
-    /// On-time turns whose agent actually solved its task (the
-    /// cognition-model verdict) — the accuracy numerator cascade
-    /// experiments trade off against cost and latency.
-    pub solved: u64,
-    /// Failure-driven re-routes of unsolved turns to a higher tier.
-    pub escalated: u64,
-    /// End-to-end latencies of on-time turns (seconds).
-    pub latencies: Samples,
-    /// Median latency.
-    pub p50_s: f64,
-    /// Tail latency.
-    pub p95_s: f64,
-    /// Fleet-aggregate prefix-cache hit rate.
-    pub kv_hit_rate: f64,
-    /// Fleet-aggregate energy (Wh).
-    pub energy_wh: f64,
-    /// Per-replica utilization.
-    pub utilization: Vec<f64>,
-    /// Finished turns per second, late ones included.
-    pub throughput: f64,
-    /// On-time turns per second — the paper's "useful" throughput. Equals
-    /// `throughput` when no deadline is set.
-    pub goodput: f64,
-    /// Delivery attempts processed (initial turns plus retries).
-    pub attempts: u64,
-    /// Re-issues scheduled after deadline expiries.
-    pub retries: u64,
-    /// Logical turns the client gave up on (deadline expired, retry
-    /// budget exhausted).
-    pub abandoned: u64,
-    /// Attempts that finished after their deadline (only possible without
-    /// server-side cancellation — the work completes but nobody reads it).
-    pub late: u64,
-    /// Attempts torn down server-side at deadline expiry.
-    pub cancelled: u64,
-    /// Queued ops dropped at dispatch (dead or expired sessions).
-    pub dropped: u64,
-    /// GPU service seconds burned on work no live client received:
-    /// engine-side partial service of cancelled requests plus completed
-    /// service delivered after the client gave up.
-    pub wasted_gpu_s: f64,
-    /// Peak number of simultaneously live sessions (bounded by the
-    /// population under a closed-loop client).
-    pub max_live_sessions: u64,
-    /// Median time-to-first-token across every finished engine call
-    /// (queueing plus prefill — the latency the KV offload tiers tax).
-    pub ttft_p50_s: f64,
-    /// Tail time-to-first-token across every finished engine call.
-    pub ttft_p95_s: f64,
-    /// Median time-per-output-token across every finished engine call
-    /// with more than one output token (seconds/token).
-    pub tpot_p50_s: f64,
-    /// p99 time-per-output-token — the decode-interference tail the
-    /// cascade's premium pool must keep short.
-    pub tpot_p99_s: f64,
-    /// Blocks demoted out of HBM into the offload tiers, fleet-wide
-    /// (zero without [`agentsim_llm::OffloadConfig`]).
-    pub offload_demoted_blocks: u64,
-    /// Blocks promoted back into HBM from the offload tiers, fleet-wide.
-    pub offload_promoted_blocks: u64,
-    /// Prompt tokens served from an offload tier instead of recomputed —
-    /// the hierarchy's prefill savings, fleet-wide.
-    pub offload_promoted_tokens: u64,
-    /// Blocks that fell off the bottom of the hierarchy, fleet-wide.
-    pub offload_dropped_blocks: u64,
-    /// Bytes moved over the HBM↔host offload links, fleet-wide.
-    pub offload_host_bytes: u64,
-    /// Bytes moved over the host↔NVMe offload links, fleet-wide.
-    pub offload_nvme_bytes: u64,
-    /// Wire time the HBM↔host offload links spent moving KV, fleet-wide
-    /// (seconds) — with promotion pipelining this includes wire time
-    /// hidden behind prefill compute.
-    pub offload_host_busy_s: f64,
-    /// Head-of-line queueing delay on the HBM↔host links, fleet-wide
-    /// (seconds).
-    pub offload_host_wait_s: f64,
-    /// Wire time the host↔NVMe offload links spent moving KV (seconds).
-    pub offload_nvme_busy_s: f64,
-    /// Head-of-line queueing delay on the host↔NVMe links (seconds).
-    pub offload_nvme_wait_s: f64,
-}
-
 #[derive(Debug)]
 enum Event {
     Arrival(Arrival),
@@ -322,8 +252,11 @@ enum Event {
     DeadlineExpired { sid: u64, epoch: u64 },
 }
 
-/// Per-attempt bookkeeping for a live session slot.
-struct SessionMeta {
+/// One live delivery attempt of a turn: its session state machine plus
+/// the driver's bookkeeping. Boxed in its slot, so the slot table costs
+/// a pointer per session however many turns the client issues.
+struct Attempt {
+    runner: SessionRunner,
     /// Global turn index (for retry re-issue).
     turn: u64,
     /// Delivery attempt (0 = client-issued).
@@ -375,8 +308,8 @@ pub struct FleetSim {
     tools: ToolExecutor,
     queue: EventQueue<Event>,
     client: Box<dyn ArrivalProcess>,
-    sessions: Vec<Option<SessionRunner>>,
-    meta: Vec<Option<SessionMeta>>,
+    /// The live attempt per session slot.
+    slots: Vec<Option<Box<Attempt>>>,
     /// Occupancy counter per session slot; bumped at each arrival so
     /// events addressed to a torn-down attempt can be recognized.
     epochs: Vec<u64>,
@@ -406,9 +339,12 @@ pub struct FleetSim {
     track_ctx: bool,
     /// Per-session carried conversation: the final context of the
     /// session's last completed turn, prefixed onto its next turn's
-    /// prompts when [`FleetConfig::carry_context`] is set.
+    /// prompts when [`FleetConfig::carry_context`] is set (empty when it
+    /// is not: nothing else writes it).
     carry: Vec<Option<TokenBuf>>,
     latencies: Vec<f64>,
+    agent_latencies: Vec<f64>,
+    chatbot_latencies: Vec<f64>,
     /// Per-call time-to-first-token samples (seconds).
     ttfts: Vec<f64>,
     /// Per-call time-per-output-token samples (seconds/token).
@@ -443,16 +379,34 @@ impl std::fmt::Debug for FleetSim {
 impl FleetSim {
     /// Builds the fleet (the first arrivals are scheduled; the rest
     /// chain lazily as the run progresses).
-    pub fn new(config: FleetConfig) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid load, overload policy, workload or pool agent
+    /// config, and when an agent or mixed workload's `config` disagrees
+    /// with `pools[0].agent`.
+    pub fn new(config: impl Into<FleetConfig>) -> Self {
+        let config = config.into();
         validate_load(config.qps, config.num_requests);
         config.overload.validate(&config.client);
         assert!(!config.pools.is_empty(), "fleet needs at least one pool");
+        config.workload.validate();
+        if let Some((_, _, agent)) = config.workload.agent() {
+            assert!(
+                agent == config.pools[0].agent,
+                "workload agent config disagrees with pool 0's \
+                 (pools[tier].agent is the fleet's agent config)"
+            );
+        }
         // Flatten the pools into one contiguous replica index space.
         let mut engines = Vec::new();
         let mut pool_of = Vec::new();
         let mut tier_ranges = Vec::new();
         for (tier, p) in config.pools.iter().enumerate() {
             assert!(p.replicas > 0, "pool {tier} needs at least one replica");
+            if let Err(e) = p.agent.validate() {
+                panic!("pool {tier}: invalid agent config: {e}");
+            }
             let start = engines.len();
             for _ in 0..p.replicas {
                 engines.push(Engine::new(p.engine.clone()));
@@ -461,7 +415,7 @@ impl FleetSim {
             tier_ranges.push(start..engines.len());
         }
         let replicas = engines.len();
-        let root_rng = SimRng::seed_from(config.seed ^ seeds::FLEET_ROOT);
+        let root_rng = SimRng::seed_from(config.seed ^ config.root);
         let mut client = config.client.build(
             config.qps,
             config.num_requests,
@@ -487,8 +441,7 @@ impl FleetSim {
             tools: ToolExecutor::new(),
             queue,
             client,
-            sessions: (0..slots).map(|_| None).collect(),
-            meta: (0..slots).map(|_| None).collect(),
+            slots: (0..slots).map(|_| None).collect(),
             epochs: vec![0; slots],
             owner: HashMap::new(),
             dispatch: (0..replicas).map(|_| VecDeque::new()).collect(),
@@ -503,8 +456,14 @@ impl FleetSim {
             tier_ranges,
             hints,
             track_ctx: hints || config.carry_context || cascade_active,
-            carry: (0..slots).map(|_| None).collect(),
+            carry: if config.carry_context {
+                vec![None; slots]
+            } else {
+                Vec::new()
+            },
             latencies: Vec::new(),
+            agent_latencies: Vec::new(),
+            chatbot_latencies: Vec::new(),
             ttfts: Vec::new(),
             tpots: Vec::new(),
             completed: 0,
@@ -540,6 +499,37 @@ impl FleetSim {
             .collect()
     }
 
+    /// Attaches a fresh [`crate::SpanRecorder`] to a one-replica fleet's
+    /// engine and returns a handle to read spans/series/exports after
+    /// [`FleetSim::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fleet has exactly one replica (use
+    /// [`FleetSim::attach_recorders`]).
+    pub fn attach_recorder(&mut self) -> crate::SpanRecorder {
+        let recorder = crate::SpanRecorder::new();
+        self.set_observer(Box::new(recorder.clone()));
+        recorder
+    }
+
+    /// Attaches an arbitrary observer to a one-replica fleet's engine
+    /// (replacing any prior one). Use [`agentsim_llm::FanoutObserver`] to
+    /// combine several sinks — e.g. a recorder plus a streaming
+    /// [`crate::SpanStreamWriter`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fleet has exactly one replica.
+    pub fn set_observer(&mut self, observer: Box<dyn EngineObserver>) {
+        assert_eq!(
+            self.engines.len(),
+            1,
+            "set_observer needs a one-replica fleet"
+        );
+        self.engines[0].set_observer(observer);
+    }
+
     /// Runs to completion and reports.
     pub fn run(mut self) -> FleetReport {
         while let Some((now, event)) = self.queue.pop() {
@@ -558,9 +548,23 @@ impl FleetSim {
         self.into_report()
     }
 
-    /// Every turn must resolve exactly once, and every attempt must end
-    /// exactly one way.
+    /// Every turn must resolve exactly once, every attempt must end
+    /// exactly one way, and no engine, queue or counter may hold work.
     fn check_end_state(&self) {
+        assert_eq!(self.live, 0, "no session left live");
+        assert!(self.owner.is_empty(), "no engine call left owned");
+        assert!(
+            self.dispatch.iter().all(VecDeque::is_empty),
+            "no op left at dispatch"
+        );
+        assert!(
+            self.in_flight.iter().all(|&n| n == 0),
+            "in-flight accounting leaked"
+        );
+        for e in &self.engines {
+            assert_eq!(e.kv().live_sequences(), 0, "KV sequence leaked");
+            e.kv().check_invariants().expect("KV invariants at run end");
+        }
         let expected = self.config.client.total_turns(self.config.num_requests);
         if self.config.overload.deadline.is_some() {
             assert_eq!(
@@ -622,12 +626,16 @@ impl FleetSim {
                 self.queue.push(next.at, Event::Arrival(next));
             }
         }
-        let tier = if self.config.pools.len() > 1 {
-            let task = TaskGenerator::new(self.config.benchmark, self.config.seed).task(a.turn);
-            self.arrival_tier(&task, a.attempt)
+        // Chatbot turns stay on tier 0: they have no task to pre-screen.
+        let agent = if self.config.pools.len() > 1 {
+            self.config.workload.agent_turn(&self.root_rng, a.turn)
         } else {
-            0
+            None
         };
+        let tier = agent.map_or(0, |(kind, benchmark, _)| {
+            let task = TaskGenerator::new(benchmark, self.config.seed).task(a.turn);
+            self.arrival_tier(kind, &task, a.attempt)
+        });
         let history = if self.config.carry_context {
             self.carry[a.session as usize].clone()
         } else {
@@ -641,7 +649,7 @@ impl FleetSim {
     /// tasks whose latent aptitude exceeds the cheap tier's *best-case*
     /// capability (plus margin) skip straight to the top — every cheap
     /// attempt at them is provably wasted work.
-    fn arrival_tier(&self, task: &Task, attempt: u32) -> usize {
+    fn arrival_tier(&self, kind: AgentKind, task: &Task, attempt: u32) -> usize {
         let top = self.config.pools.len() - 1;
         if top == 0 {
             return 0;
@@ -652,7 +660,7 @@ impl FleetSim {
         }
         if let Some(margin) = c.aptitude_margin {
             let cheap = &self.config.pools[0].agent;
-            let best = Cognition::best_case_capability(self.config.kind, cheap, task);
+            let best = Cognition::best_case_capability(kind, cheap, task);
             if Cognition::aptitude(task) + margin > best {
                 return top;
             }
@@ -677,25 +685,22 @@ impl FleetSim {
         now: SimTime,
     ) {
         self.attempts += 1;
-        let task = TaskGenerator::new(self.config.benchmark, self.config.seed).task(turn);
-        let (runner, cmd) = SessionRunner::agent_continuing(
+        let (runner, cmd) = self.config.workload.start_session(
+            turn,
+            self.config.seed,
+            &self.root_rng,
+            Some(self.config.pools[tier].agent),
             history,
-            self.config.kind,
-            &task,
-            self.config.pools[tier].agent,
-            self.root_rng.fork(turn ^ seeds::AGENT_SESSION),
-            ToolRng::ForkByTime,
             &self.tools,
             now,
         );
         let s = sid as usize;
-        let slot = &mut self.sessions[s];
-        assert!(slot.is_none(), "session {sid} already live");
-        *slot = Some(runner);
+        assert!(self.slots[s].is_none(), "session {sid} already live");
         self.epochs[s] += 1;
         let epoch = self.epochs[s];
         let deadline = self.config.overload.deadline.map(|d| now + d);
-        self.meta[s] = Some(SessionMeta {
+        self.slots[s] = Some(Box::new(Attempt {
+            runner,
             turn,
             attempt,
             tier,
@@ -708,7 +713,7 @@ impl FleetSim {
             calls: Vec::new(),
             kv_ctx: None,
             kv_replica: 0,
-        });
+        }));
         if let Some(expiry) = deadline {
             self.queue
                 .push(expiry, Event::DeadlineExpired { sid, epoch });
@@ -723,7 +728,7 @@ impl FleetSim {
         match cmd {
             SessionCmd::Llm(op) => {
                 let (epoch, deadline, started, tier) = {
-                    let m = self.meta[sid as usize].as_ref().expect("live session meta");
+                    let m = self.slots[sid as usize].as_ref().expect("live attempt");
                     (m.epoch, m.deadline, m.started, m.tier)
                 };
                 let replica = self.route(sid, tier);
@@ -761,12 +766,15 @@ impl FleetSim {
                 }
             }
             SessionCmd::Finish(outcome) => {
-                let runner = self.sessions[sid as usize].take().expect("live session");
-                let m = self.meta[sid as usize].take().expect("live session meta");
+                let m = *self.slots[sid as usize].take().expect("live attempt");
+                let runner = &m.runner;
                 debug_assert!(m.calls.is_empty(), "finished with calls in flight");
                 self.live -= 1;
                 let c = self.config.cascade;
+                // Chatbot turns report unsolved by construction; only an
+                // agent's failure says a bigger model might do better.
                 if c.escalate_on_failure
+                    && runner.is_agent()
                     && !outcome.solved
                     && !m.expired
                     && m.tier + 1 < self.config.pools.len()
@@ -782,7 +790,7 @@ impl FleetSim {
                     self.escalated += 1;
                     let history = match m.kv_ctx {
                         Some((ctx, _)) => Some(ctx),
-                        None => self.carry[sid as usize].clone(),
+                        None => self.carry.get(sid as usize).cloned().flatten(),
                     };
                     self.begin_attempt(
                         sid,
@@ -809,7 +817,13 @@ impl FleetSim {
                     } else {
                         now - m.started_at
                     };
-                    self.latencies.push(latency.as_secs_f64());
+                    let latency = latency.as_secs_f64();
+                    self.latencies.push(latency);
+                    if runner.is_agent() {
+                        self.agent_latencies.push(latency);
+                    } else {
+                        self.chatbot_latencies.push(latency);
+                    }
                     self.completed += 1;
                     if outcome.solved {
                         self.solved += 1;
@@ -848,7 +862,7 @@ impl FleetSim {
         if !self.hints {
             return None;
         }
-        let m = self.meta[sid as usize].as_ref()?;
+        let m = self.slots[sid as usize].as_ref()?;
         let (ctx, _) = m.kv_ctx.as_ref()?;
         let hashes = ctx
             .chain_hashes_cached(self.block_size_of(m.kv_replica))
@@ -889,12 +903,13 @@ impl FleetSim {
     /// was torn down (and possibly replaced) while the tools ran.
     fn on_tools_done_event(&mut self, sid: u64, epoch: u64, now: SimTime) {
         let s = sid as usize;
-        if self.epochs[s] != epoch || self.sessions[s].is_none() {
+        if self.epochs[s] != epoch || self.slots[s].is_none() {
             return;
         }
-        let cmd = self.sessions[s]
+        let cmd = self.slots[s]
             .as_mut()
-            .expect("live session")
+            .expect("live attempt")
+            .runner
             .on_tools_done(&self.tools, now);
         self.exec(sid, cmd, now);
     }
@@ -902,12 +917,11 @@ impl FleetSim {
     /// A turn's deadline expired while its attempt was still live.
     fn on_deadline(&mut self, sid: u64, epoch: u64, now: SimTime) {
         let s = sid as usize;
-        if self.epochs[s] != epoch || self.sessions[s].is_none() {
+        if self.epochs[s] != epoch || self.slots[s].is_none() {
             return; // The attempt finished (or was replaced) in time.
         }
         if self.config.overload.cancel_on_expiry {
-            let meta = self.meta[s].take().expect("live session meta");
-            self.sessions[s].take();
+            let meta = self.slots[s].take().expect("live attempt");
             self.live -= 1;
             self.cancelled += 1;
             let mut penalized: Vec<usize> = Vec::new();
@@ -949,7 +963,7 @@ impl FleetSim {
             // No cancellation: the attempt keeps running to a late finish,
             // but the client-visible turn resolves abandoned now.
             let calls = {
-                let m = self.meta[s].as_mut().expect("live session meta");
+                let m = self.slots[s].as_mut().expect("live attempt");
                 m.expired = true;
                 m.calls.clone()
             };
@@ -995,7 +1009,7 @@ impl FleetSim {
                 .push(completion.decode_time.as_secs_f64() / (completion.output_tokens - 1) as f64);
         }
         let expired = {
-            let m = self.meta[sid as usize].as_mut().expect("live session meta");
+            let m = self.slots[sid as usize].as_mut().expect("live attempt");
             m.calls
                 .retain(|&(r, id)| !(r == replica && id == completion.id));
             // Extend the tracked context with this call's output so hints
@@ -1012,9 +1026,10 @@ impl FleetSim {
         } else {
             self.admission[replica].on_success();
         }
-        let cmd = self.sessions[sid as usize]
+        let cmd = self.slots[sid as usize]
             .as_mut()
-            .expect("live session")
+            .expect("live attempt")
+            .runner
             .on_call_done(seq, CallDone::from_completion(completion), &self.tools, now);
         if let Some(cmd) = cmd {
             self.exec(sid, cmd, now);
@@ -1075,9 +1090,7 @@ impl FleetSim {
             submitted.push((replica, id));
         }
         self.in_flight[replica] += calls_len;
-        let m = self.meta[op.sid as usize]
-            .as_mut()
-            .expect("live session meta");
+        let m = self.slots[op.sid as usize].as_mut().expect("live attempt");
         m.started = true;
         m.calls.extend(submitted);
         if self.track_ctx {
@@ -1096,13 +1109,13 @@ impl FleetSim {
             let sid = op.sid as usize;
             // Stale: the attempt was torn down (and maybe retried) since
             // this op was queued.
-            let stale = self.epochs[sid] != op.epoch || self.sessions[sid].is_none();
+            let stale = self.epochs[sid] != op.epoch || self.slots[sid].is_none();
             // Deadline-drop: never start work for a client that already
             // gave up. Only reachable without cancellation (with it, the
             // teardown makes the op stale instead).
             let expired = !stale
                 && self.config.overload.discipline == QueueDiscipline::DeadlineDrop
-                && self.meta[sid].as_ref().is_some_and(|m| m.expired);
+                && self.slots[sid].as_ref().is_some_and(|m| m.expired);
             if stale || expired {
                 let op = self.dispatch[replica].remove(i).expect("index in range");
                 self.dispatch_calls[replica] -= op.calls.len();
@@ -1111,8 +1124,7 @@ impl FleetSim {
                     // An op at dispatch has no sibling calls in flight
                     // (sessions issue one op at a time), so dropping it
                     // is the whole teardown of the expired attempt.
-                    self.sessions[sid].take();
-                    self.meta[sid].take();
+                    self.slots[sid].take();
                     self.live -= 1;
                     self.cancelled += 1;
                 }
@@ -1163,6 +1175,8 @@ impl FleetSim {
         let mut energy_wh = 0.0;
         let mut wasted_gpu_s = self.wasted_service;
         let mut utilization = Vec::with_capacity(self.engines.len());
+        let (mut preemptions, mut evictions) = (0u64, 0u64);
+        let (mut kv_avg_bytes, mut kv_max_bytes) = (0.0, 0u64);
         let (mut demoted, mut promoted, mut promoted_tokens, mut dropped) = (0u64, 0u64, 0u64, 0);
         let (mut host_bytes, mut nvme_bytes) = (0u64, 0u64);
         // Integer-microsecond sums converted once at the end: replica
@@ -1176,6 +1190,13 @@ impl FleetSim {
             lookups += kv.hit_tokens + kv.miss_tokens;
             energy_wh += e.metrics().energy_within(self.last_finish).watt_hours();
             utilization.push(e.metrics().utilization(self.last_finish));
+            preemptions += e.metrics().preemptions;
+            evictions += kv.evictions;
+            let block_bytes = self.config.pools[self.pool_of[r]]
+                .engine
+                .kv_bytes_per_block();
+            kv_avg_bytes += kv.used_blocks.average(self.last_finish) * block_bytes as f64;
+            kv_max_bytes = kv_max_bytes.max(kv.used_blocks.peak() * block_bytes);
             wasted_gpu_s += e.metrics().wasted().as_secs_f64() * self.gpu_weight(r);
             demoted += kv.demoted_blocks_host + kv.demoted_blocks_nvme;
             promoted += kv.promoted_blocks_host + kv.promoted_blocks_nvme;
@@ -1193,11 +1214,19 @@ impl FleetSim {
             }
         }
         let makespan = self.last_finish.as_secs_f64();
+        let samples = |v: Vec<f64>| -> Samples { v.into_iter().collect() };
         FleetReport {
             offered_qps: self.config.qps,
             completed: self.completed,
             solved: self.solved,
             escalated: self.escalated,
+            makespan: SimDuration::from_micros(self.last_finish.as_micros()),
+            agent_latencies: samples(self.agent_latencies),
+            chatbot_latencies: samples(self.chatbot_latencies),
+            preemptions,
+            evictions,
+            kv_avg_bytes: kv_avg_bytes / self.engines.len() as f64,
+            kv_max_bytes,
             p50_s,
             p95_s,
             kv_hit_rate: if lookups == 0 {
@@ -1667,6 +1696,88 @@ mod tests {
         assert_eq!(a.tpot_p99_s.to_bits(), b.tpot_p99_s.to_bits());
         assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
         assert_eq!(a.wasted_gpu_s.to_bits(), b.wasted_gpu_s.to_bits());
+    }
+
+    fn mixed(agent_fraction: f64) -> Workload {
+        Workload::Mixed {
+            agent_fraction,
+            kind: AgentKind::React,
+            benchmark: Benchmark::HotpotQa,
+            config: AgentConfig::default_8b(),
+        }
+    }
+
+    #[test]
+    fn cascade_never_escalates_or_prescreens_chatbot_turns() {
+        // Over two pools each turn escalates at most once, so more
+        // escalations than agent turns would mean chatbot turns (which
+        // report unsolved by construction) were escalated too.
+        let r = FleetSim::new(hetero_cfg(escalate_only()).workload(mixed(0.5))).run();
+        assert_eq!(r.completed, 32);
+        assert!(
+            !r.chatbot_latencies.is_empty(),
+            "some chatbot turns arrived"
+        );
+        assert!(r.escalated > 0, "unsolved agent turns still escalate");
+        assert!(
+            r.escalated <= r.agent_latencies.len() as u64,
+            "{} escalations from {} agent turns",
+            r.escalated,
+            r.agent_latencies.len()
+        );
+        // Pure chatbot traffic under the full cascade: nothing escalates,
+        // nothing is pre-screened onto the premium tier.
+        let chat = FleetSim::new(hetero_cfg(CascadePolicy::standard()).workload(mixed(0.0))).run();
+        assert_eq!(chat.escalated, 0);
+        assert!(chat.agent_latencies.is_empty());
+        assert_eq!(chat.utilization[2], 0.0, "chatbot turns stay on tier 0");
+    }
+
+    #[test]
+    fn mixed_traffic_on_a_multi_replica_fleet() {
+        let run = || {
+            FleetSim::new(
+                FleetConfig::react_hotpotqa(3, Routing::LeastLoaded, 2.0, 40)
+                    .seed(4)
+                    .workload(mixed(0.4)),
+            )
+            .run()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.completed, 40);
+        assert!(!a.agent_latencies.is_empty() && !a.chatbot_latencies.is_empty());
+        assert_eq!(
+            a.agent_latencies.len() + a.chatbot_latencies.len(),
+            a.completed as usize,
+            "every turn is classified exactly once"
+        );
+        assert_eq!(a.solved, b.solved);
+        assert_eq!(a.p50_s.to_bits(), b.p50_s.to_bits());
+        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+        assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
+        assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
+        assert_eq!(a.makespan, b.makespan);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with pool 0")]
+    fn workload_agent_config_must_match_pool_zero() {
+        let workload = Workload::Agent {
+            kind: AgentKind::React,
+            benchmark: Benchmark::HotpotQa,
+            config: AgentConfig::default_70b(),
+        };
+        FleetSim::new(
+            FleetConfig::react_hotpotqa(2, Routing::RoundRobin, 1.0, 4).workload(workload),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "agent_fraction NaN")]
+    fn invalid_workload_is_rejected_at_build() {
+        FleetSim::new(
+            FleetConfig::react_hotpotqa(1, Routing::RoundRobin, 1.0, 4).workload(mixed(f64::NAN)),
+        );
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //!   attributed [`RequestTrace`] (the paper's §IV-A/B per-request
 //!   analysis: call counts, latency breakdown, GPU phase breakdown,
 //!   token growth, KV footprint, prefix-caching effects).
-//! * [`open_loop`] — many concurrent sessions over one shared replica,
-//!   open-loop Poisson by default (its §IV-C serving analysis:
-//!   throughput, tail latency vs QPS, KV pressure, cache thrashing).
-//! * [`fleet`] — several replicas behind a router (session affinity vs
-//!   stateless balancing), extending the paper's §VI datacenter view.
+//! * [`fleet`] — the colocated driver: one event loop for one shared
+//!   replica or many behind a router. A one-replica fleet is the paper's
+//!   §IV-C serving analysis (throughput, tail latency vs QPS, KV
+//!   pressure, cache thrashing; [`open_loop::ServingConfig`] builds it),
+//!   and routing across replicas (session affinity vs stateless
+//!   balancing) extends its §VI datacenter view. Every run reports a
+//!   [`FleetReport`].
 //! * [`observe`] — step-level observability: attach a [`SpanRecorder`]
 //!   to any of the above and export per-request lifecycle spans, engine
 //!   time-series, and Chrome-trace / JSONL files.
@@ -54,15 +56,15 @@ pub use disagg::{
     AutoscalePolicy, CallRecord, CallSpan, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload,
     FlipDirection, FlipRecord, HysteresisConfig,
 };
-pub use fleet::{FleetConfig, FleetReport, FleetSim, ReplicaPool, Routing};
+pub use fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
 pub use observe::{
     chrome_trace, stitch_disagg_span, Phase, RequestSpan, Segment, SpanRecorder, StepRecord,
 };
 pub use open_loop::{ServingConfig, ServingSim, ServingWorkload};
-pub use report::ServingReport;
+pub use report::{FleetReport, ServingReport};
 pub use session::{
     validate_load, AdmissionPolicy, Arrival, ArrivalProcess, CascadePolicy, ClientModel,
-    OverloadPolicy, QueueDiscipline, RetryPolicy, SessionCmd, SessionRunner,
+    OverloadPolicy, QueueDiscipline, RetryPolicy, SessionCmd, SessionRunner, Workload,
 };
 pub use single::{SingleOutcome, SingleRequest};
 pub use stream::SpanStreamWriter;

@@ -17,19 +17,19 @@
 //!
 //! The recorder is a cheap clonable handle (`Arc<Mutex<..>>`): attach
 //! one clone to the engine as its observer and keep another to read the
-//! results after the run. [`ServingSim::attach_recorder`] and
+//! results after the run. [`FleetSim::attach_recorder`] and
 //! [`FleetSim::attach_recorders`] do exactly that.
 //!
-//! [`ServingSim::attach_recorder`]: crate::ServingSim::attach_recorder
+//! [`FleetSim::attach_recorder`]: crate::FleetSim::attach_recorder
 //! [`FleetSim::attach_recorders`]: crate::FleetSim::attach_recorders
 //!
 //! # Example
 //!
 //! ```
-//! use agentsim_serving::{ServingConfig, ServingSim, ServingWorkload};
+//! use agentsim_serving::{ServingConfig, FleetSim, Workload};
 //!
-//! let cfg = ServingConfig::new(ServingWorkload::Chatbot, 1.0, 5).seed(1);
-//! let mut sim = ServingSim::new(cfg);
+//! let cfg = ServingConfig::new(Workload::Chatbot, 1.0, 5).seed(1);
+//! let mut sim = FleetSim::new(cfg);
 //! let recorder = sim.attach_recorder();
 //! let report = sim.run();
 //!
@@ -712,7 +712,7 @@ pub fn stitch_disagg_span(prefill: &RequestSpan, decode: &RequestSpan) -> Reques
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::open_loop::{ServingConfig, ServingSim, ServingWorkload};
+    use crate::{FleetSim, ServingConfig, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig};
 
@@ -816,8 +816,8 @@ mod tests {
 
     #[test]
     fn exporters_emit_valid_json() {
-        let cfg = ServingConfig::new(ServingWorkload::react_hotpotqa(), 1.0, 6).seed(3);
-        let mut sim = ServingSim::new(cfg);
+        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 6).seed(3);
+        let mut sim = FleetSim::new(cfg);
         let recorder = sim.attach_recorder();
         let report = sim.run();
         assert_eq!(report.completed, 6);

@@ -110,6 +110,7 @@ impl SingleRequest {
 
         let mut now = SimTime::ZERO;
         let (mut runner, mut cmd) = SessionRunner::agent(
+            None,
             self.agent,
             &task,
             self.agent_config,

@@ -285,7 +285,7 @@ impl EngineObserver for SpanStreamWriter {
 mod tests {
     use super::*;
     use crate::observe::SpanRecorder;
-    use crate::open_loop::{ServingConfig, ServingSim, ServingWorkload};
+    use crate::{FleetSim, ServingConfig, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig, EngineRole, FanoutObserver};
     use agentsim_metrics::json;
@@ -317,8 +317,8 @@ mod tests {
         let writer = SpanStreamWriter::new(Box::new(buf.clone()));
         let recorder = SpanRecorder::new();
 
-        let cfg = ServingConfig::new(ServingWorkload::react_hotpotqa(), 1.0, 4).seed(7);
-        let mut sim = ServingSim::new(cfg);
+        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 4).seed(7);
+        let mut sim = FleetSim::new(cfg);
         sim.set_observer(Box::new(
             FanoutObserver::new()
                 .with(Box::new(writer.clone()))

@@ -2,11 +2,13 @@
 //! phase breakdowns ("where did the tail go").
 
 use agentsim_llm::EngineConfig;
+use agentsim_session::Workload;
 use agentsim_simkit::rng::splitmix64;
 
+use crate::fleet::FleetSim;
 use crate::observe::{Phase, RequestSpan};
-use crate::open_loop::{ServingConfig, ServingSim, ServingWorkload};
-use crate::report::ServingReport;
+use crate::open_loop::ServingConfig;
+use crate::report::FleetReport;
 
 /// One point of a QPS sweep.
 #[derive(Debug, Clone)]
@@ -14,7 +16,7 @@ pub struct SweepPoint {
     /// Offered load.
     pub qps: f64,
     /// The run's report.
-    pub report: ServingReport,
+    pub report: FleetReport,
 }
 
 /// Runs `run_point` at each offered load, in parallel across at most
@@ -54,7 +56,7 @@ fn sweep_map<T: Send>(qps_points: &[f64], run_point: impl Fn(f64) -> T + Sync) -
 /// Panics if `qps_points` is empty or `num_requests` is zero.
 pub fn qps_sweep(
     engine: &EngineConfig,
-    workload: &ServingWorkload,
+    workload: &Workload,
     qps_points: &[f64],
     num_requests: u64,
     seed: u64,
@@ -67,7 +69,7 @@ pub fn qps_sweep(
             .engine(engine.clone());
         SweepPoint {
             qps,
-            report: ServingSim::new(cfg).run(),
+            report: FleetSim::new(cfg).run(),
         }
     })
 }
@@ -151,7 +153,7 @@ pub struct ObservedSweepPoint {
     /// Offered load.
     pub qps: f64,
     /// The run's report.
-    pub report: ServingReport,
+    pub report: FleetReport,
     /// Phase breakdown over all finished request spans.
     pub overall: PhaseBreakdown,
     /// Phase breakdown over the slowest 5% by end-to-end latency.
@@ -168,7 +170,7 @@ pub struct ObservedSweepPoint {
 /// Panics if `qps_points` is empty or `num_requests` is zero.
 pub fn qps_sweep_observed(
     engine: &EngineConfig,
-    workload: &ServingWorkload,
+    workload: &Workload,
     qps_points: &[f64],
     num_requests: u64,
     seed: u64,
@@ -179,7 +181,7 @@ pub fn qps_sweep_observed(
         let cfg = ServingConfig::new(workload.clone(), qps, num_requests)
             .seed(splitmix64(seed ^ qps.to_bits()))
             .engine(engine.clone());
-        let mut sim = ServingSim::new(cfg);
+        let mut sim = FleetSim::new(cfg);
         let recorder = sim.attach_recorder();
         let report = sim.run();
         let spans = recorder.spans();
@@ -208,7 +210,7 @@ pub fn peak_throughput(points: &[SweepPoint]) -> f64 {
     );
     points
         .iter()
-        .map(|p| p.report.throughput())
+        .map(|p| p.report.throughput)
         .fold(0.0, f64::max)
 }
 
@@ -220,7 +222,7 @@ mod tests {
     fn sweep_is_ordered_and_complete() {
         let points = qps_sweep(
             &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
+            &Workload::Chatbot,
             &[0.5, 2.0],
             12,
             3,
@@ -235,7 +237,7 @@ mod tests {
     fn overload_raises_tail_latency() {
         let points = qps_sweep(
             &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
+            &Workload::Chatbot,
             &[0.5, 20.0],
             25,
             4,
@@ -252,7 +254,7 @@ mod tests {
     fn peak_throughput_finds_knee() {
         let points = qps_sweep(
             &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
+            &Workload::Chatbot,
             &[0.5, 50.0],
             20,
             5,
@@ -276,14 +278,14 @@ mod tests {
     fn observed_sweep_matches_plain_sweep_and_partitions_time() {
         let plain = qps_sweep(
             &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
+            &Workload::Chatbot,
             &[0.5, 60.0],
             40,
             4,
         );
         let observed = qps_sweep_observed(
             &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
+            &Workload::Chatbot,
             &[0.5, 60.0],
             40,
             4,
@@ -321,8 +323,8 @@ mod tests {
 
     #[test]
     fn tail_breakdown_keeps_slowest_spans_only() {
-        let cfg = ServingConfig::new(ServingWorkload::Chatbot, 10.0, 40).seed(9);
-        let mut sim = ServingSim::new(cfg);
+        let cfg = ServingConfig::new(Workload::Chatbot, 10.0, 40).seed(9);
+        let mut sim = FleetSim::new(cfg);
         let recorder = sim.attach_recorder();
         sim.run();
         let spans = recorder.spans();
@@ -338,12 +340,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one point")]
     fn empty_sweep_rejected() {
-        let _ = qps_sweep(
-            &EngineConfig::a100_llama8b(),
-            &ServingWorkload::Chatbot,
-            &[],
-            1,
-            0,
-        );
+        let _ = qps_sweep(&EngineConfig::a100_llama8b(), &Workload::Chatbot, &[], 1, 0);
     }
 }

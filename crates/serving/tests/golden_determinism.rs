@@ -1,4 +1,4 @@
-//! Golden determinism tests: pinned `ServingReport` fingerprints.
+//! Golden determinism tests: pinned single-replica `FleetReport` fingerprints.
 //!
 //! These constants were captured from the straightforward (pre-optimized)
 //! implementations of the engine step loop and the KV prefix hasher. The
@@ -10,7 +10,7 @@
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
-use agentsim_serving::{ServingConfig, ServingReport, ServingSim, ServingWorkload};
+use agentsim_serving::{FleetReport, FleetSim, ServingConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 /// Everything a scheduling or caching change could plausibly disturb.
@@ -25,7 +25,7 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    fn of(r: &ServingReport) -> Self {
+    fn of(r: &FleetReport) -> Self {
         Fingerprint {
             completed: r.completed,
             solved: r.solved,
@@ -37,15 +37,15 @@ impl Fingerprint {
     }
 }
 
-fn workload(name: &str) -> ServingWorkload {
+fn workload(name: &str) -> Workload {
     match name {
-        "chatbot" => ServingWorkload::Chatbot,
-        "agent" => ServingWorkload::Agent {
+        "chatbot" => Workload::Chatbot,
+        "agent" => Workload::Agent {
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
             config: AgentConfig::default_8b(),
         },
-        "mixed" => ServingWorkload::Mixed {
+        "mixed" => Workload::Mixed {
             agent_fraction: 0.5,
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
@@ -64,7 +64,7 @@ fn run(name: &str, scheduler: SchedulerPolicy) -> Fingerprint {
     let cfg = ServingConfig::new(workload(name), 8.0, 40)
         .seed(0xD5EED)
         .engine(engine);
-    Fingerprint::of(&ServingSim::new(cfg).run())
+    Fingerprint::of(&FleetSim::new(cfg).run())
 }
 
 macro_rules! golden {

@@ -7,8 +7,7 @@ use agentsim_kvcache::TokenBuf;
 use agentsim_llm::{Engine, EngineConfig, LlmCompletion};
 use agentsim_metrics::json;
 use agentsim_serving::{
-    chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, ServingSim, ServingWorkload,
-    SpanRecorder,
+    chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, SpanRecorder, Workload,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 
@@ -59,8 +58,8 @@ fn spans_match_engine_attribution_exactly() {
 /// request's end-to-end latency.
 #[test]
 fn serving_trace_spans_reconstruct_e2e_latency() {
-    let cfg = ServingConfig::new(ServingWorkload::react_hotpotqa(), 2.0, 12).seed(11);
-    let mut sim = ServingSim::new(cfg);
+    let cfg = ServingConfig::new(Workload::react_hotpotqa(), 2.0, 12).seed(11);
+    let mut sim = FleetSim::new(cfg);
     let recorder = sim.attach_recorder();
     let report = sim.run();
     assert_eq!(report.completed, 12);
@@ -98,9 +97,9 @@ fn serving_trace_spans_reconstruct_e2e_latency() {
 /// Attaching an observer must not perturb simulation results.
 #[test]
 fn observer_does_not_change_serving_results() {
-    let cfg = || ServingConfig::new(ServingWorkload::react_hotpotqa(), 2.0, 10).seed(5);
-    let plain = ServingSim::new(cfg()).run();
-    let mut observed_sim = ServingSim::new(cfg());
+    let cfg = || ServingConfig::new(Workload::react_hotpotqa(), 2.0, 10).seed(5);
+    let plain = FleetSim::new(cfg()).run();
+    let mut observed_sim = FleetSim::new(cfg());
     let _recorder = observed_sim.attach_recorder();
     let observed = observed_sim.run();
     assert_eq!(plain.completed, observed.completed);
@@ -152,15 +151,13 @@ fn fleet_recorders_cover_every_replica() {
 #[test]
 fn phase_split_reflects_load() {
     let light = {
-        let mut sim =
-            ServingSim::new(ServingConfig::new(ServingWorkload::Chatbot, 0.05, 6).seed(2));
+        let mut sim = FleetSim::new(ServingConfig::new(Workload::Chatbot, 0.05, 6).seed(2));
         let r = sim.attach_recorder();
         sim.run();
         r
     };
     let heavy = {
-        let mut sim =
-            ServingSim::new(ServingConfig::new(ServingWorkload::Chatbot, 20.0, 6).seed(2));
+        let mut sim = FleetSim::new(ServingConfig::new(Workload::Chatbot, 20.0, 6).seed(2));
         let r = sim.attach_recorder();
         sim.run();
         r

@@ -1,8 +1,8 @@
 //! Shared session-driver core.
 //!
 //! Every serving driver in this workspace — the synchronous
-//! single-request runner, the open-loop shared-replica simulator, the
-//! multi-replica fleet, and the disaggregated prefill/decode pool —
+//! single-request runner, the fleet (one shared replica or many behind
+//! a router), and the disaggregated prefill/decode pool —
 //! steps the same thing: agent sessions issuing iterative LLM calls and
 //! tool batches. This crate holds that shared machinery exactly once:
 //!
@@ -22,6 +22,8 @@
 //!   and queue disciplines, plus the common load-parameter validation.
 //! - [`seeds`] — the named RNG-fork keys all drivers derive their
 //!   deterministic sub-streams from.
+//! - [`workload::Workload`] — the traffic description (chatbot, agent,
+//!   or a per-turn mix) and the one place a turn opens its session.
 
 pub mod cascade;
 pub mod client;
@@ -29,6 +31,7 @@ pub mod overload;
 pub mod runner;
 pub mod seeds;
 pub mod trace;
+pub mod workload;
 
 pub use cascade::CascadePolicy;
 pub use client::{Arrival, ArrivalProcess, ClientModel};
@@ -38,3 +41,4 @@ pub use overload::{
 };
 pub use runner::{CallDone, LlmOp, LlmSubmit, SessionCmd, SessionRunner, ToolRng};
 pub use trace::{LlmCallRecord, RequestTrace};
+pub use workload::Workload;

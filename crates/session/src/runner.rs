@@ -23,7 +23,7 @@
 //!
 //! Timing, RNG forks, and trace arithmetic here are bit-identical to the
 //! four driver-private state machines this module replaced; the golden
-//! `ServingReport`/`FleetReport`/`DisaggReport` fingerprints pin that.
+//! `FleetReport`/`DisaggReport` fingerprints pin that.
 
 use agentsim_agents::{
     build_agent, AgentConfig, AgentKind, AgentOp, AgentPolicy, LlmCallSpec, LlmOutput, OpResult,
@@ -152,26 +152,12 @@ pub struct SessionRunner {
 
 impl SessionRunner {
     /// Starts an agent session on `task`, returning the runner and its
-    /// first command.
-    pub fn agent(
-        kind: AgentKind,
-        task: &Task,
-        config: AgentConfig,
-        rng: SimRng,
-        tool_rng: ToolRng,
-        tools: &ToolExecutor,
-        now: SimTime,
-    ) -> (Self, SessionCmd) {
-        Self::agent_continuing(None, kind, task, config, rng, tool_rng, tools, now)
-    }
-
-    /// Starts an agent session that *continues* a conversation: `history`
-    /// (the carried context of the session's earlier turns) is prepended
-    /// to every prompt this turn submits, so a resident or offloaded copy
-    /// of the prior turn's KV blocks turns the whole carry into a prefix
-    /// hit. `None` behaves exactly like [`SessionRunner::agent`].
+    /// first command. `history` — the carried context of the session's
+    /// earlier turns, if any — is prepended to every prompt this turn
+    /// submits, so a resident or offloaded copy of the prior turn's KV
+    /// blocks turns the whole carry into a prefix hit.
     #[allow(clippy::too_many_arguments)]
-    pub fn agent_continuing(
+    pub fn agent(
         history: Option<TokenBuf>,
         kind: AgentKind,
         task: &Task,
@@ -462,6 +448,7 @@ mod tests {
         let tools = ToolExecutor::new();
         let rng = SimRng::seed_from(seed).fork(1);
         let (runner, cmd) = SessionRunner::agent(
+            None,
             AgentKind::React,
             &task,
             AgentConfig::default(),
@@ -541,6 +528,7 @@ mod tests {
         let tools = ToolExecutor::new();
         let history = TokenBuf::from_segment(0xC0FFEE, 96);
         let fresh = SessionRunner::agent(
+            None,
             AgentKind::React,
             &task,
             AgentConfig::default(),
@@ -549,7 +537,7 @@ mod tests {
             &tools,
             SimTime::ZERO,
         );
-        let cont = SessionRunner::agent_continuing(
+        let cont = SessionRunner::agent(
             Some(history.clone()),
             AgentKind::React,
             &task,
@@ -577,6 +565,7 @@ mod tests {
         let task = TaskGenerator::new(Benchmark::HotpotQa, 5).task(0);
         let tools = ToolExecutor::new();
         let (mut runner, cmd) = SessionRunner::agent(
+            None,
             AgentKind::Lats,
             &task,
             AgentConfig::default(),
@@ -614,6 +603,7 @@ mod tests {
         let task = TaskGenerator::new(Benchmark::HotpotQa, 2).task(0);
         let tools = ToolExecutor::new();
         let (runner, cmd) = SessionRunner::agent(
+            None,
             AgentKind::LlmCompiler,
             &task,
             AgentConfig::default(),

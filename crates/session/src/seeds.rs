@@ -9,10 +9,12 @@
 //!
 //! Changing any value is a breaking change to every golden fingerprint.
 
-/// Root-stream key of the shared-replica drivers (`ServingSim`,
-/// `DisaggSim`): `SimRng::seed_from(config.seed ^ SERVING_ROOT)`.
-/// Both drivers deliberately share one root so a disaggregated run and a
-/// colocated run at the same seed see identical arrivals and sessions.
+/// Root-stream key of single-replica runs and of `DisaggSim`:
+/// `SimRng::seed_from(config.seed ^ SERVING_ROOT)`. A `ServingConfig`
+/// sets it when it converts into its one-replica `FleetConfig`; fleets
+/// built directly use [`FLEET_ROOT`]. Single-replica runs and
+/// disaggregated runs deliberately share one root so, at the same seed,
+/// they see identical arrivals and sessions.
 pub const SERVING_ROOT: u64 = 0x5E61;
 
 /// Root-stream key of the multi-replica fleet driver (`FleetSim`).

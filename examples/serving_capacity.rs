@@ -11,7 +11,7 @@ use agent_infra_sim::prelude::*;
 fn sweep_and_print(
     name: &str,
     engine: &EngineConfig,
-    workload: &ServingWorkload,
+    workload: &Workload,
     points: &[f64],
     requests: u64,
 ) -> f64 {
@@ -20,7 +20,7 @@ fn sweep_and_print(
     for p in &sweep {
         table.row(vec![
             format!("{:.2}", p.qps),
-            format!("{:.2}", p.report.throughput()),
+            format!("{:.2}", p.report.throughput),
             format!("{:.1}", p.report.p50_s),
             format!("{:.1}", p.report.p95_s),
             format!("{:.0}", p.report.kv_hit_rate * 100.0),
@@ -35,7 +35,7 @@ fn sweep_and_print(
 fn main() {
     let requests = 120;
     let engine = EngineConfig::a100_llama8b();
-    let agent = ServingWorkload::Agent {
+    let agent = Workload::Agent {
         kind: AgentKind::React,
         benchmark: Benchmark::HotpotQa,
         config: AgentConfig::default_8b(),
@@ -46,7 +46,7 @@ fn main() {
     let chatbot_peak = sweep_and_print(
         "ShareGPT chatbot (single-turn)",
         &engine,
-        &ServingWorkload::Chatbot,
+        &Workload::Chatbot,
         &[1.0, 2.0, 4.0, 6.0, 8.0, 12.0],
         requests,
     );

@@ -115,12 +115,12 @@ fn serving_and_single_agree_on_workload_character() {
         .sum::<f64>()
         / single.len() as f64;
 
-    let workload = ServingWorkload::Agent {
+    let workload = Workload::Agent {
         kind: AgentKind::React,
         benchmark: Benchmark::WebShop,
         config: AgentConfig::default_8b(),
     };
-    let report = ServingSim::new(ServingConfig::new(workload, 0.02, 10).seed(3)).run();
+    let report = FleetSim::new(ServingConfig::new(workload, 0.02, 10).seed(3)).run();
     let mean_serving = report.latencies.summary().mean();
     let ratio = mean_serving / mean_single;
     assert!(
