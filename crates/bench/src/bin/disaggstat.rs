@@ -32,8 +32,7 @@
 //! driver's golden) and requiring the chunked arm to shrink the
 //! transfer phase by at least 25%; it writes nothing.
 
-use std::path::PathBuf;
-
+use agentsim_bench::repo_root;
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_metrics::json;
 use agentsim_serving::{
@@ -62,11 +61,11 @@ fn run_streamed(
     // in these runs are sized 1 (or colocated with no decode pool).
     assert!(np == 1, "streamed run expects a single prefill replica");
     let prefill_writer = SpanStreamWriter::to_file(prefill_path).expect("open prefill span log");
-    sim.set_prefill_observer(0, Box::new(prefill_writer.clone()));
+    sim.set_replica_observer(0, Box::new(prefill_writer.clone()));
     let decode_writer = SpanStreamWriter::to_file(decode_path).expect("open decode span log");
     if nd > 0 {
         assert!(nd == 1, "streamed run expects a single decode replica");
-        sim.set_decode_observer(0, Box::new(decode_writer.clone()));
+        sim.set_replica_observer(1, Box::new(decode_writer.clone()));
     }
     let report = sim.run();
     prefill_writer.flush().expect("flush prefill span log");
@@ -146,7 +145,7 @@ fn autoscale_check() {
     );
 
     // The pinned fingerprint of `autoscale_flip_schedule` in
-    // crates/disagg/tests/golden.rs — bit-exact, no tolerance.
+    // crates/serving/tests/golden.rs — bit-exact, no tolerance.
     let mut ttft = report.ttft();
     let mut tpot = report.tpot();
     let got = (
@@ -196,7 +195,7 @@ fn pipeline_fingerprint(report: &DisaggReport) -> (u64, u64, u64, u64, u64, u64,
 /// Replays the contended-PCIe cell serially and as 32-chunk pipelined
 /// trains, pinning both fingerprints bit for bit. The serial constants
 /// are the pre-pipeline driver's (also pinned by
-/// `crates/disagg/tests/pipeline_differential.rs`); the chunked
+/// `crates/serving/tests/pipeline_differential.rs`); the chunked
 /// constants are this driver's own golden going forward.
 fn pipeline_check() {
     let cell = |chunks: u32| {
@@ -247,14 +246,7 @@ fn pipeline_check() {
         "pipelined arm must ship multi-chunk trains"
     );
 
-    let transfer = |r: &DisaggReport| {
-        r.phase_totals()
-            .iter()
-            .find(|(n, _)| *n == "transfer")
-            .map(|(_, s)| *s)
-            .expect("transfer phase")
-    };
-    let (ser_t, pipe_t) = (transfer(&serial), transfer(&pipelined));
+    let (ser_t, pipe_t) = (serial.phase("transfer"), pipelined.phase("transfer"));
     assert!(
         pipe_t <= 0.75 * ser_t,
         "pipelining must shrink the transfer phase >=25% (serial {ser_t:.3} s, chunked {pipe_t:.3} s)"
@@ -269,25 +261,6 @@ fn pipeline_check() {
         serial.transfer_wait.as_secs_f64() * 1e3,
         pipelined.transfer_wait.as_secs_f64() * 1e3,
     );
-}
-
-/// Locates the repository root (directory containing a workspace
-/// `Cargo.toml`) by walking up from the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return dir;
-                }
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().expect("cwd");
-        }
-    }
 }
 
 fn main() {

@@ -7,17 +7,20 @@
 //! cargo run -p agentsim-bench --release --bin figures -- --quick # test scale
 //! ```
 //!
+//! Paper-scale runs write `results/`; `--quick` runs write
+//! `target/results-quick/`. A subset run rewrites only its own rows of
+//! the directory's `INDEX.md`.
+//!
 //! Exit code is non-zero if any shape check fails.
 
-use std::path::Path;
 use std::time::Instant;
 
 use agentsim::experiments::all_experiments;
-use agentsim_bench::{parse_args, write_result, RESULTS_DIR};
+use agentsim_bench::{index_row, merge_index, parse_args, results_dir, write_result};
 
 fn main() {
     let (ids, scale) = parse_args(std::env::args().skip(1));
-    let dir = Path::new(RESULTS_DIR);
+    let dir = results_dir(&scale);
     let experiments: Vec<_> = all_experiments()
         .into_iter()
         .filter(|e| ids.is_empty() || ids.iter().any(|id| id == e.id))
@@ -38,7 +41,7 @@ fn main() {
     );
 
     let mut failures = 0usize;
-    let mut index_rows: Vec<(String, String, String, usize, bool)> = Vec::new();
+    let mut index_rows = Vec::new();
     let started = Instant::now();
     for e in &experiments {
         let t0 = Instant::now();
@@ -59,30 +62,22 @@ fn main() {
         for c in result.checks.iter().filter(|c| !c.passed) {
             println!("    {c}");
         }
-        index_rows.push((
-            e.id.to_string(),
-            e.paper_ref.to_string(),
-            e.title.to_string(),
+        index_rows.push(index_row(
+            e.id,
+            e.paper_ref,
+            e.title,
             result.checks.len(),
             ok,
         ));
-        if let Err(err) = write_result(dir, &result) {
+        if let Err(err) = write_result(&dir, &result) {
             eprintln!("    could not write results: {err}");
         }
     }
 
-    // Emit an index of the run. No wall times: regenerating identical
-    // results leaves the file unchanged.
-    let mut index = String::from(
-        "# results index\n\n| id | paper | title | checks | status |\n|---|---|---|---|---|\n",
-    );
-    for (id, paper, title, checks, ok) in &index_rows {
-        index.push_str(&format!(
-            "| [{id}]({id}.txt) | {paper} | {title} | {checks} | {} |\n",
-            if *ok { "pass" } else { "FAIL" }
-        ));
-    }
-    if let Err(err) = std::fs::write(dir.join("INDEX.md"), index) {
+    let index_path = dir.join("INDEX.md");
+    let existing = std::fs::read_to_string(&index_path).unwrap_or_default();
+    let order: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
+    if let Err(err) = std::fs::write(&index_path, merge_index(&existing, &order, &index_rows)) {
         eprintln!("could not write index: {err}");
     }
 
@@ -90,7 +85,7 @@ fn main() {
         "\n{} experiment(s) in {:.0}s; outputs under {}/",
         experiments.len(),
         started.elapsed().as_secs_f64(),
-        RESULTS_DIR
+        dir.display()
     );
     if failures > 0 {
         eprintln!("{failures} experiment(s) had failing shape checks");

@@ -41,10 +41,11 @@
 //! smoke baseline recorded in `BENCH_fleet.json`.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use agentsim_agents::{AgentConfig, AgentKind};
+use agentsim_bench::repo_root;
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
 use agentsim_metrics::Samples;
 use agentsim_serving::{
@@ -189,25 +190,6 @@ fn scenarios() -> Vec<Scenario> {
             run: fig14_sweep,
         },
     ]
-}
-
-/// Locates the repository root (directory containing `Cargo.toml` with a
-/// workspace) by walking up from the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return dir;
-                }
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().expect("cwd");
-        }
-    }
 }
 
 /// Pulls `"<name>"`-scoped `"baseline_s": <v>` entries out of a previous

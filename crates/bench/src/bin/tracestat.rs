@@ -19,8 +19,7 @@
 //! (queue + prefill + decode + stall == e2e for every request), and
 //! writes nothing.
 
-use std::path::PathBuf;
-
+use agentsim_bench::repo_root;
 use agentsim_metrics::json;
 use agentsim_serving::{
     chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, SpanRecorder, Workload,
@@ -52,25 +51,6 @@ fn verify(label: &str, recorder: &SpanRecorder) -> (usize, usize) {
         json::validate(line).unwrap_or_else(|e| panic!("{label}: invalid JSONL line {line}: {e}"));
     }
     (spans.len(), recorder.steps().len())
-}
-
-/// Locates the repository root (directory containing a workspace
-/// `Cargo.toml`) by walking up from the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return dir;
-                }
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().expect("cwd");
-        }
-    }
 }
 
 fn main() {

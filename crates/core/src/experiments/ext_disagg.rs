@@ -25,15 +25,6 @@ const TTFT_SLO_S: f64 = 2.0;
 /// TPOT SLO for goodput accounting (seconds per token).
 const TPOT_SLO_S: f64 = 0.02;
 
-fn phase(report: &DisaggReport, name: &str) -> f64 {
-    report
-        .phase_totals()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .expect("known phase")
-}
-
 fn row(table: &mut Table, topo: &str, qps: f64, report: &DisaggReport) {
     let mut ttft = report.ttft();
     let mut tpot = report.tpot();
@@ -111,22 +102,22 @@ pub fn run(scale: &Scale) -> FigureResult {
     );
     result.check(
         "decode-pool-isolation-eliminates-stall",
-        phase(hi_disagg, "stall") == 0.0 && phase(hi_colocated, "stall") > 0.0,
+        hi_disagg.phase("stall") == 0.0 && hi_colocated.phase("stall") > 0.0,
         format!(
             "stall phase at {hi_qps} QPS: disagg {:.2} s vs colocated {:.2} s",
-            phase(hi_disagg, "stall"),
-            phase(hi_colocated, "stall")
+            hi_disagg.phase("stall"),
+            hi_colocated.phase("stall")
         ),
     );
     let phases_total: f64 = hi_disagg.phase_totals().iter().map(|(_, s)| s).sum();
     let e2e_total: f64 = hi_disagg.calls.iter().map(|c| c.e2e().as_secs_f64()).sum();
     result.check(
         "transfer-phase-partitions-e2e-exactly",
-        phase(hi_disagg, "transfer") > 0.0 && (phases_total - e2e_total).abs() < 1e-9,
+        hi_disagg.phase("transfer") > 0.0 && (phases_total - e2e_total).abs() < 1e-9,
         format!(
             "queue+prefill+transfer+decode+stall = {phases_total:.6} s vs \
              summed e2e {e2e_total:.6} s (transfer {:.3} s)",
-            phase(hi_disagg, "transfer")
+            hi_disagg.phase("transfer")
         ),
     );
 
@@ -152,7 +143,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         links_table.row(vec![
             name.to_string(),
             format!("{:.4}", ttft.try_p95().unwrap_or(f64::NAN)),
-            format!("{:.3}", phase(&report, "transfer")),
+            format!("{:.3}", report.phase("transfer")),
             format!("{:.3}", report.transfer_wait.as_secs_f64()),
         ]);
         by_link.push((name, report));
@@ -181,10 +172,8 @@ pub fn run(scale: &Scale) -> FigureResult {
         ),
     );
     let transfer_secs = |name: &str| {
-        phase(
-            &by_link.iter().find(|(n, _)| *n == name).unwrap().1,
-            "transfer",
-        )
+        let (_, report) = by_link.iter().find(|(n, _)| *n == name).unwrap();
+        report.phase("transfer")
     };
     result.check(
         "slower-links-spend-longer-in-transfer",
@@ -228,7 +217,7 @@ pub fn run(scale: &Scale) -> FigureResult {
             .fold(0.0_f64, f64::max);
         pipe_table.row(vec![
             name.to_string(),
-            format!("{:.3}", phase(report, "transfer")),
+            format!("{:.3}", report.phase("transfer")),
             format!("{:.4}", ttft.try_p95().unwrap_or(f64::NAN)),
             format!("{chunks}"),
             format!("{util:.4}"),
@@ -240,15 +229,15 @@ pub fn run(scale: &Scale) -> FigureResult {
     );
     result.check(
         "pipelining-shrinks-the-transfer-phase-25pct",
-        phase(&serial, "transfer") > 0.0
-            && phase(&pipelined, "transfer") <= 0.75 * phase(&serial, "transfer"),
+        serial.phase("transfer") > 0.0
+            && pipelined.phase("transfer") <= 0.75 * serial.phase("transfer"),
         format!(
             "transfer phase at {hi_qps} QPS over PCIe: pipelined {:.3} s vs \
              serial {:.3} s ({:.0}% smaller) — shipped layers overlap the \
              layers still prefilling, so TTFT pays only the residual",
-            phase(&pipelined, "transfer"),
-            phase(&serial, "transfer"),
-            (1.0 - phase(&pipelined, "transfer") / phase(&serial, "transfer")) * 100.0
+            pipelined.phase("transfer"),
+            serial.phase("transfer"),
+            (1.0 - pipelined.phase("transfer") / serial.phase("transfer")) * 100.0
         ),
     );
     let byte_drift = (pipelined.transferred_bytes as f64 - serial.transferred_bytes as f64).abs()

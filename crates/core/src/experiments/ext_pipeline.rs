@@ -26,15 +26,6 @@ const CHUNK_SWEEP: [u32; 6] = [1, 2, 4, 8, 16, 32];
 /// Chunk count pinned for the link-sensitivity panel.
 const PIPE_CHUNKS: u32 = 16;
 
-fn phase(report: &DisaggReport, name: &str) -> f64 {
-    report
-        .phase_totals()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .expect("known phase")
-}
-
 fn ttft_p95(report: &DisaggReport) -> f64 {
     let mut t = report.ttft();
     t.try_p95().unwrap_or(f64::NAN)
@@ -81,7 +72,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         let busy: f64 = report.links.iter().map(|l| l.busy_s).sum();
         table.row(vec![
             format!("{chunks}"),
-            format!("{:.3}", phase(&report, "transfer")),
+            format!("{:.3}", report.phase("transfer")),
             format!("{:.4}", ttft_p95(&report)),
             format!("{:.4}", report.transfer_wait.as_secs_f64()),
             format!("{}", wire_chunks(&report)),
@@ -101,29 +92,29 @@ pub fn run(scale: &Scale) -> FigureResult {
         sweep
             .iter()
             .skip(1)
-            .all(|(_, r)| phase(r, "transfer") < phase(serial, "transfer")),
+            .all(|(_, r)| r.phase("transfer") < serial.phase("transfer")),
         format!(
             "transfer phase: serial {:.3} s, pipelined {} — per migration a \
              chunked train can never land later than the serial transfer",
-            phase(serial, "transfer"),
+            serial.phase("transfer"),
             sweep
                 .iter()
                 .skip(1)
-                .map(|(k, r)| format!("x{k} {:.3}", phase(r, "transfer")))
+                .map(|(k, r)| format!("x{k} {:.3}", r.phase("transfer")))
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
     );
     result.check(
         "full-layer-pipeline-cuts-transfer-25pct",
-        phase(deepest, "transfer") <= 0.75 * phase(serial, "transfer"),
+        deepest.phase("transfer") <= 0.75 * serial.phase("transfer"),
         format!(
             "transfer phase at x{}: {:.3} s vs serial {:.3} s ({:.0}% \
              smaller) — only the last layer's residual is left on TTFT",
             sweep.last().expect("non-empty sweep").0,
-            phase(deepest, "transfer"),
-            phase(serial, "transfer"),
-            (1.0 - phase(deepest, "transfer") / phase(serial, "transfer")) * 100.0
+            deepest.phase("transfer"),
+            serial.phase("transfer"),
+            (1.0 - deepest.phase("transfer") / serial.phase("transfer")) * 100.0
         ),
     );
     result.check(
@@ -184,11 +175,11 @@ pub fn run(scale: &Scale) -> FigureResult {
         };
         let serial = DisaggSim::new(base(1)).run();
         let piped = DisaggSim::new(base(PIPE_CHUNKS)).run();
-        let rebate = phase(&serial, "transfer") - phase(&piped, "transfer");
+        let rebate = serial.phase("transfer") - piped.phase("transfer");
         link_table.row(vec![
             name.to_string(),
-            format!("{:.4}", phase(&serial, "transfer")),
-            format!("{:.4}", phase(&piped, "transfer")),
+            format!("{:.4}", serial.phase("transfer")),
+            format!("{:.4}", piped.phase("transfer")),
             format!("{rebate:.4}"),
         ]);
         rebates.push((name, rebate));
@@ -223,8 +214,8 @@ pub fn run(scale: &Scale) -> FigureResult {
          footprints. The rebate is wire time hidden behind prefill, so \
          NVLink (already ~free) gains {:.4} s where PCIe gains {:.4} s — \
          pipelining matters exactly where the interconnect is the bottleneck.",
-        phase(serial, "transfer"),
-        phase(deepest, "transfer"),
+        serial.phase("transfer"),
+        deepest.phase("transfer"),
         rebate("nvlink4"),
         rebate("pcie_gen4"),
     ));

@@ -259,7 +259,7 @@ impl PoolController for PinnedController {
     }
 }
 
-/// Which controller (if any) a [`crate::DisaggConfig`] runs with.
+/// Which controller (if any) a role-split fleet runs with.
 #[derive(Debug, Clone)]
 pub enum AutoscalePolicy {
     /// No controller at all — the exact static-split code path.

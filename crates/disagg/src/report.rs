@@ -210,12 +210,11 @@ pub struct DisaggReport {
     pub completed: u64,
     /// Sessions whose task was solved.
     pub solved: u64,
-    /// Sessions shed at the coordinator admission gate (their turn never
-    /// ran; `completed + abandoned` covers every issued turn).
+    /// Turns the client gave up on at their deadline (`completed +
+    /// abandoned` covers every issued turn).
     pub abandoned: u64,
-    /// Ops removed from the dispatch queue unserved. Equals `abandoned`
-    /// today (one queued op per session at a time); reported separately
-    /// so the two stay distinguishable if that changes.
+    /// Queued ops shed at a prefill replica's dispatch queue before
+    /// costing any GPU work (deadline-drop discipline).
     pub dropped: u64,
     /// Time from first arrival to last completion.
     pub makespan: SimDuration,
@@ -341,6 +340,17 @@ impl DisaggReport {
             ("decode", sums[3].as_secs_f64()),
             ("stall", sums[4].as_secs_f64()),
         ]
+    }
+
+    /// One phase's total from [`DisaggReport::phase_totals`], seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name that is not one of the five phases.
+    pub fn phase(&self, name: &str) -> f64 {
+        let totals = self.phase_totals();
+        let found = totals.iter().find(|(n, _)| *n == name);
+        found.unwrap_or_else(|| panic!("unknown phase {name}")).1
     }
 
     /// Summary as one JSON object (valid per `agentsim_metrics::json`).

@@ -26,16 +26,38 @@
 //! to show for the GPU time already spent. The default
 //! policy ([`OverloadPolicy::none`]) reproduces the historical
 //! no-deadline behaviour bit-for-bit.
+//!
+//! # Role-split pools
+//!
+//! Pools of [`EngineRole::Prefill`] and [`EngineRole::Decode`] engines
+//! make a disaggregated fleet: calls route across the prefill members,
+//! migrate at their first token, cross [`FleetConfig::link`] (as a chunk
+//! train with [`FleetConfig::transfer_chunks`]) to the least-loaded
+//! decode member, and decode there. A [`PoolController`]
+//! ([`FleetConfig::autoscale`]) may flip one replica at a time between
+//! roles: it drains (landing committed inbound KV), pays the
+//! [`FlipCostModel`] gap, and joins the other pool. Admission applies at
+//! prefill replicas, whose slot frees at migration. Colocated fleets
+//! skip all of this.
 
 use std::collections::{HashMap, VecDeque};
 
 use agentsim_agents::{AgentConfig, AgentKind, Cognition};
+use agentsim_disagg::{
+    AutoscalePolicy, CallRecord, DisaggReport, FlipDirection, FlipRecord, LinkStats,
+    PoolController, PoolObservation, TransferScheduler,
+};
+use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_kvcache::{EvictionPolicy, TokenBuf};
-use agentsim_llm::{Engine, EngineConfig, EngineObserver, LlmCompletion, ModelTier, RequestId};
+use agentsim_llm::{
+    Engine, EngineConfig, EngineObserver, EngineRole, LlmCompletion, MigratedRequest, ModelTier,
+    RequestId,
+};
 use agentsim_metrics::Samples;
 use agentsim_session::{
-    seeds, validate_load, AdmissionController, Arrival, ArrivalProcess, CallDone, CascadePolicy,
-    ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd, SessionRunner, Workload,
+    seeds, validate_load, AdmissionController, AdmissionPolicy, Arrival, ArrivalProcess, CallDone,
+    CascadePolicy, ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd,
+    SessionRunner, Workload,
 };
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
@@ -141,9 +163,23 @@ pub struct FleetConfig {
     /// think time) becomes possible. Off by default — turns are
     /// independent tasks.
     pub carry_context: bool,
+    /// The KV-migration interconnect of a role-split fleet (one ingress
+    /// link per replica). Unused by colocated fleets.
+    pub link: LinkSpec,
+    /// Layer chunks each KV migration ships as, pipelined against the
+    /// prefill that produced them. `1` (the default) is the serial
+    /// whole-footprint transfer. Clamped at build to the prefill model's
+    /// layer count — a transfer cannot be split finer than its layers.
+    pub transfer_chunks: u32,
+    /// Role-flip autoscaling of a role-split fleet
+    /// ([`AutoscalePolicy::Disabled`] keeps the static split; colocated
+    /// fleets must leave it disabled).
+    pub autoscale: AutoscalePolicy,
+    /// The reconfiguration gap a replica pays per role flip.
+    pub flip_cost: FlipCostModel,
     /// Root-stream key: [`seeds::FLEET_ROOT`], or [`seeds::SERVING_ROOT`]
-    /// for a [`crate::ServingConfig`], whose single-replica runs share
-    /// their streams with `DisaggSim`.
+    /// for a [`crate::ServingConfig`] or [`crate::DisaggConfig`], whose
+    /// runs share their streams.
     pub(crate) root: u64,
 }
 
@@ -179,6 +215,10 @@ impl FleetConfig {
             client: ClientModel::OpenLoopPoisson,
             overload: OverloadPolicy::none(),
             carry_context: false,
+            link: LinkSpec::nvlink4(),
+            transfer_chunks: 1,
+            autoscale: AutoscalePolicy::Disabled,
+            flip_cost: FlipCostModel::warm(),
             root: seeds::FLEET_ROOT,
         }
     }
@@ -236,6 +276,34 @@ impl FleetConfig {
         self
     }
 
+    /// Sets the KV-migration interconnect of a role-split fleet.
+    pub fn link(mut self, link: LinkSpec) -> Self {
+        link.validate();
+        self.link = link;
+        self
+    }
+
+    /// Ships each KV migration as up to `chunks` layer chunks pipelined
+    /// against prefill progress. `1` keeps the serial transfer.
+    pub fn transfer_chunks(mut self, chunks: u32) -> Self {
+        assert!(chunks >= 1, "transfer chunks must be >= 1");
+        self.transfer_chunks = chunks;
+        self
+    }
+
+    /// Sets the role-flip autoscaling policy of a role-split fleet.
+    pub fn autoscale(mut self, policy: AutoscalePolicy) -> Self {
+        self.autoscale = policy;
+        self
+    }
+
+    /// Sets the per-flip reconfiguration cost model.
+    pub fn flip_cost(mut self, model: FlipCostModel) -> Self {
+        model.validate().expect("invalid flip cost model");
+        self.flip_cost = model;
+        self
+    }
+
     /// No-op, kept so existing callers still build: the fleet runs one
     /// sequential event loop, and thread count never changed a result.
     #[deprecated(note = "the fleet driver is sequential; thread count never changed a result")]
@@ -250,6 +318,8 @@ enum Event {
     StepDone(usize),
     ToolsDone { sid: u64, epoch: u64 },
     DeadlineExpired { sid: u64, epoch: u64 },
+    TransferDone(u64),
+    FlipDone(usize),
 }
 
 /// One live delivery attempt of a turn: its session state machine plus
@@ -300,6 +370,140 @@ struct PendingOp {
     priority: u32,
 }
 
+/// The role machinery of a fleet with Prefill/Decode pools (see the
+/// [module docs](self)). Colocated fleets carry none of it.
+struct Roles {
+    /// Live decode members (global indices, ascending). The live prefill
+    /// members are the fleet's one routing tier.
+    decode: Vec<usize>,
+    /// Decode replicas before any flip.
+    initial_decode: usize,
+    transfers: TransferScheduler,
+    /// Transfer id → `(session, call seq, prefill replica)`.
+    in_transit: HashMap<u64, (u64, u32, usize)>,
+    /// A decode leg's `(replica, id)` → its call's prefill leg.
+    legs: HashMap<(usize, RequestId), Leg>,
+    controller: Option<Box<dyn PoolController>>,
+    flip: Option<FlipInProgress>,
+    flips: Vec<FlipRecord>,
+    /// Reused buffer for [`Engine::take_migrations_into`].
+    scratch: Vec<MigratedRequest>,
+}
+
+/// A migrated call's prefill leg, held until its decode leg completes.
+struct Leg {
+    prefill_replica: usize,
+    /// When the KV landed and the decode leg was submitted.
+    submitted: SimTime,
+    transfer_wait: SimDuration,
+    migration: MigratedRequest,
+}
+
+impl Leg {
+    /// The call's cross-pool record, stitched from both legs.
+    fn record(&self, session: u64, replica: usize, c: &LlmCompletion) -> CallRecord {
+        let m = &self.migration;
+        debug_assert!(
+            c.prefill_time.is_zero(),
+            "decode pools never run prefill steps"
+        );
+        CallRecord {
+            prefill_replica: self.prefill_replica as u32,
+            decode_replica: Some(replica as u32),
+            arrived: m.arrived,
+            prefill_started: m.started,
+            released: m.released,
+            decode_submitted: Some(self.submitted),
+            decode_started: Some(c.started),
+            prompt_tokens: m.prompt_tokens,
+            cached_tokens: m.cached_tokens,
+            prefill_time: m.prefill_time,
+            transfer_wait: self.transfer_wait,
+            kv_bytes: m.kv_bytes,
+            preemptions: m.preemptions + c.preemptions,
+            ..local_record(session, replica, c)
+        }
+    }
+}
+
+/// The record of a call that finished on the replica that prefilled it.
+fn local_record(session: u64, replica: usize, c: &LlmCompletion) -> CallRecord {
+    CallRecord {
+        session,
+        prefill_replica: replica as u32,
+        decode_replica: None,
+        arrived: c.arrived,
+        prefill_started: c.started,
+        // First token lands at the end of the prefill phase; clamp for
+        // single-token calls whose first token is also the last.
+        released: (c.started + c.prefill_time).min(c.finished),
+        decode_submitted: None,
+        decode_started: None,
+        finished: c.finished,
+        prompt_tokens: c.prompt_tokens,
+        cached_tokens: c.cached_tokens,
+        output_tokens: c.output_tokens,
+        prefill_time: c.prefill_time,
+        decode_time: c.decode_time,
+        transfer_wait: SimDuration::ZERO,
+        kv_bytes: 0,
+        preemptions: c.preemptions,
+    }
+}
+
+/// A role flip in progress: the victim has left its member list and is
+/// draining (or, once `drained` is set, sitting out the reconfiguration
+/// gap until its [`Event::FlipDone`]).
+struct FlipInProgress {
+    replica: usize,
+    direction: FlipDirection,
+    requested: SimTime,
+    drained: Option<SimTime>,
+}
+
+/// Checks a fleet's role composition, in one place, and says whether it
+/// is role-split. Rejects autoscaling without roles, a role-split fleet
+/// that mixes in a colocated pool, lacks a role or serves two agent
+/// configs, and every feature whose behaviour across a KV migration is
+/// undefined.
+fn check_roles(config: &FleetConfig) -> bool {
+    let has = |role| config.pools.iter().any(|p| p.engine.role == role);
+    if !has(EngineRole::Prefill) && !has(EngineRole::Decode) {
+        assert!(
+            matches!(config.autoscale, AutoscalePolicy::Disabled),
+            "pool autoscaling requires a decode pool (a colocated fleet has no roles to flip)"
+        );
+        return false;
+    }
+    assert!(
+        has(EngineRole::Prefill) && has(EngineRole::Decode) && !has(EngineRole::Colocated),
+        "a role-split fleet needs Prefill and Decode pools and no Colocated pool"
+    );
+    assert!(
+        config
+            .pools
+            .iter()
+            .all(|p| p.agent == config.pools[0].agent),
+        "a role-split fleet serves one model: every pool's agent config must match"
+    );
+    assert!(
+        !config.overload.cancel_on_expiry,
+        "a role-split fleet cannot cancel on expiry (or retry): cancelling a call \
+         mid-migration is undefined"
+    );
+    assert!(
+        config.cascade == CascadePolicy::none(),
+        "a role-split fleet has one routing tier: cascades need colocated pools"
+    );
+    assert!(
+        matches!(config.autoscale, AutoscalePolicy::Disabled)
+            || config.overload.admission == AdmissionPolicy::AcceptAll,
+        "autoscaling a role-split fleet needs accept-all admission: a draining \
+         replica's queued ops have nowhere to go"
+    );
+    true
+}
+
 /// The fleet simulator. Build with [`FleetSim::new`], consume with
 /// [`FleetSim::run`].
 pub struct FleetSim {
@@ -326,10 +530,15 @@ pub struct FleetSim {
     /// Pool index of each replica (replicas are numbered contiguously in
     /// pool order).
     pool_of: Vec<usize>,
-    /// Replica index range of each pool.
-    tier_ranges: Vec<std::ops::Range<usize>>,
-    /// Round-robin cursor per pool (tier-local rotation).
+    /// Replicas each routing tier spreads calls over, ascending: one tier
+    /// per pool, or the live prefill members of a role-split fleet.
+    tiers: Vec<Vec<usize>>,
+    /// Round-robin cursor per tier (tier-local rotation).
     rr_counters: Vec<usize>,
+    /// Migration and role-flip state (role-split fleets only).
+    roles: Option<Box<Roles>>,
+    /// Every finished call's record, when a [`crate::DisaggSim`] asks.
+    records: Option<Vec<CallRecord>>,
     /// Whether to feed next-invocation predictions to the engines' KV
     /// offload hierarchies (offload configured with
     /// [`EvictionPolicy::InvocationDistance`]).
@@ -383,8 +592,10 @@ impl FleetSim {
     /// # Panics
     ///
     /// Panics on an invalid load, overload policy, workload or pool agent
-    /// config, and when an agent or mixed workload's `config` disagrees
-    /// with `pools[0].agent`.
+    /// config, when an agent or mixed workload's `config` disagrees
+    /// with `pools[0].agent`, and on a role-split fleet that lacks a role,
+    /// mixes in a colocated pool, or cancels, retries, cascades or limits
+    /// admission under autoscaling (undefined across a KV migration).
     pub fn new(config: impl Into<FleetConfig>) -> Self {
         let config = config.into();
         validate_load(config.qps, config.num_requests);
@@ -398,10 +609,11 @@ impl FleetSim {
                  (pools[tier].agent is the fleet's agent config)"
             );
         }
+        let split = check_roles(&config);
         // Flatten the pools into one contiguous replica index space.
         let mut engines = Vec::new();
         let mut pool_of = Vec::new();
-        let mut tier_ranges = Vec::new();
+        let mut tiers = Vec::new();
         for (tier, p) in config.pools.iter().enumerate() {
             assert!(p.replicas > 0, "pool {tier} needs at least one replica");
             if let Err(e) = p.agent.validate() {
@@ -412,9 +624,33 @@ impl FleetSim {
                 engines.push(Engine::new(p.engine.clone()));
                 pool_of.push(tier);
             }
-            tier_ranges.push(start..engines.len());
+            tiers.push((start..engines.len()).collect::<Vec<_>>());
         }
         let replicas = engines.len();
+        let roles = split.then(|| {
+            let members = |role| -> Vec<usize> {
+                (0..replicas)
+                    .filter(|&r| config.pools[pool_of[r]].engine.role == role)
+                    .collect()
+            };
+            tiers = vec![members(EngineRole::Prefill)];
+            // A migration cannot be split finer than its model's layers.
+            let model = |r: &usize| &config.pools[pool_of[*r]].engine.cluster.model;
+            let layers = tiers[0].iter().map(|r| model(r).layers.max(1)).min();
+            let decode = members(EngineRole::Decode);
+            Box::new(Roles {
+                initial_decode: decode.len(),
+                decode,
+                transfers: TransferScheduler::new(config.link.clone(), replicas)
+                    .with_chunks(config.transfer_chunks.min(layers.expect("a prefill pool"))),
+                in_transit: HashMap::new(),
+                legs: HashMap::new(),
+                controller: config.autoscale.build(),
+                flip: None,
+                flips: Vec::new(),
+                scratch: Vec::new(),
+            })
+        });
         let root_rng = SimRng::seed_from(config.seed ^ config.root);
         let mut client = config.client.build(
             config.qps,
@@ -451,9 +687,11 @@ impl FleetSim {
                 .map(|_| config.overload.admission.build())
                 .collect(),
             root_rng,
-            rr_counters: vec![0; config.pools.len()],
+            rr_counters: vec![0; tiers.len()],
             pool_of,
-            tier_ranges,
+            tiers,
+            roles,
+            records: None,
             hints,
             track_ctx: hints || config.carry_context || cascade_active,
             carry: if config.carry_context {
@@ -527,25 +765,62 @@ impl FleetSim {
             1,
             "set_observer needs a one-replica fleet"
         );
-        self.engines[0].set_observer(observer);
+        self.set_replica_observer(0, observer);
+    }
+
+    /// Replaces replica `replica`'s engine observer, by global index.
+    /// Under autoscaling the role a replica serves varies over the run;
+    /// the observer stream carries the role timeline via
+    /// [`agentsim_llm::EngineEvent::RoleChanged`].
+    pub(crate) fn set_replica_observer(
+        &mut self,
+        replica: usize,
+        observer: Box<dyn EngineObserver>,
+    ) {
+        self.engines[replica].set_observer(observer);
+    }
+
+    /// Keeps every finished call's [`CallRecord`] for
+    /// [`FleetSim::into_disagg_report`].
+    pub(crate) fn record_calls(&mut self) {
+        self.records = Some(Vec::new());
+    }
+
+    /// Initial replica counts as `(prefill, decode)`; a colocated fleet
+    /// counts every replica as prefill.
+    pub(crate) fn pool_sizes(&self) -> (usize, usize) {
+        let n = self.engines.len();
+        self.roles
+            .as_ref()
+            .map_or((n, 0), |r| (n - r.initial_decode, r.initial_decode))
     }
 
     /// Runs to completion and reports.
     pub fn run(mut self) -> FleetReport {
+        self.run_events();
+        self.into_report()
+    }
+
+    /// The event loop: runs every event, then checks the end state.
+    pub(crate) fn run_events(&mut self) {
         while let Some((now, event)) = self.queue.pop() {
             match event {
                 Event::Arrival(a) => self.on_arrival(a, now),
                 Event::StepDone(r) => self.on_step_done(r, now),
                 Event::ToolsDone { sid, epoch } => self.on_tools_done_event(sid, epoch, now),
                 Event::DeadlineExpired { sid, epoch } => self.on_deadline(sid, epoch, now),
+                Event::TransferDone(tid) => self.on_transfer_done(tid, now),
+                Event::FlipDone(r) => self.on_flip_done(r, now),
             }
             self.drain_all(now);
+            if self.roles.is_some() {
+                self.autoscale(now);
+            }
             for r in 0..self.engines.len() {
                 self.kick(r, now);
             }
         }
         self.check_end_state();
-        self.into_report()
     }
 
     /// Every turn must resolve exactly once, every attempt must end
@@ -564,6 +839,11 @@ impl FleetSim {
         for e in &self.engines {
             assert_eq!(e.kv().live_sequences(), 0, "KV sequence leaked");
             e.kv().check_invariants().expect("KV invariants at run end");
+        }
+        if let Some(roles) = &self.roles {
+            assert_eq!(roles.transfers.outstanding(), 0, "no transfer left behind");
+            assert!(roles.legs.is_empty(), "no decode leg left owned");
+            assert!(roles.flip.is_none(), "no flip left in progress");
         }
         let expected = self.config.client.total_turns(self.config.num_requests);
         if self.config.overload.deadline.is_some() {
@@ -595,19 +875,21 @@ impl FleetSim {
     /// Routes one LLM op within `tier`'s pool. The cascade policy picks
     /// the tier; the routing policy picks the replica inside it.
     fn route(&mut self, sid: u64, tier: usize) -> usize {
-        let range = self.tier_ranges[tier].clone();
-        let n = range.len();
+        let members = &self.tiers[tier];
+        let n = members.len();
         match self.config.routing {
-            Routing::SessionAffinity => range.start + (sid as usize) % n,
+            Routing::SessionAffinity => members[(sid as usize) % n],
             Routing::RoundRobin => {
                 // Post-increment: the first dispatch lands on the pool's
                 // first replica. (Pre-incrementing skewed dispatch order
                 // so replica 0 was systematically served last.)
                 let local = self.rr_counters[tier] % n;
                 self.rr_counters[tier] = (local + 1) % n;
-                range.start + local
+                members[local]
             }
-            Routing::LeastLoaded => range
+            Routing::LeastLoaded => members
+                .iter()
+                .copied()
                 .min_by_key(|&r| {
                     self.engines[r].queue_len()
                         + self.engines[r].running_len()
@@ -627,7 +909,7 @@ impl FleetSim {
             }
         }
         // Chatbot turns stay on tier 0: they have no task to pre-screen.
-        let agent = if self.config.pools.len() > 1 {
+        let agent = if self.tiers.len() > 1 {
             self.config.workload.agent_turn(&self.root_rng, a.turn)
         } else {
             None
@@ -650,7 +932,7 @@ impl FleetSim {
     /// capability (plus margin) skip straight to the top — every cheap
     /// attempt at them is provably wasted work.
     fn arrival_tier(&self, kind: AgentKind, task: &Task, attempt: u32) -> usize {
-        let top = self.config.pools.len() - 1;
+        let top = self.tiers.len() - 1;
         if top == 0 {
             return 0;
         }
@@ -777,7 +1059,7 @@ impl FleetSim {
                     && runner.is_agent()
                     && !outcome.solved
                     && !m.expired
-                    && m.tier + 1 < self.config.pools.len()
+                    && m.tier + 1 < self.tiers.len()
                     && m.escalations < c.max_escalations
                 {
                     // Unsolved on this tier: re-run the turn one tier up.
@@ -1001,48 +1283,245 @@ impl FleetSim {
             self.wasted_service += service;
             return;
         };
-        self.in_flight[replica] -= 1;
-        self.ttfts
-            .push((completion.queue_time() + completion.prefill_time).as_secs_f64());
-        if completion.output_tokens > 1 {
-            self.tpots
-                .push(completion.decode_time.as_secs_f64() / (completion.output_tokens - 1) as f64);
-        }
-        let expired = {
-            let m = self.slots[sid as usize].as_mut().expect("live attempt");
-            m.calls
-                .retain(|&(r, id)| !(r == replica && id == completion.id));
-            // Extend the tracked context with this call's output so hints
-            // cover the blocks the engine appended during decode.
-            if let Some((ctx, gen_seed)) = m.kv_ctx.as_mut() {
-                for i in 0..completion.output_tokens as u64 {
-                    ctx.push_generated(*gen_seed, i);
+        let key = (replica, completion.id);
+        let leg = self.roles.as_mut().and_then(|r| r.legs.remove(&key));
+        let done = match leg {
+            None => {
+                self.release(replica, sid, completion.id, service);
+                self.ttfts
+                    .push((completion.queue_time() + completion.prefill_time).as_secs_f64());
+                if completion.output_tokens > 1 {
+                    self.tpots.push(
+                        completion.decode_time.as_secs_f64()
+                            / (completion.output_tokens - 1) as f64,
+                    );
                 }
+                if let Some(records) = &mut self.records {
+                    records.push(local_record(sid, replica, &completion));
+                }
+                CallDone::from_completion(completion)
             }
-            m.expired
+            // A decode leg: its prefill replica's slot freed at migration.
+            Some(leg) => {
+                if self.slots[sid as usize].as_ref().is_some_and(|m| m.expired) {
+                    self.wasted_service += service;
+                }
+                let record = leg.record(sid, replica, &completion);
+                self.ttfts.push(record.ttft().as_secs_f64());
+                if let Some(tpot) = record.tpot() {
+                    self.tpots.push(tpot.as_secs_f64());
+                }
+                if let Some(records) = &mut self.records {
+                    records.push(record);
+                }
+                CallDone::tokens_only(completion.output_tokens)
+            }
         };
-        if expired {
+        let m = self.slots[sid as usize].as_mut().expect("live attempt");
+        // Extend the tracked context with this call's output so hints
+        // cover the blocks the engine appended during decode.
+        if let Some((ctx, gen_seed)) = m.kv_ctx.as_mut() {
+            for i in 0..done.tokens as u64 {
+                ctx.push_generated(*gen_seed, i);
+            }
+        }
+        if let Some(cmd) = m.runner.on_call_done(seq, done, &self.tools, now) {
+            self.exec(sid, cmd, now);
+        }
+    }
+
+    /// Frees a call's in-flight slot on `replica` — at completion, or when
+    /// the call migrates off a prefill replica — and signals the replica's
+    /// admission controller, unless the client already gave up (the
+    /// service is then wasted).
+    fn release(&mut self, replica: usize, sid: u64, id: RequestId, service: f64) {
+        self.in_flight[replica] -= 1;
+        let m = self.slots[sid as usize].as_mut().expect("live attempt");
+        m.calls.retain(|&call| call != (replica, id));
+        if m.expired {
             self.wasted_service += service;
         } else {
             self.admission[replica].on_success();
-        }
-        let cmd = self.slots[sid as usize]
-            .as_mut()
-            .expect("live attempt")
-            .runner
-            .on_call_done(seq, CallDone::from_completion(completion), &self.tools, now);
-        if let Some(cmd) = cmd {
-            self.exec(sid, cmd, now);
         }
     }
 
     fn on_step_done(&mut self, replica: usize, now: SimTime) {
         let mut completions = std::mem::take(&mut self.step_scratch);
         self.engines[replica].complete_step_into(now, &mut completions);
+        // Calls released at their first token, KV ready to move. They are
+        // handled after the step's completions: decode placement and the
+        // event order of the pinned disagg fingerprints depend on it.
+        let mut migrations = match &mut self.roles {
+            Some(roles) => {
+                let mut out = std::mem::take(&mut roles.scratch);
+                self.engines[replica].take_migrations_into(&mut out);
+                out
+            }
+            None => Vec::new(),
+        };
         for completion in completions.drain(..) {
             self.handle_completion(replica, completion, now);
         }
         self.step_scratch = completions;
+        for migration in migrations.drain(..) {
+            self.start_migration(replica, migration, now);
+        }
+        if let Some(roles) = &mut self.roles {
+            roles.scratch = migrations;
+        }
+    }
+
+    /// Puts a freshly released call's KV on the wire toward the
+    /// least-loaded decode member (queued + running + inbound transfers).
+    fn start_migration(&mut self, replica: usize, migration: MigratedRequest, now: SimTime) {
+        let (sid, seq) = self
+            .owner
+            .remove(&(replica, migration.id))
+            .expect("migration belongs to a call");
+        let service = migration.prefill_time.as_secs_f64() * self.gpu_weight(replica);
+        self.release(replica, sid, migration.id, service);
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        let engines = &self.engines;
+        let dst = roles
+            .decode
+            .iter()
+            .copied()
+            .min_by_key(|&r| {
+                engines[r].queue_len()
+                    + engines[r].running_len()
+                    + roles.transfers.in_flight(r) as usize
+            })
+            .expect("non-empty decode pool");
+        let (tid, arrival) = roles.transfers.schedule(now, dst, migration);
+        roles.in_transit.insert(tid, (sid, seq, replica));
+        self.queue.push(arrival, Event::TransferDone(tid));
+    }
+
+    /// A migration landed: its decode leg joins the destination's queue.
+    fn on_transfer_done(&mut self, tid: u64, now: SimTime) {
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        let (sid, seq, prefill_replica) = roles
+            .in_transit
+            .remove(&tid)
+            .expect("transfer belongs to a call");
+        let pt = roles.transfers.complete(tid);
+        // A draining destination still accepts this: the KV was committed
+        // to it before the drain began, and a flip waits for it to land.
+        let id = self.engines[pt.dst].submit_prefilled(now, &pt.migration);
+        roles.legs.insert(
+            (pt.dst, id),
+            Leg {
+                prefill_replica,
+                submitted: now,
+                transfer_wait: pt.transfer.wait(),
+                migration: pt.migration,
+            },
+        );
+        self.owner.insert((pt.dst, id), (sid, seq));
+    }
+
+    /// Advances the autoscaler: asks the controller whether to start a
+    /// flip, then detects the end of a drain in progress — in the same
+    /// pass, so a flip of an already-idle replica completes without
+    /// waiting for another event.
+    fn autoscale(&mut self, now: SimTime) {
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        let decision = match roles.controller.as_mut() {
+            Some(controller) if roles.flip.is_none() => {
+                let (engines, transfers) = (&self.engines, &roles.transfers);
+                // (queued, running, inbound transfers) summed over a pool.
+                let load = |members: &[usize]| {
+                    members.iter().fold((0, 0, 0), |(q, r, t), &m| {
+                        let e = &engines[m];
+                        let inbound = transfers.in_flight(m) as usize;
+                        (q + e.queue_len(), r + e.running_len(), t + inbound)
+                    })
+                };
+                let (prefill_queue, prefill_running, _) = load(&self.tiers[0]);
+                let (decode_queue, decode_running, transfers_in_flight) = load(&roles.decode);
+                controller.observe(&PoolObservation {
+                    now,
+                    prefill_replicas: self.tiers[0].len(),
+                    decode_replicas: roles.decode.len(),
+                    flip_in_progress: false,
+                    prefill_queue,
+                    prefill_running,
+                    decode_queue,
+                    decode_running,
+                    transfers_in_flight,
+                })
+            }
+            _ => None,
+        };
+        if let Some(direction) = decision {
+            self.start_flip(direction, now);
+        }
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        if let Some(flip) = roles.flip.as_mut().filter(|f| f.drained.is_none()) {
+            let r = flip.replica;
+            if !self.engines[r].has_work() && roles.transfers.in_flight(r) == 0 {
+                flip.drained = Some(now);
+                let at = now + self.config.flip_cost.flip_time();
+                self.queue.push(at, Event::FlipDone(r));
+            }
+        }
+    }
+
+    /// Starts draining the least-loaded source-pool replica toward the
+    /// other pool. Infeasible requests (source pool at one replica) are
+    /// dropped, deterministically.
+    fn start_flip(&mut self, direction: FlipDirection, now: SimTime) {
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        let source = match direction {
+            FlipDirection::PrefillToDecode => &mut self.tiers[0],
+            FlipDirection::DecodeToPrefill => &mut roles.decode,
+        };
+        if source.len() <= 1 {
+            return;
+        }
+        // Least-loaded victim drains fastest; ties break to the lowest
+        // index so the choice is deterministic.
+        let engines = &self.engines;
+        let victim = source
+            .iter()
+            .copied()
+            .min_by_key(|&r| {
+                let load = engines[r].queue_len()
+                    + engines[r].running_len()
+                    + roles.transfers.in_flight(r) as usize;
+                (load, r)
+            })
+            .expect("non-empty source pool");
+        source.retain(|&r| r != victim);
+        self.engines[victim].begin_drain();
+        roles.flip = Some(FlipInProgress {
+            replica: victim,
+            direction,
+            requested: now,
+            drained: None,
+        });
+    }
+
+    /// The reconfiguration gap ended: the drained replica joins the
+    /// target pool in its new role.
+    fn on_flip_done(&mut self, replica: usize, now: SimTime) {
+        let roles = self.roles.as_mut().expect("role-split fleet");
+        let flip = roles.flip.take().expect("flip completion without a flip");
+        assert_eq!(flip.replica, replica, "flip completion for wrong replica");
+        let (role, members) = match flip.direction {
+            FlipDirection::PrefillToDecode => (EngineRole::Decode, &mut roles.decode),
+            FlipDirection::DecodeToPrefill => (EngineRole::Prefill, &mut self.tiers[0]),
+        };
+        self.engines[replica].finish_drain(now, role);
+        let pos = members.partition_point(|&r| r < replica);
+        members.insert(pos, replica);
+        roles.flips.push(FlipRecord {
+            replica: replica as u32,
+            direction: flip.direction,
+            requested: flip.requested,
+            drained: flip.drained.expect("flip completed before draining"),
+            completed: now,
+        });
     }
 
     /// Moves queued ops onto `replica`'s engine while its admission
@@ -1271,12 +1750,103 @@ impl FleetSim {
             offload_nvme_wait_s: nvme_wait.as_secs_f64(),
         }
     }
+
+    /// The disaggregated view of a finished run (requires
+    /// [`FleetSim::record_calls`] before the run): the fleet report plus
+    /// per-pool utilization, per-call records, links and flips.
+    pub(crate) fn into_disagg_report(mut self) -> DisaggReport {
+        let (prefill_replicas, decode_replicas) = self.pool_sizes();
+        let calls = self.records.take().expect("DisaggSim records every call");
+        let migrated_calls = calls.iter().filter(|c| c.migrated()).count() as u64;
+        let roles = self.roles.take();
+        // Float sums follow final pool membership, prefill members then
+        // decode members. After a flip that is not index order.
+        let everyone: Vec<usize>;
+        let (prefill, decode): (&[usize], &[usize]) = match &roles {
+            Some(roles) => (&self.tiers[0], &roles.decode),
+            None => {
+                everyone = (0..self.engines.len()).collect();
+                (&everyone, &[])
+            }
+        };
+        let mut energy_wh = 0.0;
+        let mut utilization = |members: &[usize]| -> Vec<f64> {
+            members
+                .iter()
+                .map(|&r| {
+                    let m = self.engines[r].metrics();
+                    energy_wh += m.energy_within(self.last_finish).watt_hours();
+                    m.utilization(self.last_finish)
+                })
+                .collect()
+        };
+        let prefill_utilization = utilization(prefill);
+        let decode_utilization = utilization(decode);
+        let makespan_s = self.last_finish.as_micros() as f64 / 1e6;
+        let (links, transferred_bytes, transfer_wait, flips) = match roles {
+            None => (Vec::new(), 0, SimDuration::ZERO, Vec::new()),
+            Some(roles) => {
+                debug_assert_eq!(migrated_calls, roles.transfers.completed());
+                let links = roles
+                    .transfers
+                    .links()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.transfers() > 0)
+                    .map(|(r, l)| LinkStats {
+                        replica: r as u32,
+                        transfers: l.transfers(),
+                        chunks: l.chunks(),
+                        bytes: l.bytes_moved(),
+                        busy_s: l.busy_time().as_secs_f64(),
+                        wait_s: l.wait_time().as_secs_f64(),
+                        utilization: if makespan_s > 0.0 {
+                            l.busy_time().as_secs_f64() / makespan_s
+                        } else {
+                            0.0
+                        },
+                    })
+                    .collect();
+                let bytes = roles.transfers.total_bytes();
+                (links, bytes, roles.transfers.total_wait(), roles.flips)
+            }
+        };
+        let fleet = self.into_report();
+        DisaggReport {
+            offered_qps: fleet.offered_qps,
+            prefill_replicas: prefill_replicas as u32,
+            decode_replicas: decode_replicas as u32,
+            completed: fleet.completed,
+            solved: fleet.solved,
+            abandoned: fleet.abandoned,
+            dropped: fleet.dropped,
+            makespan: fleet.makespan,
+            latencies: fleet.latencies,
+            p50_s: fleet.p50_s,
+            p95_s: fleet.p95_s,
+            calls,
+            migrated_calls,
+            transferred_bytes,
+            transfer_wait,
+            prefill_utilization,
+            decode_utilization,
+            energy_wh,
+            kv_hit_rate: fleet.kv_hit_rate,
+            offload_demoted_blocks: fleet.offload_demoted_blocks,
+            offload_promoted_blocks: fleet.offload_promoted_blocks,
+            offload_promoted_tokens: fleet.offload_promoted_tokens,
+            offload_dropped_blocks: fleet.offload_dropped_blocks,
+            preemptions: fleet.preemptions,
+            flips,
+            links,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agentsim_session::{AdmissionPolicy, RetryPolicy};
+    use agentsim_session::RetryPolicy;
 
     fn run(routing: Routing, replicas: u32) -> FleetReport {
         FleetSim::new(FleetConfig::react_hotpotqa(replicas, routing, 2.0, 40).seed(3)).run()
@@ -1777,6 +2347,127 @@ mod tests {
     fn invalid_workload_is_rejected_at_build() {
         FleetSim::new(
             FleetConfig::react_hotpotqa(1, Routing::RoundRobin, 1.0, 4).workload(mixed(f64::NAN)),
+        );
+    }
+
+    /// A role-split fleet of `prefill` + `decode` default 8B replicas.
+    fn split_cfg(prefill: u32, decode: u32) -> FleetConfig {
+        let pool = |role, n| ReplicaPool::new(EngineConfig::a100_llama8b().with_role(role), n);
+        FleetConfig::pooled(
+            vec![
+                pool(EngineRole::Prefill, prefill),
+                pool(EngineRole::Decode, decode),
+            ],
+            Routing::LeastLoaded,
+            2.0,
+            12,
+        )
+        .seed(12)
+    }
+
+    #[test]
+    fn role_split_fleet_carries_context_under_a_closed_loop() {
+        let cfg = |carry: bool| {
+            let cfg = split_cfg(1, 2).client(ClientModel::ClosedLoop {
+                concurrency: 4,
+                think_time: SimDuration::from_secs(2),
+            });
+            if carry {
+                cfg.with_context_carry()
+            } else {
+                cfg
+            }
+        };
+        let a = crate::DisaggSim::new(cfg(true)).run();
+        let b = crate::DisaggSim::new(cfg(true)).run();
+        assert_eq!(a.completed, 12, "every turn completes");
+        assert!(a.migrated_calls > 0);
+        assert_eq!(
+            a.transferred_bytes,
+            a.calls.iter().map(|c| c.kv_bytes).sum::<u64>(),
+            "link bytes are the calls' KV footprints"
+        );
+        for c in &a.calls {
+            assert_eq!(c.span().total(), c.e2e(), "five phases partition e2e");
+        }
+        assert_eq!(a.calls, b.calls, "reruns are bit-identical");
+        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+        assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
+        // Carried conversations lengthen follow-up prompts.
+        let prompt = |r: &agentsim_disagg::DisaggReport| -> u64 {
+            r.calls.iter().map(|c| u64::from(c.prompt_tokens)).sum()
+        };
+        let plain = crate::DisaggSim::new(cfg(false)).run();
+        assert!(prompt(&a) > prompt(&plain), "carry grows prompts");
+        // The same fleet also reports through the colocated report.
+        let fleet = FleetSim::new(cfg(true)).run();
+        assert_eq!(fleet.completed, 12);
+        assert_eq!(fleet.p95_s.to_bits(), a.p95_s.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot cancel on expiry")]
+    fn role_split_rejects_cancel_on_expiry() {
+        FleetSim::new(
+            split_cfg(1, 1).overload(
+                OverloadPolicy::none()
+                    .deadline(SimDuration::from_secs(20))
+                    .cancel_on_expiry(),
+            ),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot cancel on expiry (or retry)")]
+    fn role_split_rejects_retry() {
+        FleetSim::new(
+            split_cfg(1, 1).overload(
+                OverloadPolicy::none()
+                    .deadline(SimDuration::from_secs(20))
+                    .cancel_on_expiry()
+                    .retry(RetryPolicy::standard()),
+            ),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one routing tier")]
+    fn role_split_rejects_cascade() {
+        FleetSim::new(split_cfg(1, 1).cascade(CascadePolicy::standard()));
+    }
+
+    #[test]
+    #[should_panic(expected = "no Colocated pool")]
+    fn role_split_rejects_a_colocated_pool() {
+        let mut cfg = split_cfg(1, 1);
+        cfg.pools
+            .push(ReplicaPool::new(EngineConfig::a100_llama8b(), 1));
+        FleetSim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs Prefill and Decode pools")]
+    fn role_split_rejects_a_missing_role() {
+        let mut cfg = split_cfg(1, 1);
+        cfg.pools.pop();
+        FleetSim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "serves one model")]
+    fn role_split_rejects_mismatched_agents() {
+        let mut cfg = split_cfg(1, 1);
+        cfg.pools[1].agent = AgentConfig::default_70b();
+        FleetSim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs accept-all admission")]
+    fn role_split_autoscaling_rejects_admission_limits() {
+        FleetSim::new(
+            split_cfg(2, 2)
+                .autoscale(AutoscalePolicy::Pinned)
+                .overload(OverloadPolicy::none().admission(AdmissionPolicy::aimd_default())),
         );
     }
 

@@ -7,20 +7,23 @@
 //!   attributed [`RequestTrace`] (the paper's §IV-A/B per-request
 //!   analysis: call counts, latency breakdown, GPU phase breakdown,
 //!   token growth, KV footprint, prefix-caching effects).
-//! * [`fleet`] — the colocated driver: one event loop for one shared
+//! * [`fleet`] — the cluster driver: one event loop for one shared
 //!   replica or many behind a router. A one-replica fleet is the paper's
 //!   §IV-C serving analysis (throughput, tail latency vs QPS, KV
 //!   pressure, cache thrashing; [`open_loop::ServingConfig`] builds it),
 //!   and routing across replicas (session affinity vs stateless
 //!   balancing) extends its §VI datacenter view. Every run reports a
-//!   [`FleetReport`].
+//!   [`FleetReport`]. Pools whose engines carry prefill/decode roles
+//!   make it a Splitwise-style disaggregated fleet: KV migration over a
+//!   modeled interconnect, and role-flip autoscaling.
 //! * [`observe`] — step-level observability: attach a [`SpanRecorder`]
 //!   to any of the above and export per-request lifecycle spans, engine
 //!   time-series, and Chrome-trace / JSONL files.
-//! * [`disagg`] (re-export of `agentsim-disagg`) — Splitwise-style
-//!   disaggregated prefill/decode pools with a modeled KV-transfer
-//!   interconnect, plus the colocated baseline through the same driver
-//!   for iso-GPU what-if comparisons.
+//! * [`sim`] / [`config`] — [`DisaggSim`] and [`DisaggConfig`], thin
+//!   constructors over that fleet: a prefill pool and a decode pool (or
+//!   the colocated baseline at iso-GPU count), reporting per-call
+//!   five-phase records ([`DisaggReport`]). The record, transfer and
+//!   autoscale types live in [`disagg`] (re-export of `agentsim-disagg`).
 //!
 //! # Example
 //!
@@ -40,10 +43,12 @@
 pub use agentsim_disagg as disagg;
 pub use agentsim_session as session;
 
+pub mod config;
 pub mod fleet;
 pub mod observe;
 pub mod open_loop;
 pub mod report;
+pub mod sim;
 pub mod single;
 pub mod stream;
 pub mod sweep;
@@ -52,9 +57,10 @@ pub mod sweep;
 /// [`agentsim_session`]; re-exported here for path stability).
 pub use agentsim_session::trace;
 
+pub use config::{DisaggConfig, DisaggWorkload};
 pub use disagg::{
-    AutoscalePolicy, CallRecord, CallSpan, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload,
-    FlipDirection, FlipRecord, HysteresisConfig,
+    AutoscalePolicy, CallRecord, CallSpan, DisaggReport, FlipDirection, FlipRecord,
+    HysteresisConfig,
 };
 pub use fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
 pub use observe::{
@@ -66,6 +72,7 @@ pub use session::{
     validate_load, AdmissionPolicy, Arrival, ArrivalProcess, CascadePolicy, ClientModel,
     OverloadPolicy, QueueDiscipline, RetryPolicy, SessionCmd, SessionRunner, Workload,
 };
+pub use sim::DisaggSim;
 pub use single::{SingleOutcome, SingleRequest};
 pub use stream::SpanStreamWriter;
 pub use sweep::{

@@ -272,6 +272,10 @@ impl StepRecord {
 #[derive(Debug, Default)]
 struct RecorderInner {
     spans: Vec<RequestSpan>,
+    /// Ids of the spans in the running set (admitted and not since
+    /// preempted or finished), in no particular order: the per-step
+    /// stall sweep visits only these.
+    running: Vec<RequestId>,
     steps: Vec<StepRecord>,
     kv_used_blocks: TimeSeries,
     running_depth: TimeSeries,
@@ -287,6 +291,16 @@ impl RecorderInner {
         self.spans
             .get_mut(id.0 as usize)
             .unwrap_or_else(|| panic!("unobserved request {id}"))
+    }
+
+    /// Drops `id` from the running index.
+    fn leave_running(&mut self, id: RequestId) {
+        let i = self
+            .running
+            .iter()
+            .position(|&r| r == id)
+            .unwrap_or_else(|| panic!("{id}: not in the running index"));
+        self.running.swap_remove(i);
     }
 
     fn log_line(&mut self, line: std::fmt::Arguments<'_>) {
@@ -334,6 +348,7 @@ impl RecorderInner {
                     span.first_admitted = Some(at);
                 }
                 span.state = SpanState::Running(at);
+                self.running.push(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"admit\",\"t_us\":{},\"id\":{},\"new_tokens\":{},\
                      \"cached_tokens\":{}}}",
@@ -379,7 +394,8 @@ impl RecorderInner {
                     self.span_mut(id).mark_phase(Phase::Decode, started, ended);
                 }
                 // Everything else still running is stalled for this step.
-                for span in &mut self.spans {
+                for &id in &self.running {
+                    let span = &mut self.spans[id.0 as usize];
                     if let SpanState::Running(mark) = span.state {
                         if mark < ended {
                             span.push_segment(Phase::Stall, mark, ended);
@@ -413,6 +429,7 @@ impl RecorderInner {
                 span.push_segment(Phase::Stall, mark, at);
                 span.preemptions += 1;
                 span.state = SpanState::Queued(at);
+                self.leave_running(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"preempt\",\"t_us\":{},\"id\":{},\"generated\":{}}}",
                     at.as_micros(),
@@ -430,6 +447,7 @@ impl RecorderInner {
                 span.cached_tokens = completion.cached_tokens;
                 span.output_tokens = completion.output_tokens;
                 span.state = SpanState::Done;
+                self.leave_running(completion.id);
                 self.log_line(format_args!(
                     "{{\"event\":\"complete\",\"t_us\":{},\"id\":{},\"output_tokens\":{},\
                      \"cached_tokens\":{},\"preemptions\":{},\"queue_us\":{},\
@@ -460,6 +478,7 @@ impl RecorderInner {
                 span.output_tokens = generated;
                 span.migrated = true;
                 span.state = SpanState::Done;
+                self.leave_running(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"migrate\",\"t_us\":{},\"id\":{},\"generated\":{},\
                      \"kv_blocks\":{},\"kv_bytes\":{}}}",
@@ -475,6 +494,7 @@ impl RecorderInner {
                 // The purge can catch the request waiting (queued) or
                 // admitted (running); close the open phase either way so
                 // the span partition still telescopes to end-to-end.
+                let was_running = matches!(span.state, SpanState::Running(_));
                 match span.state {
                     SpanState::Running(mark) => span.push_segment(Phase::Stall, mark, at),
                     SpanState::Queued(since) => span.push_segment(Phase::Queue, since, at),
@@ -484,6 +504,9 @@ impl RecorderInner {
                 span.output_tokens = generated;
                 span.abandoned = true;
                 span.state = SpanState::Done;
+                if was_running {
+                    self.leave_running(id);
+                }
                 self.log_line(format_args!(
                     "{{\"event\":\"abandon\",\"t_us\":{},\"id\":{},\"generated\":{}}}",
                     at.as_micros(),
@@ -722,6 +745,176 @@ mod tests {
             engine.complete_step(now);
         }
         now
+    }
+
+    /// The stall sweep before the running index: every span ever seen.
+    fn full_sweep(inner: &mut RecorderInner, ended: SimTime) {
+        for span in &mut inner.spans {
+            if let SpanState::Running(mark) = span.state {
+                if mark < ended {
+                    span.push_segment(Phase::Stall, mark, ended);
+                    span.state = SpanState::Running(ended);
+                }
+            }
+        }
+    }
+
+    /// Applies `event` to the indexed recorder, and to the reference
+    /// followed by a full sweep at each step end.
+    fn feed(indexed: &mut RecorderInner, reference: &mut RecorderInner, event: EngineEvent<'_>) {
+        indexed.apply(&event);
+        reference.apply(&event);
+        if let EngineEvent::StepCompleted { ended, .. } = event {
+            full_sweep(reference, ended);
+        }
+    }
+
+    #[test]
+    fn running_index_matches_a_full_stall_sweep() {
+        let (mut indexed, mut reference) = (RecorderInner::default(), RecorderInner::default());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |n: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut queued, mut running) = (Vec::<RequestId>::new(), Vec::<RequestId>::new());
+        let mut now = SimTime::ZERO;
+        for _ in 0..3_000 {
+            now += SimDuration::from_micros(draw(3) as u64);
+            match draw(8) {
+                0 | 1 => {
+                    let id = RequestId(indexed.spans.len() as u64);
+                    queued.push(id);
+                    let submit = EngineEvent::Submitted {
+                        id,
+                        at: now,
+                        prompt_tokens: 64,
+                        out_tokens: 8,
+                        priority: 0,
+                    };
+                    feed(&mut indexed, &mut reference, submit);
+                }
+                2 | 3 if !queued.is_empty() => {
+                    let id = queued.swap_remove(draw(queued.len()));
+                    running.push(id);
+                    let admit = EngineEvent::Admitted {
+                        id,
+                        at: now,
+                        new_tokens: 64,
+                        cached_tokens: 0,
+                    };
+                    feed(&mut indexed, &mut reference, admit);
+                }
+                4 | 5 => {
+                    // Some running spans advance; the rest stall.
+                    let prefill: Vec<(RequestId, u32)> = running
+                        .iter()
+                        .filter(|_| draw(3) == 0)
+                        .map(|&id| (id, 16))
+                        .collect();
+                    let decode: Vec<RequestId> = running
+                        .iter()
+                        .copied()
+                        .filter(|id| draw(2) == 0 && prefill.iter().all(|p| p.0 != *id))
+                        .collect();
+                    let ended = now + SimDuration::from_micros(10 + draw(40) as u64);
+                    let step = EngineEvent::StepCompleted {
+                        kind: StepKind::Mixed,
+                        started: now,
+                        ended,
+                        flops: 1.0,
+                        prefill: &prefill,
+                        decode: &decode,
+                        kv_used_blocks: 1,
+                        kv_total_blocks: 8,
+                        running: running.len() as u32,
+                        waiting: queued.len() as u32,
+                    };
+                    feed(&mut indexed, &mut reference, step);
+                    now = ended;
+                }
+                6 if !running.is_empty() => {
+                    let id = running.swap_remove(draw(running.len()));
+                    let event = match draw(3) {
+                        0 => {
+                            queued.push(id);
+                            EngineEvent::Preempted {
+                                id,
+                                at: now,
+                                generated: 1,
+                            }
+                        }
+                        1 => EngineEvent::Migrated {
+                            id,
+                            at: now,
+                            generated: 1,
+                            kv_blocks: 1,
+                            kv_bytes: 64,
+                        },
+                        _ => EngineEvent::Abandoned {
+                            id,
+                            at: now,
+                            generated: 1,
+                        },
+                    };
+                    feed(&mut indexed, &mut reference, event);
+                }
+                7 if !running.is_empty() => {
+                    let id = running.swap_remove(draw(running.len()));
+                    let completion = agentsim_llm::LlmCompletion {
+                        id,
+                        arrived: now,
+                        started: now,
+                        finished: now,
+                        prompt_tokens: 64,
+                        cached_tokens: 0,
+                        output_tokens: 8,
+                        prefill_time: SimDuration::ZERO,
+                        decode_time: SimDuration::ZERO,
+                        flops: 0.0,
+                        preemptions: 0,
+                    };
+                    let done = EngineEvent::Completed {
+                        at: now,
+                        completion: &completion,
+                    };
+                    feed(&mut indexed, &mut reference, done);
+                }
+                _ if !queued.is_empty() => {
+                    let id = queued.swap_remove(draw(queued.len()));
+                    let abandon = EngineEvent::Abandoned {
+                        id,
+                        at: now,
+                        generated: 0,
+                    };
+                    feed(&mut indexed, &mut reference, abandon);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(
+            format!("{:?}", indexed.spans),
+            format!("{:?}", reference.spans)
+        );
+        assert_eq!(indexed.jsonl, reference.jsonl);
+        let mut live: Vec<u64> = indexed.running.iter().map(|id| id.0).collect();
+        live.sort_unstable();
+        assert_eq!(live, {
+            let mut r: Vec<u64> = running.iter().map(|id| id.0).collect();
+            r.sort_unstable();
+            r
+        });
+        // The script exercised every transition the index tracks.
+        let spans = &reference.spans;
+        assert!(spans.iter().any(|s| s.stall_time > SimDuration::ZERO));
+        assert!(spans.iter().any(|s| s.preemptions > 0));
+        assert!(spans.iter().any(|s| s.migrated));
+        assert!(spans.iter().any(|s| s.abandoned));
+        assert!(spans
+            .iter()
+            .any(|s| s.is_complete() && !s.migrated && !s.abandoned));
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl ServingConfig {
     /// One A100/Llama-3.1-8B replica serving `workload` under an
     /// open-loop Poisson client at `qps`; its pool runs the workload's
     /// agent. The root stream is [`seeds::SERVING_ROOT`], the key
-    /// `DisaggSim` shares, so a single-replica run and a disaggregated
+    /// `DisaggConfig` shares, so a single-replica run and a disaggregated
     /// run at the same seed see identical arrivals and sessions.
     pub fn new(workload: Workload, qps: f64, num_requests: u64) -> Self {
         let mut pool = ReplicaPool::new(EngineConfig::a100_llama8b(), 1);

@@ -16,9 +16,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::{EngineEvent, EngineObserver, RequestId};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 
 /// Per-replica event tally shared with the test body.
 #[derive(Debug, Default)]
@@ -70,8 +70,8 @@ impl EngineObserver for TallyObserver {
             }
             EngineEvent::Preempted { .. } => {}
             EngineEvent::RoleChanged { .. } => {}
-            // The disagg driver never cancels engine work (its overload
-            // handling sheds at the coordinator, before submission).
+            // Role-split fleets reject cancellation at build, so engine
+            // work is never abandoned.
             EngineEvent::Abandoned { .. } => unreachable!("disagg never abandons engine work"),
         }
     }
@@ -88,12 +88,12 @@ fn run_tallied(cfg: DisaggConfig) -> (DisaggReport, Tallies, Tallies) {
     let mut decode = Vec::with_capacity(nd);
     for p in 0..np {
         let tally = Arc::new(Mutex::new(Tally::default()));
-        sim.set_prefill_observer(p, Box::new(TallyObserver(tally.clone())));
+        sim.set_replica_observer(p, Box::new(TallyObserver(tally.clone())));
         prefill.push(tally);
     }
     for d in 0..nd {
         let tally = Arc::new(Mutex::new(Tally::default()));
-        sim.set_decode_observer(d, Box::new(TallyObserver(tally.clone())));
+        sim.set_replica_observer(np + d, Box::new(TallyObserver(tally.clone())));
         decode.push(tally);
     }
     (sim.run(), prefill, decode)

@@ -11,9 +11,9 @@
 //! from the serving one.
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
+use agentsim_serving::{AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_workloads::Benchmark;
 
 /// Same shape as the serving golden fingerprint.

@@ -7,10 +7,10 @@
 //!
 //! Floats are pinned via `f64::to_bits` — exact equality, no tolerance.
 
-use agentsim_disagg::{
+use agentsim_gpu::FlipCostModel;
+use agentsim_serving::{
     AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FlipDirection, Workload,
 };
-use agentsim_gpu::FlipCostModel;
 use agentsim_simkit::SimTime;
 
 #[derive(Debug, PartialEq, Eq)]
@@ -87,7 +87,7 @@ macro_rules! golden {
     };
 }
 
-// Capture helper: `cargo test -p agentsim-disagg --test golden \
+// Capture helper: `cargo test -p agentsim-serving --test golden \
 // print_disagg_fingerprints -- --ignored --nocapture` prints the
 // constants in the macro's argument order.
 golden!(

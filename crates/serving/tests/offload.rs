@@ -4,9 +4,9 @@
 //! reruns, and vanish completely at zero capacity.
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::{EngineConfig, OffloadConfig};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
 use agentsim_workloads::Benchmark;
 
 #[derive(Debug, PartialEq, Eq)]

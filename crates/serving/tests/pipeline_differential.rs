@@ -1,6 +1,8 @@
 //! Differential test: `transfer_chunks(1)` must reproduce the
 //! **pre-pipeline** driver bit for bit, across routing × client-model
-//! cells, a contended PCIe cell, and an autoscale flip.
+//! cells, a contended PCIe cell, and an autoscale flip. The routing
+//! cells vary the prefill pool's routing; decode placement is always
+//! least-loaded.
 //!
 //! The constants below were captured from the serial driver immediately
 //! before the chunked-transfer machinery landed (the whole-footprint
@@ -9,10 +11,11 @@
 //! line waits, same float bits in every tail statistic — or the chunked
 //! scheduler has changed behaviour it promised only to generalize.
 
-use agentsim_disagg::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FlipDirection, PoolRouting, Workload,
-};
 use agentsim_gpu::{FlipCostModel, LinkSpec};
+use agentsim_serving::{
+    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FleetConfig, FlipDirection, Routing,
+    Workload,
+};
 use agentsim_session::ClientModel;
 use agentsim_simkit::{SimDuration, SimTime};
 
@@ -45,8 +48,8 @@ impl Fingerprint {
     }
 }
 
-fn check(cfg: DisaggConfig, want: Fingerprint, label: &str) {
-    let r = DisaggSim::new(cfg.transfer_chunks(1)).run();
+fn check(cfg: impl Into<FleetConfig>, want: Fingerprint, label: &str) {
+    let r = DisaggSim::new(cfg.into().transfer_chunks(1)).run();
     assert_eq!(
         Fingerprint::of(&r),
         want,
@@ -54,18 +57,19 @@ fn check(cfg: DisaggConfig, want: Fingerprint, label: &str) {
     );
 }
 
-fn routing_cell(prefill: PoolRouting, decode: PoolRouting) -> DisaggConfig {
-    DisaggConfig::new(Workload::react_hotpotqa(), 1.5, 24)
+fn routing_cell(prefill: Routing) -> FleetConfig {
+    let mut cfg: FleetConfig = DisaggConfig::new(Workload::react_hotpotqa(), 1.5, 24)
         .seed(0xD1A6)
         .pools(2, 2)
-        .prefill_routing(prefill)
-        .decode_routing(decode)
+        .into();
+    cfg.routing = prefill;
+    cfg
 }
 
 #[test]
 fn routing_rr_ll_matches_pre_pipeline() {
     check(
-        routing_cell(PoolRouting::RoundRobin, PoolRouting::LeastLoaded),
+        routing_cell(Routing::RoundRobin),
         Fingerprint {
             completed: 24,
             migrated: 140,
@@ -81,27 +85,9 @@ fn routing_rr_ll_matches_pre_pipeline() {
 }
 
 #[test]
-fn routing_rr_rr_matches_pre_pipeline() {
-    check(
-        routing_cell(PoolRouting::RoundRobin, PoolRouting::RoundRobin),
-        Fingerprint {
-            completed: 24,
-            migrated: 139,
-            bytes: 33726398464,
-            wait_us: 0,
-            p95_bits: 0x4033797f737da61e,
-            ttft95_bits: 0x3fc075b3e1437c57,
-            tpot99_bits: 0x3f909fe86833c600,
-            energy_bits: 0x401728dd920d62fd,
-        },
-        "round-robin/round-robin",
-    );
-}
-
-#[test]
 fn routing_ll_ll_matches_pre_pipeline() {
     check(
-        routing_cell(PoolRouting::LeastLoaded, PoolRouting::LeastLoaded),
+        routing_cell(Routing::LeastLoaded),
         Fingerprint {
             completed: 24,
             migrated: 140,

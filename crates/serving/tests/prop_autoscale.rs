@@ -17,8 +17,8 @@
 //!    equal to the flip-cost model) and never exceed the schedule;
 //! 5. the same configuration replays bit-identically.
 
-use agentsim_disagg::{AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, Workload};
 use agentsim_gpu::FlipCostModel;
+use agentsim_serving::{AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, Workload};
 use agentsim_simkit::SimTime;
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     })
 }
 
-fn run(s: &Scenario) -> agentsim_disagg::DisaggReport {
+fn run(s: &Scenario) -> agentsim_serving::DisaggReport {
     let workload = if s.chatbot {
         Workload::Chatbot
     } else {

@@ -33,9 +33,9 @@ use crate::client::ClientModel;
 
 /// Validates the offered-load parameters every serving driver shares.
 ///
-/// All three drivers (single-engine serving, fleet, disaggregated) route
-/// their `qps`/`num_requests` arguments through here so the checks — and
-/// the panic messages — cannot drift apart again.
+/// Every config constructor routes its `qps`/`num_requests` arguments
+/// through here so the checks — and the panic messages — cannot drift
+/// apart again.
 ///
 /// # Panics
 ///

@@ -83,8 +83,9 @@ pub struct CallDone {
     /// Output tokens generated.
     pub tokens: u32,
     /// The full engine completion record, when the driver has it in hand
-    /// (disaggregated drivers stitch per-leg records separately and pass
-    /// `None`; the trace then simply carries no per-call LLM records).
+    /// (a migrated call's decode leg is only half the call: the driver
+    /// stitches both legs separately and passes `None`, so the trace
+    /// carries no half-call record).
     pub completion: Option<LlmCompletion>,
 }
 
