@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use agentsim_kvcache::TokenBuf;
+use agentsim_kvcache::{TokenBuf, DEFAULT_BLOCK_SIZE};
 use agentsim_simkit::rng::hash_key;
 use agentsim_tools::ToolResult;
 use agentsim_workloads::segments::{
@@ -60,6 +60,11 @@ impl fmt::Display for ContextBreakdown {
 
 /// The agent's evolving context: a token buffer plus category accounting.
 ///
+/// The buffer's chain-hash memo is kept current at [`DEFAULT_BLOCK_SIZE`]
+/// after every append, so each [`Self::snapshot`] (and each clone, such as
+/// a LATS child node) carries it: an engine at that block size hashes only
+/// the blocks a call adds, never the whole context again.
+///
 /// # Example
 ///
 /// ```
@@ -97,7 +102,7 @@ impl ContextTracker {
         }
         let user = task.user_segment();
         buf.push_buf(&user);
-        ContextTracker {
+        let ctx = ContextTracker {
             buf,
             breakdown: ContextBreakdown {
                 instruction: instr,
@@ -109,7 +114,9 @@ impl ContextTracker {
             },
             tool_seq: 0,
             task_key: task.rng_key(),
-        }
+        };
+        ctx.extend_memo();
+        ctx
     }
 
     /// Appends a completed LLM output (identified by its generation seed)
@@ -119,6 +126,7 @@ impl ContextTracker {
             self.buf.push_generated(gen_seed, i);
         }
         self.breakdown.llm_history += tokens;
+        self.extend_memo();
     }
 
     /// Appends a tool observation to the context.
@@ -127,6 +135,11 @@ impl ContextTracker {
         self.tool_seq += 1;
         self.buf.push_segment(seed, result.response_tokens);
         self.breakdown.tool_history += result.response_tokens;
+        self.extend_memo();
+    }
+
+    fn extend_memo(&self) {
+        self.buf.chain_hashes_cached(DEFAULT_BLOCK_SIZE as usize);
     }
 
     /// The current prompt (cloned for submission).
@@ -228,6 +241,35 @@ mod tests {
         expected.push_generated(99, 1);
         expected.push_generated(99, 2);
         assert_eq!(after, expected);
+    }
+
+    #[test]
+    fn snapshots_and_clones_carry_a_current_hash_memo() {
+        let bs = DEFAULT_BLOCK_SIZE as usize;
+        let carries_memo = |buf: &TokenBuf| {
+            assert_eq!(buf.memoized_blocks(bs), buf.len() / bs, "memo is current");
+            assert_eq!(
+                &*buf.chain_hashes_cached(bs),
+                &agentsim_kvcache::hash::chain_hashes(buf.as_slice(), bs)[..]
+            );
+        };
+        let t = task();
+        let mut ctx = ContextTracker::new(2, &t, 4);
+        carries_memo(&ctx.snapshot());
+        // ReAct: each iteration appends a thought/action, then a tool
+        // observation, and submits the context after each.
+        for i in 0..3 {
+            ctx.append_llm_output(100 + i, 37);
+            carries_memo(&ctx.snapshot());
+            ctx.append_tool(&tool_result(211));
+            carries_memo(&ctx.snapshot());
+        }
+        // LATS: a child node clones its parent's context and appends the
+        // output that created it.
+        let mut child = ctx.clone();
+        child.append_llm_output(999, 53);
+        carries_memo(&child.snapshot());
+        carries_memo(&ctx.snapshot());
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   then content predicted farthest in the future; LRU order breaks
 //!   ties. With no hints at all the policy degenerates to exact LRU.
 
-use std::collections::{BTreeSet, HashMap};
-
 use agentsim_simkit::SimTime;
 
+use crate::hash::KeyMap;
+use crate::heap::EvictionHeap;
 use crate::stats::KvStats;
 
 /// An offload tier below HBM.
@@ -119,33 +119,36 @@ type Rank = u64;
 struct TierState {
     capacity: u32,
     /// chain hash -> (rank, stamp) as currently keyed in `order`.
-    entries: HashMap<u64, (Rank, u64)>,
+    entries: KeyMap<(Rank, u64)>,
     /// (rank, stamp, hash): the minimum is the next victim. Stamps are
     /// unique per insertion, so ties resolve FIFO and deterministically.
-    order: BTreeSet<(Rank, u64, u64)>,
+    /// A key is live while `entries` maps its hash to its rank and stamp.
+    order: EvictionHeap<u64>,
+}
+
+/// Whether `key` is its hash's current entry in `entries`.
+fn live_in(entries: &KeyMap<(Rank, u64)>) -> impl Fn(&(Rank, u64, u64)) -> bool + '_ {
+    |&(rank, stamp, hash)| entries.get(&hash) == Some(&(rank, stamp))
 }
 
 impl TierState {
     fn insert(&mut self, hash: u64, rank: Rank, stamp: u64) {
         let prev = self.entries.insert(hash, (rank, stamp));
         debug_assert!(prev.is_none(), "hash {hash:#x} already in tier");
-        self.order.insert((rank, stamp, hash));
+        self.order.push((rank, stamp, hash));
     }
 
     fn remove(&mut self, hash: u64) -> bool {
-        match self.entries.remove(&hash) {
-            Some((rank, stamp)) => {
-                self.order.remove(&(rank, stamp, hash));
-                true
-            }
-            None => false,
+        let removed = self.entries.remove(&hash).is_some();
+        if removed {
+            self.order.invalidate(live_in(&self.entries));
         }
+        removed
     }
 
     /// Removes and returns the lowest-ranked entry's hash.
     fn pop_victim(&mut self) -> Option<u64> {
-        let &(rank, stamp, hash) = self.order.iter().next()?;
-        self.order.remove(&(rank, stamp, hash));
+        let (_, _, hash) = self.order.pop(live_in(&self.entries))?;
         self.entries.remove(&hash);
         Some(hash)
     }
@@ -153,9 +156,9 @@ impl TierState {
     fn rekey(&mut self, hash: u64, rank: Rank) {
         if let Some(&(old_rank, stamp)) = self.entries.get(&hash) {
             if old_rank != rank {
-                self.order.remove(&(old_rank, stamp, hash));
-                self.order.insert((rank, stamp, hash));
                 self.entries.insert(hash, (rank, stamp));
+                self.order.push((rank, stamp, hash));
+                self.order.invalidate(live_in(&self.entries));
             }
         }
     }
@@ -176,7 +179,7 @@ pub struct MemoryHierarchy {
     nvme: TierState,
     /// chain hash -> predicted next-invocation time (absolute micros),
     /// fed by the session layer via hints.
-    pred: HashMap<u64, u64>,
+    pred: KeyMap<u64>,
     /// Monotonic insertion counter for deterministic tie-breaks.
     stamp: u64,
     /// Transfers recorded since the last drain, in occurrence order.
@@ -196,7 +199,7 @@ impl MemoryHierarchy {
                 capacity: spec.nvme_blocks,
                 ..TierState::default()
             },
-            pred: HashMap::new(),
+            pred: KeyMap::default(),
             stamp: 0,
             events: Vec::new(),
         }
@@ -376,7 +379,8 @@ impl MemoryHierarchy {
 
     /// Internal-consistency check, composed into
     /// [`crate::KvBlockManager::check_invariants`]: capacities respected,
-    /// order sets exactly mirror the entry maps, and no hash in two tiers.
+    /// each entry has exactly one live key in its tier's order heap, and
+    /// no hash in two tiers.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (tier, state) in [(Tier::Host, &self.host), (Tier::Nvme, &self.nvme)] {
             if state.len() as u32 > state.capacity {
@@ -387,21 +391,15 @@ impl MemoryHierarchy {
                     state.capacity
                 ));
             }
-            if state.order.len() != state.entries.len() {
+            let live = state.order.live_keys(live_in(&state.entries));
+            if live.len() != state.entries.len() || state.order.len() != live.len() {
                 return Err(format!(
-                    "{} tier order set has {} keys for {} entries",
+                    "{} tier order heap has {} live keys (counted {}) for {} entries",
                     tier.name(),
+                    live.len(),
                     state.order.len(),
                     state.entries.len()
                 ));
-            }
-            for (&hash, &(rank, stamp)) in &state.entries {
-                if !state.order.contains(&(rank, stamp, hash)) {
-                    return Err(format!(
-                        "{} tier entry {hash:#x} missing from the order set",
-                        tier.name()
-                    ));
-                }
             }
         }
         for hash in self.host.entries.keys() {

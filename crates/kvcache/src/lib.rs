@@ -5,12 +5,14 @@
 //! * GPU memory reserved for KV cache is divided into fixed-size **blocks**
 //!   ([`block::BlockId`], default 16 tokens),
 //! * each sequence owns a **block table**; full blocks are content-hashed
-//!   by their token chain ([`hash`]),
+//!   by their token chain ([`hash`]), memoized per [`TokenBuf`] so a
+//!   growing context is hashed once,
 //! * a **prefix cache** maps chain hashes to resident blocks, so a new
 //!   sequence whose prompt shares a prefix with earlier traffic reuses
 //!   those blocks instead of recomputing them,
 //! * blocks whose reference count drops to zero stay cached and become
-//!   **evictable** (LRU), reproducing vLLM's automatic prefix caching and
+//!   **evictable** (LRU, kept in a lazily invalidated min-heap),
+//!   reproducing vLLM's automatic prefix caching and
 //!   — under memory pressure — its cache-thrashing behaviour (the paper's
 //!   Fig. 17).
 //!
@@ -34,6 +36,7 @@
 
 pub mod block;
 pub mod hash;
+mod heap;
 pub mod hierarchy;
 pub mod manager;
 pub mod stats;
@@ -41,6 +44,6 @@ pub mod tokens;
 
 pub use block::BlockId;
 pub use hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierDir, TierTransfer};
-pub use manager::{AllocError, KvBlockManager, KvConfig, SeqHandle};
+pub use manager::{AllocError, KvBlockManager, KvConfig, SeqHandle, DEFAULT_BLOCK_SIZE};
 pub use stats::KvStats;
 pub use tokens::{Token, TokenBuf};

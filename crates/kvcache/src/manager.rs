@@ -5,23 +5,27 @@
 //! prefix cache; unreferenced hashed blocks stay resident (evictable, LRU)
 //! until memory pressure reclaims them.
 
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
-use crate::hash::{chain_hash, CHAIN_ROOT};
+use crate::hash::{chain_hash, KeyMap, CHAIN_ROOT};
+use crate::heap::{EvictionHeap, Key};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
 use crate::stats::KvStats;
 use crate::tokens::{Token, TokenBuf};
+
+/// Tokens per KV block unless an engine asks for another size (vLLM's
+/// default). Agent contexts memoize their chain hashes at this size.
+pub const DEFAULT_BLOCK_SIZE: u32 = 16;
 
 /// Sizing and policy of the KV pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvConfig {
     /// Total physical blocks in the pool.
     pub num_blocks: u32,
-    /// Tokens per block (vLLM default: 16).
+    /// Tokens per block (see [`DEFAULT_BLOCK_SIZE`]).
     pub block_size: u32,
     /// Whether automatic prefix caching is enabled.
     pub prefix_caching: bool,
@@ -84,17 +88,18 @@ pub struct KvBlockManager {
     config: KvConfig,
     metas: Vec<BlockMeta>,
     lru_ticks: Vec<u64>,
-    /// Per-block eviction rank as currently keyed in `lru` (always zero
-    /// under plain LRU; see [`EvictionPolicy`]).
+    /// Per-block eviction rank as currently keyed in `evictable` (always
+    /// zero under plain LRU; see [`EvictionPolicy`]).
     ranks: Vec<u64>,
     free: Vec<BlockId>,
     /// chain hash -> resident block holding that content.
-    cache: HashMap<u64, BlockId>,
-    /// Evictable blocks ordered (rank, last-use tick, block): the minimum
+    cache: KeyMap<BlockId>,
+    /// Evictable blocks keyed (rank, last-use tick, block): the minimum
     /// is the next victim. Rank is zero without an offload hierarchy (or
-    /// under its LRU baseline), making the order exactly LRU.
-    lru: BTreeSet<(u64, u64, BlockId)>,
-    seqs: HashMap<u64, SeqState>,
+    /// under its LRU baseline), making the order exactly LRU. A key is
+    /// live while its block is `Cached` under that rank and tick.
+    evictable: EvictionHeap<BlockId>,
+    seqs: KeyMap<SeqState>,
     next_seq: u64,
     tick: u64,
     /// Blocks currently in [`BlockState::Active`], maintained at every
@@ -121,9 +126,9 @@ impl KvBlockManager {
             lru_ticks: vec![0; config.num_blocks as usize],
             ranks: vec![0; config.num_blocks as usize],
             free: (0..config.num_blocks).rev().map(BlockId).collect(),
-            cache: HashMap::new(),
-            lru: BTreeSet::new(),
-            seqs: HashMap::new(),
+            cache: KeyMap::default(),
+            evictable: EvictionHeap::default(),
+            seqs: KeyMap::default(),
             next_seq: 0,
             tick: 0,
             active: 0,
@@ -169,34 +174,16 @@ impl KvBlockManager {
         }
     }
 
-    /// Counts how many leading full blocks of `tokens` are already resident.
-    fn count_hits(&self, hashes: &[u64]) -> usize {
-        if !self.config.prefix_caching {
-            return 0;
+    /// Whether `key` is `id`'s current eviction key (see `evictable`).
+    fn live_key<'a>(
+        metas: &'a [BlockMeta],
+        ranks: &'a [u64],
+        ticks: &'a [u64],
+    ) -> impl Fn(&Key<BlockId>) -> bool + 'a {
+        move |&(rank, tick, id)| {
+            let i = id.0 as usize;
+            metas[i].state == BlockState::Cached && ranks[i] == rank && ticks[i] == tick
         }
-        hashes
-            .iter()
-            .take_while(|h| self.cache.contains_key(h))
-            .count()
-    }
-
-    /// Whether `allocate` for this prompt would currently succeed.
-    pub fn can_allocate(&self, tokens: &TokenBuf) -> bool {
-        let hashes = tokens.chain_hashes_cached(self.config.block_size as usize);
-        let hits = self.count_hits(&hashes);
-        let total = self.config.blocks_for(tokens.len());
-        let needed = total - hits;
-        // Cached hit blocks may sit in the LRU; they are revived, not
-        // evicted, so they do not count as available for fresh allocation.
-        let revivable = hashes[..hits]
-            .iter()
-            .filter(|h| {
-                let id = self.cache[*h];
-                self.metas[id.0 as usize].state == BlockState::Cached
-            })
-            .count();
-        let available = self.free.len() + self.lru.len() - revivable;
-        needed <= available
     }
 
     /// Admits a sequence with the given prompt, reusing cached prefix
@@ -259,35 +246,43 @@ impl KvBlockManager {
     ) -> Result<SeqHandle, AllocError> {
         assert!(!tokens.is_empty(), "cannot allocate an empty sequence");
         let bs = self.config.block_size as usize;
-        // The memoized hashes are fresh after this call, so the nested
-        // `can_allocate` below only takes a second shared borrow.
         let hashes = tokens.chain_hashes_cached(bs);
-        if !self.can_allocate(tokens) {
-            let hits = self.count_hits(&hashes);
+        let total = self.config.blocks_for(tokens.len());
+
+        // The leading hit run, resolved once into the new block table.
+        let mut blocks = Vec::with_capacity(total);
+        if self.config.prefix_caching {
+            blocks.extend(hashes.iter().map_while(|h| self.cache.get(h).copied()));
+        }
+        let hits = blocks.len();
+        // Cached hit blocks are revived, not evicted, so they do not count
+        // as available for fresh allocation.
+        let revivable = blocks
+            .iter()
+            .filter(|id| self.metas[id.0 as usize].state == BlockState::Cached)
+            .count();
+        let available = self.free.len() + self.evictable.len();
+        if total - hits > available - revivable {
             self.stats.rejections += 1;
             return Err(AllocError::Insufficient {
-                needed: self.config.blocks_for(tokens.len()) - hits,
-                available: self.free.len() + self.lru.len(),
+                needed: total - hits,
+                available,
             });
         }
 
-        let hits = self.count_hits(&hashes);
-        let mut blocks = Vec::with_capacity(self.config.blocks_for(tokens.len()));
-
         // Revive / share cached prefix blocks.
-        for h in &hashes[..hits] {
-            let id = self.cache[h];
-            // Remove the LRU entry keyed by the *old* rank and tick before
-            // touching.
+        for &id in &blocks {
             if self.metas[id.0 as usize].state == BlockState::Cached {
-                self.lru
-                    .remove(&(self.ranks[id.0 as usize], self.lru_ticks[id.0 as usize], id));
                 self.metas[id.0 as usize].state = BlockState::Active;
                 self.active += 1;
+                self.evictable.invalidate(Self::live_key(
+                    &self.metas,
+                    &self.ranks,
+                    &self.lru_ticks,
+                ));
             }
             self.touch(id, now);
             self.metas[id.0 as usize].ref_count += 1;
-            blocks.push(id);
         }
 
         // Where the HBM hit run ends, the offload tiers may continue it:
@@ -471,7 +466,8 @@ impl KvBlockManager {
                     .as_ref()
                     .map_or(0, |hier| hier.rank_for(hash));
                 self.ranks[id.0 as usize] = rank;
-                self.lru.insert((rank, self.lru_ticks[id.0 as usize], id));
+                self.evictable
+                    .push((rank, self.lru_ticks[id.0 as usize], id));
             } else {
                 if let Some(h) = meta.chain_hash.take() {
                     if self.cache.get(&h) == Some(&id) {
@@ -541,9 +537,13 @@ impl KvBlockManager {
                     let old = self.ranks[id.0 as usize];
                     let new = hier.rank_for(h);
                     if new != old {
-                        self.lru.remove(&(old, tick, id));
                         self.ranks[id.0 as usize] = new;
-                        self.lru.insert((new, tick, id));
+                        self.evictable.push((new, tick, id));
+                        self.evictable.invalidate(Self::live_key(
+                            &self.metas,
+                            &self.ranks,
+                            &self.lru_ticks,
+                        ));
                     }
                 }
             }
@@ -563,7 +563,7 @@ impl KvBlockManager {
 
     /// Unreferenced cached blocks (evictable).
     pub fn evictable_blocks(&self) -> usize {
-        self.lru.len()
+        self.evictable.len()
     }
 
     /// Live sequences.
@@ -583,8 +583,10 @@ impl KvBlockManager {
         }
         // Evict the lowest-ranked cached block (exact LRU without an
         // offload hierarchy).
-        if let Some(&(rank, tick, id)) = self.lru.iter().next() {
-            self.lru.remove(&(rank, tick, id));
+        let victim = self
+            .evictable
+            .pop(Self::live_key(&self.metas, &self.ranks, &self.lru_ticks));
+        if let Some((_, _, id)) = victim {
             let meta = &mut self.metas[id.0 as usize];
             if let Some(h) = meta.chain_hash.take() {
                 if self.cache.get(&h) == Some(&id) {
@@ -619,12 +621,13 @@ impl KvBlockManager {
         self.stats.used_blocks.set(now, used);
         self.stats
             .resident_blocks
-            .set(now, used + self.lru.len() as u64);
+            .set(now, used + self.evictable.len() as u64);
     }
 
     /// Internal-consistency check used by tests: every block is in exactly
-    /// one of {free list, LRU set, active}, refcounts match liveness, and
-    /// the cache map points at resident hashed blocks.
+    /// one of {free list, evictable heap, active} (a `Cached` block by
+    /// exactly one live key), refcounts match liveness, and the cache map
+    /// points at resident hashed blocks.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.config.num_blocks as usize;
         let mut seen = vec![0u8; n];
@@ -634,17 +637,20 @@ impl KvBlockManager {
                 return Err(format!("{id} on free list but not Free"));
             }
         }
-        for &(rank, tick, id) in &self.lru {
+        let live =
+            self.evictable
+                .live_keys(Self::live_key(&self.metas, &self.ranks, &self.lru_ticks));
+        if live.len() != self.evictable.len() {
+            return Err(format!(
+                "{} live eviction keys for {} evictable blocks",
+                live.len(),
+                self.evictable.len()
+            ));
+        }
+        for &(_, _, id) in &live {
             seen[id.0 as usize] += 1;
-            let m = &self.metas[id.0 as usize];
-            if m.state != BlockState::Cached || m.ref_count != 0 {
-                return Err(format!("{id} in LRU but not an unreferenced cached block"));
-            }
-            if self.ranks[id.0 as usize] != rank || self.lru_ticks[id.0 as usize] != tick {
-                return Err(format!(
-                    "{id} keyed ({rank}, {tick}) but recorded ({}, {})",
-                    self.ranks[id.0 as usize], self.lru_ticks[id.0 as usize]
-                ));
+            if self.metas[id.0 as usize].ref_count != 0 {
+                return Err(format!("{id} evictable with refs"));
             }
         }
         for (i, m) in self.metas.iter().enumerate() {
@@ -720,6 +726,14 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// Leading blocks of `hashes` resident in HBM.
+    fn count_hits(m: &KvBlockManager, hashes: &[u64]) -> usize {
+        hashes
+            .iter()
+            .take_while(|h| m.cache.contains_key(h))
+            .count()
+    }
+
     #[test]
     fn cold_allocation_has_no_hits() {
         let mut m = mgr(16, true);
@@ -789,9 +803,9 @@ mod tests {
         assert_eq!(m.stats().evictions, 4);
         // p1 no longer cached, p2 still is.
         let hashes1 = chain_hashes(p1.as_slice(), 16);
-        assert_eq!(m.count_hits(&hashes1), 0);
+        assert_eq!(count_hits(&m, &hashes1), 0);
         let hashes2 = chain_hashes(p2.as_slice(), 16);
-        assert_eq!(m.count_hits(&hashes2), 4);
+        assert_eq!(count_hits(&m, &hashes2), 4);
         m.check_invariants().unwrap();
     }
 
@@ -804,7 +818,11 @@ mod tests {
         let err = m.allocate(&p2, t(1)).unwrap_err();
         assert!(matches!(err, AllocError::Insufficient { .. }));
         assert_eq!(m.stats().rejections, 1);
-        assert!(!m.can_allocate(&p2));
+        // A refused admission changes nothing, so a retry is refused (and
+        // counted) again.
+        assert_eq!(m.allocate(&p2, t(2)), Err(err));
+        assert_eq!(m.stats().rejections, 2);
+        assert_eq!(m.used_blocks(), 4);
         m.check_invariants().unwrap();
     }
 
@@ -1145,8 +1163,8 @@ mod tests {
             m.hint_next_use(&hashes2, t(4), t(60_000_000));
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
-            assert_eq!(m.count_hits(&hashes1), 4, "imminent blocks survived");
-            assert_eq!(m.count_hits(&hashes2), 0, "far-future blocks evicted");
+            assert_eq!(count_hits(&m, &hashes1), 4, "imminent blocks survived");
+            assert_eq!(count_hits(&m, &hashes2), 0, "far-future blocks evicted");
             m.check_invariants().unwrap();
         }
 
@@ -1167,8 +1185,8 @@ mod tests {
             m.hint_next_use(&hashes2, t(4), t(1_000));
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
-            assert_eq!(m.count_hits(&hashes1), 4, "unhinted blocks survived");
-            assert_eq!(m.count_hits(&hashes2), 0, "hinted blocks spilled");
+            assert_eq!(count_hits(&m, &hashes1), 4, "unhinted blocks survived");
+            assert_eq!(count_hits(&m, &hashes2), 0, "hinted blocks spilled");
             m.check_invariants().unwrap();
         }
 
@@ -1186,7 +1204,7 @@ mod tests {
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
             // Strict LRU: the older p1 blocks go first, hint or no hint.
-            assert_eq!(m.count_hits(&hashes1), 0);
+            assert_eq!(count_hits(&m, &hashes1), 0);
             m.check_invariants().unwrap();
         }
 

@@ -61,7 +61,10 @@ pub struct KvStats {
     pub evictions: u64,
     /// Sequences admitted.
     pub sequences: u64,
-    /// Allocation attempts rejected for lack of blocks.
+    /// Admissions (`allocate` or `import`) refused for lack of blocks.
+    /// The engine admits without a pre-check, so under an engine this
+    /// counts the admission passes that stopped at a head-of-line request
+    /// the pool could not hold.
     pub rejections: u64,
     /// Tokens admitted via [`crate::KvBlockManager::import`]: their KV was
     /// computed elsewhere (disaggregated prefill) and transferred in, so

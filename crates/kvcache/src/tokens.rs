@@ -129,6 +129,16 @@ impl TokenBuf {
         }
     }
 
+    /// Leading full blocks whose chain hashes are memoized at
+    /// `block_size` (zero if the memo is empty or at another size).
+    pub fn memoized_blocks(&self, block_size: usize) -> usize {
+        self.hash_cache
+            .borrow()
+            .as_ref()
+            .filter(|c| c.block_size == block_size)
+            .map_or(0, |c| c.hashes.len())
+    }
+
     /// The chain hashes of every leading *full* block, memoized.
     ///
     /// Equivalent to [`crate::hash::chain_hashes`]`(self.as_slice(),

@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use agentsim_gpu::{ClusterSpec, LinkSpec};
-use agentsim_kvcache::{EvictionPolicy, OffloadSpec};
+use agentsim_kvcache::{EvictionPolicy, OffloadSpec, DEFAULT_BLOCK_SIZE};
 
 /// Request admission order.
 ///
@@ -181,7 +181,8 @@ impl OffloadConfig {
 pub struct EngineConfig {
     /// Hardware + model replica description.
     pub cluster: ClusterSpec,
-    /// Tokens per KV block (vLLM default 16).
+    /// Tokens per KV block ([`DEFAULT_BLOCK_SIZE`], vLLM's 16, unless an
+    /// ablation sets another).
     pub block_size: u32,
     /// Automatic prefix caching (vLLM `enable_prefix_caching`).
     pub prefix_caching: bool,
@@ -207,7 +208,7 @@ impl EngineConfig {
     pub fn a100_llama8b() -> Self {
         EngineConfig {
             cluster: ClusterSpec::a100_llama8b(),
-            block_size: 16,
+            block_size: DEFAULT_BLOCK_SIZE,
             prefix_caching: true,
             max_batch_tokens: 8192,
             max_running: 256,

@@ -893,13 +893,10 @@ impl Engine {
             if self.running.len() >= self.config.max_running as usize {
                 break;
             }
-            if !self.kv.can_allocate(&head.prompt) {
-                break; // FCFS head-of-line blocking on memory.
-            }
             if head.imported {
                 let seq = match self.kv.import(&head.prompt, now) {
                     Ok(seq) => seq,
-                    Err(_) => break,
+                    Err(_) => break, // FCFS head-of-line blocking on memory.
                 };
                 let w = self.waiting.pop_front().expect("non-empty");
                 let cached = w.prompt.len() as u32;
@@ -939,7 +936,7 @@ impl Engine {
             }
             let seq = match self.kv.allocate(&head.prompt, now) {
                 Ok(seq) => seq,
-                Err(_) => break,
+                Err(_) => break, // FCFS head-of-line blocking on memory.
             };
             let cached = self.kv.cached_tokens(&seq) as u32;
             let uncached = head.prompt.len() as u32 - cached;
@@ -1384,6 +1381,38 @@ mod tests {
             "history should hit, cached {}",
             done2[0].cached_tokens
         );
+    }
+
+    #[test]
+    fn hash_memo_at_another_block_size_changes_nothing() {
+        // Agent contexts arrive memoized at the default block size; an
+        // engine at 32 must rebuild the memo, not trust it.
+        let run = |memoize: bool| {
+            let mut config = small_config();
+            config.block_size = 32;
+            let mut e = Engine::new(config);
+            let mut ctx = TokenBuf::from_segment(1, 700);
+            let mut now = SimTime::ZERO;
+            let mut done = Vec::new();
+            for call in 0..4u64 {
+                let prompt = ctx.clone();
+                if memoize {
+                    prompt.chain_hashes_cached(agentsim_kvcache::DEFAULT_BLOCK_SIZE as usize);
+                }
+                e.submit(now, prompt, 40, call);
+                let (out, end) = drain(&mut e, now);
+                now = end;
+                done.extend(out);
+                for i in 0..40 {
+                    ctx.push_generated(call, i);
+                }
+                ctx.push_segment(100 + call, 75);
+            }
+            (done, e.kv().stats().hit_tokens)
+        };
+        let (plain, plain_hits) = run(false);
+        assert!(plain_hits > 0, "later calls hit the earlier context");
+        assert_eq!(run(true), (plain, plain_hits));
     }
 
     #[test]
