@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use agentsim_simkit::SimTime;
-
 /// Index of a physical KV block in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
@@ -25,7 +23,8 @@ pub enum BlockState {
     Cached,
 }
 
-/// Metadata for one physical block.
+/// Metadata for one physical block: its lifecycle, prefix-cache and
+/// eviction state in one record.
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
     /// Current lifecycle state.
@@ -34,8 +33,15 @@ pub struct BlockMeta {
     pub ref_count: u32,
     /// Chain hash once the block is full (eligible for prefix reuse).
     pub chain_hash: Option<u64>,
-    /// Last time the block was touched (drives LRU eviction).
-    pub last_used: SimTime,
+    /// Whether the prefix cache maps `chain_hash` to this block. A block
+    /// whose content another block already registered stays unregistered.
+    pub registered: bool,
+    /// Last-use tick, unique per touch: the recency part of the block's
+    /// eviction key.
+    pub tick: u64,
+    /// Eviction rank as currently keyed while [`BlockState::Cached`]
+    /// (always zero under plain LRU).
+    pub rank: u64,
 }
 
 impl BlockMeta {
@@ -45,7 +51,9 @@ impl BlockMeta {
             state: BlockState::Free,
             ref_count: 0,
             chain_hash: None,
-            last_used: SimTime::ZERO,
+            registered: false,
+            tick: 0,
+            rank: 0,
         }
     }
 }
@@ -66,6 +74,7 @@ mod tests {
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.ref_count, 0);
         assert!(b.chain_hash.is_none());
+        assert!(!b.registered);
     }
 
     #[test]

@@ -1,25 +1,40 @@
-//! The eviction order of HBM and of each offload tier: a min-heap of
-//! `(rank, stamp, item)` keys that invalidates lazily.
+//! The eviction order of HBM and of each offload tier: `(rank, stamp,
+//! item)` keys, kept in a sorted FIFO run beside a min-heap and
+//! invalidated lazily.
+//!
+//! Keys usually arrive in ascending order: under LRU every key is
+//! `(0, fresh stamp, item)`. [`EvictionHeap::push`] appends such a key to
+//! the back of the run, and only a key below the run's back (a hinted
+//! rank, a re-key to a lower rank) goes to the heap. The run therefore
+//! stays sorted, its front is its minimum, and under LRU push and pop are
+//! O(1) with no sift. [`EvictionHeap::pop`] returns the smaller of the two
+//! heads, so the victim is the minimum key, exactly as with one heap.
 //!
 //! The owner keeps each evictable item's *current* key in its own state
-//! and decides liveness: a heap entry is live only while its item is still
+//! and decides liveness: an entry is live only while its item is still
 //! evictable under exactly that key. Reviving, removing or re-keying an
-//! item therefore costs no heap search: the old entry simply goes stale,
-//! [`EvictionHeap::pop`] skips stale entries, and the heap is rebuilt from
-//! its live entries once stale ones outnumber them. Re-keying an item
-//! A → B → A makes its first A entry live again next to the new one; both
-//! are the same key, so the minimum is unchanged, and whichever copy pops
-//! second is stale by then (a popped item leaves the evictable set).
+//! item therefore costs no search: the old entry simply goes stale,
+//! [`EvictionHeap::pop`] skips stale entries at both heads, and once
+//! stale entries outnumber live ones the live keys of both structures
+//! are merged, in order, into a new run and the heap starts empty.
+//! Re-keying an item A → B → A makes its first A entry
+//! live again next to the new one; both are the same key, so the minimum
+//! is unchanged, and whichever copy pops second is stale by then (a
+//! popped item leaves the evictable set).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// `(rank, stamp, item)`: the minimum is the next victim.
 pub(crate) type Key<T> = (u64, u64, T);
 
-/// Min-heap of eviction keys with lazy invalidation; see the module docs.
+/// Eviction keys in a sorted run plus a min-heap, with lazy
+/// invalidation; see the module docs.
 #[derive(Debug)]
 pub(crate) struct EvictionHeap<T: Ord> {
+    /// Keys pushed in ascending order, smallest at the front.
+    run: VecDeque<Key<T>>,
+    /// Keys that arrived below the run's back.
     heap: BinaryHeap<Reverse<Key<T>>>,
     /// Evictable items: one per live key.
     live: usize,
@@ -28,6 +43,7 @@ pub(crate) struct EvictionHeap<T: Ord> {
 impl<T: Ord> Default for EvictionHeap<T> {
     fn default() -> Self {
         EvictionHeap {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             live: 0,
         }
@@ -43,7 +59,11 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// Adds an evictable item under `key`, which the owner has already
     /// recorded as the item's current key.
     pub(crate) fn push(&mut self, key: Key<T>) {
-        self.heap.push(Reverse(key));
+        if self.run.back().is_none_or(|back| key >= *back) {
+            self.run.push_back(key);
+        } else {
+            self.heap.push(Reverse(key));
+        }
         self.live += 1;
     }
 
@@ -52,12 +72,16 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// already rejects the old key.
     pub(crate) fn invalidate(&mut self, is_live: impl Fn(&Key<T>) -> bool) {
         self.live -= 1;
-        if self.heap.len() - self.live > self.live {
-            let mut keys = std::mem::take(&mut self.heap).into_vec();
-            keys.retain(|Reverse(k)| is_live(k));
+        if self.run.len() + self.heap.len() - self.live > self.live {
+            // The live keys of both, in order, become the new run in the
+            // run's buffer; the heap's buffer is released.
+            let mut keys = Vec::from(std::mem::take(&mut self.run));
+            keys.retain(|k| is_live(k));
+            let heap = std::mem::take(&mut self.heap).into_vec();
+            keys.extend(heap.into_iter().map(|Reverse(k)| k).filter(|k| is_live(k)));
             keys.sort_unstable();
             keys.dedup();
-            self.heap = BinaryHeap::from(keys);
+            self.run = VecDeque::from(keys);
         }
     }
 
@@ -65,24 +89,33 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// item out of its evictable set before the next call.
     pub(crate) fn pop(&mut self, is_live: impl Fn(&Key<T>) -> bool) -> Option<Key<T>> {
         if self.live == 0 {
+            self.run.clear();
             self.heap.clear();
             return None;
         }
-        while let Some(Reverse(key)) = self.heap.pop() {
-            if is_live(&key) {
-                self.live -= 1;
-                return Some(key);
-            }
+        while self.run.front().is_some_and(|k| !is_live(k)) {
+            self.run.pop_front();
         }
-        unreachable!("{} evictable items but no live key", self.live)
+        while self.heap.peek().is_some_and(|Reverse(k)| !is_live(k)) {
+            self.heap.pop();
+        }
+        let key = match (self.run.front(), self.heap.peek()) {
+            (Some(front), Some(Reverse(top))) if top < front => self.heap.pop().map(|Reverse(k)| k),
+            (Some(_), _) => self.run.pop_front(),
+            (None, Some(_)) => self.heap.pop().map(|Reverse(k)| k),
+            (None, None) => unreachable!("{} evictable items but no live key", self.live),
+        };
+        self.live -= 1;
+        key
     }
 
     /// The distinct live keys in ascending order (invariant checks).
     pub(crate) fn live_keys(&self, is_live: impl Fn(&Key<T>) -> bool) -> Vec<Key<T>> {
         let mut keys: Vec<Key<T>> = self
-            .heap
+            .run
             .iter()
-            .map(|Reverse(k)| *k)
+            .chain(self.heap.iter().map(|Reverse(k)| k))
+            .copied()
             .filter(|k| is_live(k))
             .collect();
         keys.sort_unstable();
@@ -124,12 +157,55 @@ mod tests {
         ]
     }
 
+    /// The LRU shape: most pushes are rank 0 under ascending stamps, so
+    /// they land in the run, and the re-keys up and back down send keys
+    /// below the run's back to the heap.
+    fn lru_op_strategy() -> impl Strategy<Value = Op> {
+        let push = || (0u32..ITEMS).prop_map(|item| Op::Push { item, rank: 0 });
+        prop_oneof![
+            push(),
+            push(),
+            push(),
+            (0u32..ITEMS, 0u64..3).prop_map(|(item, rank)| Op::Rekey { item, rank }),
+            (0u32..ITEMS).prop_map(|item| Op::Revive { item }),
+            Just(Op::Pop),
+            Just(Op::Pop),
+        ]
+    }
+
+    /// LRU-shaped scripts open with a rank-0 push, a re-key to a higher
+    /// rank and another rank-0 push, which lands below the run's back: so
+    /// every script reaches both structures.
+    fn lru_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(lru_op_strategy(), 1..200).prop_map(|ops| {
+            let mut script = vec![
+                Op::Push { item: 0, rank: 0 },
+                Op::Rekey { item: 0, rank: 2 },
+                Op::Push { item: 1, rank: 0 },
+            ];
+            script.extend(ops);
+            script
+        })
+    }
+
     /// Drives the heap and a `BTreeSet` of current keys side by side.
-    fn run(ops: &[Op]) -> Result<(), String> {
+    /// With `both_paths`, it also fails unless the run and the heap each
+    /// received at least one push.
+    fn run(ops: &[Op], both_paths: bool) -> Result<(), String> {
         let mut heap = EvictionHeap::default();
         let mut reference: BTreeSet<Key<u32>> = BTreeSet::new();
         let mut current: Vec<Option<(u64, u64)>> = vec![None; ITEMS as usize];
         let mut stamp = 0u64;
+        let (mut to_run, mut to_heap) = (0usize, 0usize);
+        let mut push = |heap: &mut EvictionHeap<u32>, key: Key<u32>| {
+            let before = heap.run.len();
+            heap.push(key);
+            if heap.run.len() > before {
+                to_run += 1;
+            } else {
+                to_heap += 1;
+            }
+        };
         for op in ops {
             let live =
                 |cur: &[Option<(u64, u64)>], &(r, s, i): &Key<u32>| cur[i as usize] == Some((r, s));
@@ -138,7 +214,7 @@ mod tests {
                     if current[item as usize].is_none() {
                         stamp += 1;
                         current[item as usize] = Some((rank, stamp));
-                        heap.push((rank, stamp, item));
+                        push(&mut heap, (rank, stamp, item));
                         reference.insert((rank, stamp, item));
                     }
                 }
@@ -152,7 +228,7 @@ mod tests {
                     if let Some((old, s)) = current[item as usize] {
                         if old != rank {
                             current[item as usize] = Some((rank, s));
-                            heap.push((rank, s, item));
+                            push(&mut heap, (rank, s, item));
                             heap.invalidate(|k| live(&current, k));
                             reference.remove(&(old, s, item));
                             reference.insert((rank, s, item));
@@ -182,6 +258,9 @@ mod tests {
                 return Err(format!("live keys {keys:?}, reference {reference:?}"));
             }
         }
+        if both_paths && (to_run == 0 || to_heap == 0) {
+            return Err(format!("{to_run} pushes to the run, {to_heap} to the heap"));
+        }
         Ok(())
     }
 
@@ -189,8 +268,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn pops_match_a_btreeset_reference(ops in prop::collection::vec(op_strategy(), 1..200)) {
-            prop_assert_eq!(run(&ops), Ok(()));
+        fn pops_match_a_btreeset_reference(
+            script in prop_oneof![
+                prop::collection::vec(op_strategy(), 1..200).prop_map(|ops| (ops, false)),
+                lru_ops().prop_map(|ops| (ops, true)),
+            ]
+        ) {
+            let (ops, both_paths) = script;
+            prop_assert_eq!(run(&ops, both_paths), Ok(()));
         }
     }
 
@@ -205,22 +290,59 @@ mod tests {
             Op::Pop,
             Op::Pop,
         ];
-        assert_eq!(run(&ops), Ok(()));
+        assert_eq!(run(&ops, true), Ok(()));
+    }
+
+    #[test]
+    fn in_order_keys_never_reach_the_heap() {
+        let mut heap = EvictionHeap::default();
+        for i in 0..8u32 {
+            heap.push((0, u64::from(i), i));
+        }
+        assert_eq!((heap.run.len(), heap.heap.len()), (8, 0));
+        for i in 0..8u32 {
+            assert_eq!(heap.pop(|_| true), Some((0, u64::from(i), i)));
+        }
     }
 
     #[test]
     fn compaction_drops_stale_entries() {
         let mut heap = EvictionHeap::default();
-        let mut current = [true; 8];
-        for i in 0..8u32 {
-            heap.push((0, u64::from(i), i));
+        // Item i's current (rank, stamp).
+        let mut current: [Option<(u64, u64)>; 7] = [None; 7];
+        let live = |cur: &[Option<(u64, u64)>], &(r, s, i): &Key<usize>| cur[i] == Some((r, s));
+        for (i, cur) in current.iter_mut().enumerate().take(5) {
+            *cur = Some((0, i as u64));
+            heap.push((0, i as u64, i));
         }
-        for i in 0..5u32 {
-            current[i as usize] = false;
-            heap.invalidate(|&(_, _, j)| current[j as usize]);
+        current[5] = Some((1, 5));
+        heap.push((1, 5, 5));
+        // Re-key item 5 A -> B -> A: B sorts below the run's back and goes
+        // to the heap, the second A lands in the run next to the first.
+        current[5] = Some((0, 5));
+        heap.push((0, 5, 5));
+        heap.invalidate(|k| live(&current, k));
+        current[5] = Some((1, 5));
+        heap.push((1, 5, 5));
+        heap.invalidate(|k| live(&current, k));
+        // A live key that also sorts below the run's back.
+        current[6] = Some((0, 6));
+        heap.push((0, 6, 6));
+        assert_eq!((heap.run.len(), heap.heap.len()), (7, 2));
+        // Reviving items 0..3 stales their run entries; the third revival
+        // leaves 5 stale entries (3 in the run, B, a duplicate A) against
+        // 4 live, which triggers the rebuild.
+        for i in 0..3 {
+            current[i] = None;
+            heap.invalidate(|k| live(&current, k));
         }
-        assert_eq!(heap.len(), 3);
-        assert_eq!(heap.heap.len(), 3, "5 stale > 3 live triggers a rebuild");
-        assert_eq!(heap.pop(|&(_, _, j)| current[j as usize]), Some((0, 5, 5)));
+        assert_eq!(heap.len(), 4);
+        assert_eq!(
+            heap.run.iter().copied().collect::<Vec<_>>(),
+            [(0, 3, 3), (0, 4, 4), (0, 6, 6), (1, 5, 5)],
+            "stale entries and the duplicate A are gone, the live heap key merged in order"
+        );
+        assert!(heap.heap.is_empty());
+        assert_eq!(heap.pop(|k| live(&current, k)), Some((0, 3, 3)));
     }
 }

@@ -5,6 +5,7 @@
 //! prefix cache; unreferenced hashed blocks stay resident (evictable, LRU)
 //! until memory pressure reclaims them.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use agentsim_simkit::SimTime;
@@ -86,13 +87,13 @@ struct SeqState {
 #[derive(Debug)]
 pub struct KvBlockManager {
     config: KvConfig,
+    /// One record per block: lifecycle, prefix-cache ownership and
+    /// eviction key (the rank is always zero under plain LRU; see
+    /// [`EvictionPolicy`]).
     metas: Vec<BlockMeta>,
-    lru_ticks: Vec<u64>,
-    /// Per-block eviction rank as currently keyed in `evictable` (always
-    /// zero under plain LRU; see [`EvictionPolicy`]).
-    ranks: Vec<u64>,
     free: Vec<BlockId>,
-    /// chain hash -> resident block holding that content.
+    /// chain hash -> resident block holding that content; that block's
+    /// `registered` flag is set.
     cache: KeyMap<BlockId>,
     /// Evictable blocks keyed (rank, last-use tick, block): the minimum
     /// is the next victim. Rank is zero without an offload hierarchy (or
@@ -122,9 +123,7 @@ impl KvBlockManager {
         assert!(config.block_size > 0, "block size must be positive");
         KvBlockManager {
             config,
-            metas: (0..config.num_blocks).map(|_| BlockMeta::free()).collect(),
-            lru_ticks: vec![0; config.num_blocks as usize],
-            ranks: vec![0; config.num_blocks as usize],
+            metas: vec![BlockMeta::free(); config.num_blocks as usize],
             free: (0..config.num_blocks).rev().map(BlockId).collect(),
             cache: KeyMap::default(),
             evictable: EvictionHeap::default(),
@@ -175,14 +174,10 @@ impl KvBlockManager {
     }
 
     /// Whether `key` is `id`'s current eviction key (see `evictable`).
-    fn live_key<'a>(
-        metas: &'a [BlockMeta],
-        ranks: &'a [u64],
-        ticks: &'a [u64],
-    ) -> impl Fn(&Key<BlockId>) -> bool + 'a {
+    fn live_key(metas: &[BlockMeta]) -> impl Fn(&Key<BlockId>) -> bool + '_ {
         move |&(rank, tick, id)| {
-            let i = id.0 as usize;
-            metas[i].state == BlockState::Cached && ranks[i] == rank && ticks[i] == tick
+            let m = &metas[id.0 as usize];
+            m.state == BlockState::Cached && m.rank == rank && m.tick == tick
         }
     }
 
@@ -275,13 +270,9 @@ impl KvBlockManager {
             if self.metas[id.0 as usize].state == BlockState::Cached {
                 self.metas[id.0 as usize].state = BlockState::Active;
                 self.active += 1;
-                self.evictable.invalidate(Self::live_key(
-                    &self.metas,
-                    &self.ranks,
-                    &self.lru_ticks,
-                ));
+                self.evictable.invalidate(Self::live_key(&self.metas));
             }
-            self.touch(id, now);
+            self.touch(id);
             self.metas[id.0 as usize].ref_count += 1;
         }
 
@@ -317,14 +308,19 @@ impl KvBlockManager {
         // prefill computing them, or the promotion restoring them, makes
         // the content immediately shareable).
         for h in &hashes[hits..] {
-            let id = self.obtain_block(now)?;
+            let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
             meta.state = BlockState::Active;
             meta.ref_count = 1;
             self.active += 1;
             if self.config.prefix_caching {
-                self.metas[id.0 as usize].chain_hash = Some(*h);
-                self.cache.insert(*h, id);
+                meta.chain_hash = Some(*h);
+                meta.registered = true;
+                // A resident block behind the hit run may hold this chain
+                // already; the fresh block takes its registration over.
+                if let Some(prev) = self.cache.insert(*h, id) {
+                    self.metas[prev.0 as usize].registered = false;
+                }
                 // Recomputed content invalidates any stale offloaded copy:
                 // a hash lives in exactly one place.
                 if let Some(hier) = &mut self.hierarchy {
@@ -337,7 +333,7 @@ impl KvBlockManager {
         // Trailing partial block, if any.
         let rem = tokens.len() % bs;
         if rem != 0 {
-            let id = self.obtain_block(now)?;
+            let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
             meta.state = BlockState::Active;
             meta.ref_count = 1;
@@ -394,7 +390,7 @@ impl KvBlockManager {
 
         let needs_block = state.len_tokens.is_multiple_of(bs);
         let new_block = if needs_block {
-            Some(self.obtain_block(now)?)
+            Some(self.obtain_block()?)
         } else {
             None
         };
@@ -420,10 +416,14 @@ impl KvBlockManager {
             state.tail_tokens.clear();
             let id = *state.blocks.last().expect("tail block exists");
             if prefix_caching {
-                self.metas[id.0 as usize].chain_hash = Some(h);
+                let meta = &mut self.metas[id.0 as usize];
+                meta.chain_hash = Some(h);
                 // Content collisions (another block already holds this
                 // chain) keep the existing entry.
-                self.cache.entry(h).or_insert(id);
+                if let Entry::Vacant(slot) = self.cache.entry(h) {
+                    slot.insert(id);
+                    meta.registered = true;
+                }
                 // Freshly decoded content invalidates a stale offloaded
                 // copy of the same chain.
                 if let Some(hier) = &mut self.hierarchy {
@@ -454,26 +454,19 @@ impl KvBlockManager {
                 continue;
             }
             self.active -= 1;
-            let registered = meta
-                .chain_hash
-                .is_some_and(|h| self.cache.get(&h) == Some(&id));
-            if self.config.prefix_caching && registered {
+            // Only registered blocks (prefix caching on) stay resident.
+            if meta.registered {
                 meta.state = BlockState::Cached;
-                let hash = self.metas[id.0 as usize].chain_hash.expect("registered");
-                self.touch(id, now);
-                let rank = self
+                let hash = meta.chain_hash.expect("registered");
+                meta.rank = self
                     .hierarchy
                     .as_ref()
                     .map_or(0, |hier| hier.rank_for(hash));
-                self.ranks[id.0 as usize] = rank;
-                self.evictable
-                    .push((rank, self.lru_ticks[id.0 as usize], id));
+                self.touch(id);
+                let meta = &self.metas[id.0 as usize];
+                self.evictable.push((meta.rank, meta.tick, id));
             } else {
-                if let Some(h) = meta.chain_hash.take() {
-                    if self.cache.get(&h) == Some(&id) {
-                        self.cache.remove(&h);
-                    }
-                }
+                meta.chain_hash = None;
                 meta.state = BlockState::Free;
                 self.free.push(id);
             }
@@ -532,18 +525,13 @@ impl KvBlockManager {
             hier.hint(h, at);
             // Re-key a resident evictable copy under its new rank.
             if let Some(&id) = self.cache.get(&h) {
-                if self.metas[id.0 as usize].state == BlockState::Cached {
-                    let tick = self.lru_ticks[id.0 as usize];
-                    let old = self.ranks[id.0 as usize];
+                let meta = &mut self.metas[id.0 as usize];
+                if meta.state == BlockState::Cached {
                     let new = hier.rank_for(h);
-                    if new != old {
-                        self.ranks[id.0 as usize] = new;
-                        self.evictable.push((new, tick, id));
-                        self.evictable.invalidate(Self::live_key(
-                            &self.metas,
-                            &self.ranks,
-                            &self.lru_ticks,
-                        ));
+                    if new != meta.rank {
+                        meta.rank = new;
+                        self.evictable.push((new, meta.tick, id));
+                        self.evictable.invalidate(Self::live_key(&self.metas));
                     }
                 }
             }
@@ -576,32 +564,29 @@ impl KvBlockManager {
         &self.stats
     }
 
-    fn obtain_block(&mut self, now: SimTime) -> Result<BlockId, AllocError> {
+    fn obtain_block(&mut self) -> Result<BlockId, AllocError> {
         if let Some(id) = self.free.pop() {
-            self.touch(id, now);
+            self.touch(id);
             return Ok(id);
         }
         // Evict the lowest-ranked cached block (exact LRU without an
         // offload hierarchy).
-        let victim = self
-            .evictable
-            .pop(Self::live_key(&self.metas, &self.ranks, &self.lru_ticks));
+        let victim = self.evictable.pop(Self::live_key(&self.metas));
         if let Some((_, _, id)) = victim {
             let meta = &mut self.metas[id.0 as usize];
-            if let Some(h) = meta.chain_hash.take() {
-                if self.cache.get(&h) == Some(&id) {
-                    self.cache.remove(&h);
-                    // Spill the evicted content down the hierarchy rather
-                    // than destroying it; the engine prices the copy as an
-                    // asynchronous transfer on the offload link.
-                    if let Some(hier) = &mut self.hierarchy {
-                        hier.demote(h, &mut self.stats);
-                    }
+            if meta.registered {
+                let h = meta.chain_hash.expect("registered");
+                self.cache.remove(&h);
+                // Spill the evicted content down the hierarchy rather
+                // than destroying it; the engine prices the copy as an
+                // asynchronous transfer on the offload link.
+                if let Some(hier) = &mut self.hierarchy {
+                    hier.demote(h, &mut self.stats);
                 }
             }
             *meta = BlockMeta::free();
             self.stats.evictions += 1;
-            self.touch(id, now);
+            self.touch(id);
             return Ok(id);
         }
         Err(AllocError::Insufficient {
@@ -610,10 +595,9 @@ impl KvBlockManager {
         })
     }
 
-    fn touch(&mut self, id: BlockId, now: SimTime) {
+    fn touch(&mut self, id: BlockId) {
         self.tick += 1;
-        self.lru_ticks[id.0 as usize] = self.tick;
-        self.metas[id.0 as usize].last_used = now;
+        self.metas[id.0 as usize].tick = self.tick;
     }
 
     fn note_usage(&mut self, now: SimTime) {
@@ -625,9 +609,10 @@ impl KvBlockManager {
     }
 
     /// Internal-consistency check used by tests: every block is in exactly
-    /// one of {free list, evictable heap, active} (a `Cached` block by
-    /// exactly one live key), refcounts match liveness, and the cache map
-    /// points at resident hashed blocks.
+    /// one of {free list, eviction order, active} (a `Cached` block by
+    /// exactly one live key), refcounts match liveness, the cache map
+    /// points at resident hashed blocks, and a block is `registered`
+    /// exactly when the cache maps its chain hash to it.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.config.num_blocks as usize;
         let mut seen = vec![0u8; n];
@@ -637,9 +622,7 @@ impl KvBlockManager {
                 return Err(format!("{id} on free list but not Free"));
             }
         }
-        let live =
-            self.evictable
-                .live_keys(Self::live_key(&self.metas, &self.ranks, &self.lru_ticks));
+        let live = self.evictable.live_keys(Self::live_key(&self.metas));
         if live.len() != self.evictable.len() {
             return Err(format!(
                 "{} live eviction keys for {} evictable blocks",
@@ -654,6 +637,13 @@ impl KvBlockManager {
             }
         }
         for (i, m) in self.metas.iter().enumerate() {
+            let owner = m.chain_hash.and_then(|h| self.cache.get(&h));
+            if m.registered != (owner == Some(&BlockId(i as u32))) {
+                return Err(format!(
+                    "blk#{i} registered {} but the cache maps its hash to {owner:?}",
+                    m.registered
+                ));
+            }
             match m.state {
                 BlockState::Active => {
                     if m.ref_count == 0 {
@@ -910,6 +900,87 @@ mod tests {
         let s2 = m.allocate(&p2, t(2)).unwrap();
         assert_eq!(m.cached_tokens(&s2), 32);
         assert_eq!(m.stats().evictions, 2);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn readmission_takes_over_a_stale_holders_registration() {
+        let mut m = mgr(8, true);
+        m.enable_offload(OffloadSpec {
+            host_blocks: 8,
+            nvme_blocks: 0,
+            policy: EvictionPolicy::Lru,
+        });
+        let p = TokenBuf::from_segment(1, 48); // 3 full blocks
+        let hashes = p.chain_hashes_cached(16).to_vec();
+        let s = m.allocate(&p, t(0)).unwrap();
+        let old = m.seqs[&s.0].blocks.clone();
+        m.free(s, t(1));
+        // One-token sequences hold partial blocks, which free straight
+        // back to the free list. Six of them drain the 5 free blocks and
+        // evict only the prompt's least recent block, its first.
+        let fillers: Vec<_> = (0..6)
+            .map(|i| {
+                m.allocate(&TokenBuf::from_segment(100 + i, 1), t(2))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(m.stats().evictions, 1);
+        for f in fillers {
+            m.free(f, t(3));
+        }
+        // Re-admission misses HBM at block 1 (it promotes from host), so
+        // blocks 2-3 land on fresh blocks too, which take the
+        // registration over from the old holders.
+        let s = m.allocate(&p, t(4)).unwrap();
+        assert_eq!(m.cached_tokens(&s), 16);
+        let new = m.seqs[&s.0].blocks.clone();
+        for k in 1..3 {
+            assert_eq!(m.cache[&hashes[k]], new[k]);
+            assert!(!m.metas[old[k].0 as usize].registered);
+            assert_eq!(m.metas[old[k].0 as usize].state, BlockState::Cached);
+        }
+        m.check_invariants().unwrap();
+        // Evicting the old holders must neither drop nor demote the new
+        // owners' content.
+        let fillers: Vec<_> = (0..5)
+            .map(|i| {
+                m.allocate(&TokenBuf::from_segment(200 + i, 1), t(5))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(m.stats().evictions, 3);
+        assert_eq!(m.stats().demoted_blocks_host, 1, "only the first block");
+        assert_eq!(count_hits(&m, &hashes), 3);
+        m.check_invariants().unwrap();
+        for f in fillers {
+            m.free(f, t(6));
+        }
+        m.free(s, t(7));
+        let again = m.allocate(&p, t(8)).unwrap();
+        assert_eq!(m.cached_tokens(&again), 47);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn append_collision_leaves_the_copy_unregistered() {
+        let mut m = mgr(16, true);
+        let full = TokenBuf::from_segment(1, 16);
+        let owner = m.allocate(&full, t(0)).unwrap();
+        // A second sequence decodes the same 16 tokens into its own block.
+        let copy = m.allocate(&TokenBuf::from_segment(1, 8), t(1)).unwrap();
+        for i in 8..16 {
+            let tok = crate::tokens::segment_token(1, i);
+            m.append_token(copy, tok, t(2)).unwrap();
+        }
+        let copy_block = m.seqs[&copy.0].blocks[0];
+        assert!(!m.metas[copy_block.0 as usize].registered);
+        m.check_invariants().unwrap();
+        m.free(copy, t(3));
+        assert_eq!(m.metas[copy_block.0 as usize].state, BlockState::Free);
+        assert_eq!((m.free_blocks(), m.evictable_blocks()), (15, 0));
+        m.free(owner, t(4));
+        assert_eq!((m.free_blocks(), m.evictable_blocks()), (15, 1));
         m.check_invariants().unwrap();
     }
 
