@@ -41,13 +41,26 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Hashes one full block of tokens given the parent chain hash.
+/// Hashes one full block of tokens given the parent chain hash. Over a
+/// partial block it gives the running state that later tokens of that
+/// block fold into.
 pub fn chain_hash(parent: u64, block_tokens: &[Token]) -> u64 {
-    let mut h = splitmix64(parent ^ 0xB10C);
-    for &t in block_tokens {
-        h = splitmix64(h ^ t);
-    }
-    h
+    block_tokens
+        .iter()
+        .fold(chain_start(parent), |h, &t| chain_step(h, t))
+}
+
+/// The running state of a block's chain hash before its first token.
+/// Folding a block's tokens into it with [`chain_step`] yields
+/// [`chain_hash`]`(parent, block)`, so a growing sequence can hash its
+/// tail block one token at a time without keeping the tokens.
+pub(crate) fn chain_start(parent: u64) -> u64 {
+    splitmix64(parent ^ 0xB10C)
+}
+
+/// Folds one more token into a block's running chain-hash state.
+pub(crate) fn chain_step(state: u64, token: Token) -> u64 {
+    splitmix64(state ^ token)
 }
 
 /// Computes the chain hashes of every *full* block in a token stream.
@@ -114,6 +127,14 @@ mod tests {
         let tokens: Vec<Token> = (0..20).collect();
         assert_eq!(chain_hashes(&tokens, 16).len(), 1);
         assert_eq!(chain_hashes(&tokens[..15], 16).len(), 0);
+    }
+
+    #[test]
+    fn running_state_matches_the_block_hash() {
+        let block: Vec<Token> = (0..16).map(|t| t * 7 + 3).collect();
+        let state = block.iter().fold(chain_start(42), |h, &t| chain_step(h, t));
+        assert_eq!(state, chain_hash(42, &block));
+        assert_eq!(chain_start(42), chain_hash(42, &[]));
     }
 
     #[test]

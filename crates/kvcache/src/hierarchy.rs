@@ -25,10 +25,12 @@
 //! * [`EvictionPolicy::InvocationDistance`] — ScaleSim-style: the session
 //!   layer knows *exactly* when an idle session returns (tool-call wake
 //!   time, closed-loop think time), and hints the hierarchy with the
-//!   predicted next-invocation time per chain hash. Content with no
-//!   prediction is evicted first (an ended session never comes back),
-//!   then content predicted farthest in the future; LRU order breaks
-//!   ties. With no hints at all the policy degenerates to exact LRU.
+//!   predicted next-invocation time per chain hash. Content predicted
+//!   farthest in the future is evicted first. Content with no prediction
+//!   is evicted last: a hot shared prefix loses its prediction the moment
+//!   it is reused, so unhinted content is treated as imminently needed.
+//!   LRU order breaks ties. With no hints at all the policy degenerates
+//!   to exact LRU.
 
 use agentsim_simkit::SimTime;
 
@@ -153,14 +155,18 @@ impl TierState {
         Some(hash)
     }
 
-    fn rekey(&mut self, hash: u64, rank: Rank) {
-        if let Some(&(old_rank, stamp)) = self.entries.get(&hash) {
-            if old_rank != rank {
-                self.entries.insert(hash, (rank, stamp));
-                self.order.push((rank, stamp, hash));
-                self.order.invalidate(live_in(&self.entries));
-            }
+    /// Re-keys `hash` under `rank` if this tier holds it; returns whether
+    /// it does.
+    fn rekey(&mut self, hash: u64, rank: Rank) -> bool {
+        let Some(&(old_rank, stamp)) = self.entries.get(&hash) else {
+            return false;
+        };
+        if old_rank != rank {
+            self.entries.insert(hash, (rank, stamp));
+            self.order.push((rank, stamp, hash));
+            self.order.invalidate(live_in(&self.entries));
         }
+        true
     }
 
     fn len(&self) -> usize {
@@ -336,10 +342,26 @@ impl MemoryHierarchy {
     /// wherever it is offloaded. (The manager re-ranks HBM-resident copies
     /// itself — it owns that order.)
     pub fn hint(&mut self, hash: u64, at: SimTime) {
-        self.pred.insert(hash, at.as_micros());
-        if self.spec.policy == EvictionPolicy::InvocationDistance {
-            let rank = self.rank_for(hash);
-            self.host.rekey(hash, rank);
+        let rank = self.predict(hash, at);
+        self.rekey(hash, rank);
+    }
+
+    /// Sets the predicted next-invocation time for `hash` and returns the
+    /// rank that gives it (what [`Self::rank_for`] now reports), without
+    /// re-ranking any copy.
+    pub fn predict(&mut self, hash: u64, at: SimTime) -> Rank {
+        let at = at.as_micros();
+        self.pred.insert(hash, at);
+        match self.spec.policy {
+            EvictionPolicy::Lru => 0,
+            EvictionPolicy::InvocationDistance => u64::MAX - at,
+        }
+    }
+
+    /// Re-keys `hash` under `rank` in whichever tier holds it; a no-op
+    /// when no tier does.
+    pub fn rekey(&mut self, hash: u64, rank: Rank) {
+        if !self.host.rekey(hash, rank) {
             self.nvme.rekey(hash, rank);
         }
     }

@@ -11,7 +11,7 @@ use std::fmt;
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
-use crate::hash::{chain_hash, KeyMap, CHAIN_ROOT};
+use crate::hash::{chain_hash, chain_start, chain_step, KeyMap, CHAIN_ROOT};
 use crate::heap::{EvictionHeap, Key};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
 use crate::stats::KvStats;
@@ -76,10 +76,10 @@ struct SeqState {
     blocks: Vec<BlockId>,
     len_tokens: usize,
     cached_tokens: usize,
-    /// Chain hash of the last *full* block (parent for the next one).
-    chain_tail: u64,
-    /// Tokens of the trailing partial block (needed to hash it on fill).
-    tail_tokens: Vec<Token>,
+    /// Running chain-hash state of the trailing block: [`chain_start`] of
+    /// the last full block's hash, folded with the tail's tokens so far.
+    /// When the tail fills, this *is* its chain hash.
+    tail_state: u64,
 }
 
 /// The paged KV-cache block manager. See the [crate docs](crate) for an
@@ -355,6 +355,12 @@ impl KvBlockManager {
         }
         self.stats.sequences += 1;
 
+        // `chain_hash` over a partial block is the running state
+        // `append_token` continues.
+        let tail_state = chain_hash(
+            hashes.last().copied().unwrap_or(CHAIN_ROOT),
+            &tokens.as_slice()[tokens.len() - rem..],
+        );
         let handle = SeqHandle(self.next_seq);
         self.next_seq += 1;
         self.seqs.insert(
@@ -363,8 +369,7 @@ impl KvBlockManager {
                 blocks,
                 len_tokens: tokens.len(),
                 cached_tokens,
-                chain_tail: hashes.last().copied().unwrap_or(CHAIN_ROOT),
-                tail_tokens: tokens.as_slice()[tokens.len() - rem..].to_vec(),
+                tail_state,
             },
         );
         self.note_usage(now);
@@ -386,36 +391,33 @@ impl KvBlockManager {
         now: SimTime,
     ) -> Result<(), AllocError> {
         let bs = self.config.block_size as usize;
-        let state = self.seqs.get(&seq.0).ok_or(AllocError::UnknownSequence)?;
-
-        let needs_block = state.len_tokens.is_multiple_of(bs);
-        let new_block = if needs_block {
-            Some(self.obtain_block()?)
-        } else {
-            None
-        };
-
-        let prefix_caching = self.config.prefix_caching;
-        if new_block.is_some() {
-            self.active += 1;
-        }
-        let state = self.seqs.get_mut(&seq.0).expect("checked above");
-        if let Some(id) = new_block {
+        let state = self
+            .seqs
+            .get_mut(&seq.0)
+            .ok_or(AllocError::UnknownSequence)?;
+        // One lookup per token; only a block boundary, which must take a
+        // block from the pool, looks the sequence up again.
+        let state = if state.len_tokens.is_multiple_of(bs) {
+            let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
             meta.state = BlockState::Active;
             meta.ref_count = 1;
+            self.active += 1;
+            let state = self.seqs.get_mut(&seq.0).expect("looked up above");
             state.blocks.push(id);
-        }
-        state.tail_tokens.push(token);
+            state
+        } else {
+            state
+        };
+        state.tail_state = chain_step(state.tail_state, token);
         state.len_tokens += 1;
 
-        // Did the tail block just fill? Then hash and register it.
+        // Did the tail block just fill? Then register its chain hash.
         if state.len_tokens.is_multiple_of(bs) {
-            let h = chain_hash(state.chain_tail, &state.tail_tokens);
-            state.chain_tail = h;
-            state.tail_tokens.clear();
+            let h = state.tail_state;
+            state.tail_state = chain_start(h);
             let id = *state.blocks.last().expect("tail block exists");
-            if prefix_caching {
+            if self.config.prefix_caching {
                 let meta = &mut self.metas[id.0 as usize];
                 meta.chain_hash = Some(h);
                 // Content collisions (another block already holds this
@@ -522,18 +524,20 @@ impl KvBlockManager {
             return;
         }
         for &h in hashes {
-            hier.hint(h, at);
-            // Re-key a resident evictable copy under its new rank.
-            if let Some(&id) = self.cache.get(&h) {
-                let meta = &mut self.metas[id.0 as usize];
-                if meta.state == BlockState::Cached {
-                    let new = hier.rank_for(h);
-                    if new != meta.rank {
-                        meta.rank = new;
-                        self.evictable.push((new, meta.tick, id));
+            let rank = hier.predict(h, at);
+            // A hash lives in exactly one place, so only content the
+            // prefix cache does not hold can sit in an offload tier.
+            match self.cache.get(&h) {
+                Some(&id) => {
+                    // Re-key a resident evictable copy under its new rank.
+                    let meta = &mut self.metas[id.0 as usize];
+                    if meta.state == BlockState::Cached && rank != meta.rank {
+                        meta.rank = rank;
+                        self.evictable.push((rank, meta.tick, id));
                         self.evictable.invalidate(Self::live_key(&self.metas));
                     }
                 }
+                None => hier.rekey(h, rank),
             }
         }
         hier.prune_pred(now);
@@ -703,6 +707,7 @@ impl KvBlockManager {
 mod tests {
     use super::*;
     use crate::hash::chain_hashes;
+    use crate::tokens::generated_token;
 
     fn mgr(blocks: u32, caching: bool) -> KvBlockManager {
         KvBlockManager::new(KvConfig {
@@ -1345,6 +1350,106 @@ mod tests {
                 nvme_blocks: 0,
                 policy: EvictionPolicy::Lru,
             });
+        }
+    }
+
+    mod per_token {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A scripted operation; appended tokens come from one generation
+        /// stream per prompt seed, so equal sequences decode equal blocks
+        /// and the append path meets chains another block already holds.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Alloc { seed: u64, len: u32 },
+            Append { k: usize, n: u8 },
+            Free { k: usize },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u64..4, 1u32..150).prop_map(|(seed, len)| Op::Alloc { seed, len }),
+                (0usize..6, 1u8..80).prop_map(|(k, n)| Op::Append { k, n }),
+                (0usize..6).prop_map(|k| Op::Free { k }),
+            ]
+        }
+
+        /// A live sequence: its handle, every token it holds, the
+        /// generation seed and how many tokens it has decoded.
+        type Live = (SeqHandle, TokenBuf, u64, u64);
+
+        /// Every full block of `seq` carries the chain hash of its token
+        /// stream, and the tail state is that stream's partial block
+        /// folded onto the last full block's hash.
+        fn check_seq(m: &KvBlockManager, (h, tokens, _, _): &Live) -> Result<(), String> {
+            let bs = m.config.block_size as usize;
+            let state = &m.seqs[&h.0];
+            let want = chain_hashes(tokens.as_slice(), bs);
+            if state.len_tokens != tokens.len() || state.blocks.len() != tokens.len().div_ceil(bs) {
+                return Err(format!("{h:?} holds the wrong number of tokens or blocks"));
+            }
+            for (j, (id, hash)) in state.blocks.iter().zip(&want).enumerate() {
+                let meta = &m.metas[id.0 as usize];
+                if meta.chain_hash != Some(*hash) {
+                    return Err(format!(
+                        "{h:?} block {j} ({id}) hashed {:?}",
+                        meta.chain_hash
+                    ));
+                }
+            }
+            let parent = want.last().copied().unwrap_or(CHAIN_ROOT);
+            if state.tail_state != chain_hash(parent, &tokens.as_slice()[want.len() * bs..]) {
+                return Err(format!("{h:?} tail state diverged"));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn appended_blocks_hash_the_prompt_then_the_output(
+                block_size in prop::sample::select(vec![16u32, 32]),
+                ops in prop::collection::vec(op(), 1..60),
+            ) {
+                let mut m = KvBlockManager::new(KvConfig {
+                    num_blocks: 40,
+                    block_size,
+                    prefix_caching: true,
+                });
+                let mut live: Vec<Live> = Vec::new();
+                for (step, op) in ops.iter().enumerate() {
+                    let now = t(step as u64);
+                    match *op {
+                        Op::Alloc { seed, len } => {
+                            let prompt = TokenBuf::from_segment(seed, len);
+                            if let Ok(h) = m.allocate(&prompt, now) {
+                                live.push((h, prompt, seed, 0));
+                            }
+                        }
+                        Op::Append { k, n } if !live.is_empty() => {
+                            let k = k % live.len();
+                            let (h, tokens, seed, out) = &mut live[k];
+                            for _ in 0..n {
+                                let token = generated_token(*seed, *out);
+                                if m.append_token(*h, token, now).is_err() {
+                                    break;
+                                }
+                                tokens.push_generated(*seed, *out);
+                                *out += 1;
+                            }
+                        }
+                        Op::Free { k } if !live.is_empty() => {
+                            let (h, ..) = live.swap_remove(k % live.len());
+                            m.free(h, now);
+                        }
+                        _ => {}
+                    }
+                    m.check_invariants().map_err(|e| format!("after {op:?}: {e}"))?;
+                    for seq in &live {
+                        check_seq(&m, seq).map_err(|e| format!("after {op:?}: {e}"))?;
+                    }
+                }
+            }
         }
     }
 }

@@ -83,6 +83,17 @@ impl TokenBuf {
         buf
     }
 
+    /// A copy, hash memo included, with room for `additional` more tokens
+    /// so that appending them does not copy the stream again.
+    pub fn clone_reserving(&self, additional: usize) -> Self {
+        let mut tokens = Vec::with_capacity(self.tokens.len() + additional);
+        tokens.extend_from_slice(&self.tokens);
+        TokenBuf {
+            tokens,
+            hash_cache: self.hash_cache.clone(),
+        }
+    }
+
     /// Appends `len` tokens of the segment identified by `seed`.
     pub fn push_segment(&mut self, seed: u64, len: u32) {
         self.tokens
@@ -294,6 +305,21 @@ mod tests {
         assert_eq!(b.len(), 8);
         let c: TokenBuf = a.iter().copied().collect();
         assert_eq!(c, a);
+    }
+
+    #[test]
+    fn clone_reserving_keeps_tokens_and_memo() {
+        let a = TokenBuf::from_segment(3, 40);
+        a.chain_hashes_cached(16);
+        let mut b = a.clone_reserving(8);
+        assert_eq!(b, a);
+        assert_eq!(b.memoized_blocks(16), 2);
+        assert!(b.tokens.capacity() >= 48);
+        let ptr = b.tokens.as_ptr();
+        for i in 0..8 {
+            b.push_generated(9, i);
+        }
+        assert_eq!(b.tokens.as_ptr(), ptr, "appends fit the reserved room");
     }
 
     #[test]

@@ -42,10 +42,14 @@ struct Waiting {
 struct Running {
     id: RequestId,
     priority: u32,
+    /// The context as admitted. Tokens generated since stay out of it
+    /// (see `unappended`) until the context is handed on.
     ctx: TokenBuf,
     seq: SeqHandle,
     target_out: u32,
     generated: u32,
+    /// The last `unappended` of the `generated` tokens, not yet in `ctx`.
+    unappended: u32,
     gen_seed: u64,
     arrived: SimTime,
     started: SimTime,
@@ -59,6 +63,24 @@ struct Running {
     flops: f64,
     cached_tokens: u32,
     preemptions: u32,
+}
+
+impl Running {
+    /// Context length: the admitted context plus the tokens generated
+    /// since admission.
+    fn ctx_len(&self) -> u64 {
+        self.ctx.len() as u64 + self.unappended as u64
+    }
+
+    /// The full context, for a preemption or migration that hands it on:
+    /// the admitted context followed by the tokens generated since.
+    fn take_ctx(&mut self) -> TokenBuf {
+        for i in self.generated - self.unappended..self.generated {
+            self.ctx.push_generated(self.gen_seed, i as u64);
+        }
+        self.unappended = 0;
+        std::mem::take(&mut self.ctx)
+    }
 }
 
 #[derive(Debug)]
@@ -762,7 +784,7 @@ impl Engine {
             .running
             .iter()
             .filter(|r| r.prefill_remaining == 0)
-            .map(|r| r.ctx.len() as u64)
+            .map(Running::ctx_len)
             .collect();
         if decoding.is_empty() {
             return None;
@@ -771,7 +793,7 @@ impl Engine {
         let model = &self.config.cluster.model;
         for r in &mut self.running {
             if r.prefill_remaining == 0 {
-                r.flops += model.flops_per_token(r.ctx.len() as u64);
+                r.flops += model.flops_per_token(r.ctx_len());
             }
         }
         Some(StepInProgress {
@@ -813,7 +835,7 @@ impl Engine {
             .running
             .iter()
             .filter(|r| r.prefill_remaining == 0)
-            .map(|r| r.ctx.len() as u64)
+            .map(Running::ctx_len)
             .collect();
 
         // Advance in-progress prefills, oldest first, one pass: record the
@@ -849,7 +871,7 @@ impl Engine {
         let model = &self.config.cluster.model;
         for r in &mut self.running {
             if r.prefill_remaining == 0 {
-                r.flops += model.flops_per_token(r.ctx.len() as u64);
+                r.flops += model.flops_per_token(r.ctx_len());
             }
         }
         for (item, &i) in items.iter().zip(&chunk_idx) {
@@ -908,6 +930,7 @@ impl Engine {
                     seq,
                     target_out: w.target_out,
                     generated: w.generated,
+                    unappended: 0,
                     gen_seed: w.gen_seed,
                     arrived: w.arrived,
                     started: w.started.unwrap_or(now),
@@ -956,6 +979,7 @@ impl Engine {
                 seq,
                 target_out: w.target_out,
                 generated: w.generated,
+                unappended: 0,
                 gen_seed: w.gen_seed,
                 arrived: w.arrived,
                 started: w.started.unwrap_or(now),
@@ -998,8 +1022,8 @@ impl Engine {
             match self.kv.append_token(r.seq, token, now) {
                 Ok(()) => {
                     let r = &mut self.running[idx];
-                    r.ctx.extend([token]);
                     r.generated += 1;
+                    r.unappended += 1;
                     if r.generated >= r.target_out {
                         let r = self.running.swap_remove(idx);
                         self.kv.free(r.seq, now);
@@ -1021,7 +1045,8 @@ impl Engine {
                         // Prefill pool: the first token ends this engine's
                         // involvement. Export the KV (footprint sizes the
                         // interconnect transfer) and release the request.
-                        let r = self.running.swap_remove(idx);
+                        let mut r = self.running.swap_remove(idx);
+                        let ctx = r.take_ctx();
                         let tokens = self.kv.export(r.seq, now);
                         let kv_blocks = self.kv.config().blocks_for(tokens) as u32;
                         let kv_bytes = kv_blocks as u64 * self.config.kv_bytes_per_block();
@@ -1033,7 +1058,7 @@ impl Engine {
                             prompt_tokens: r.orig_prompt_tokens,
                             cached_tokens: r.cached_tokens.min(r.orig_prompt_tokens),
                             priority: r.priority,
-                            ctx: r.ctx,
+                            ctx,
                             generated: r.generated,
                             target_out: r.target_out,
                             gen_seed: r.gen_seed,
@@ -1088,7 +1113,7 @@ impl Engine {
     /// and requeues it at the front with its context-so-far as the prompt
     /// (recompute-style preemption).
     fn preempt(&mut self, idx: usize, now: SimTime) {
-        let r = self.running.swap_remove(idx);
+        let mut r = self.running.swap_remove(idx);
         self.kv.free(r.seq, now);
         self.metrics.preemptions += 1;
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -1101,7 +1126,7 @@ impl Engine {
         self.waiting.push_front(Waiting {
             id: r.id,
             priority: r.priority,
-            prompt: r.ctx,
+            prompt: r.take_ctx(),
             target_out: r.target_out,
             generated: r.generated,
             gen_seed: r.gen_seed,
@@ -1687,6 +1712,71 @@ mod edge_tests {
             assert_eq!(c.output_tokens, 300);
         }
         e.kv().check_invariants().unwrap();
+    }
+
+    /// `prompt` followed by the first `n` tokens of generation stream
+    /// `seed`: the context a request hands on after generating `n`.
+    fn prompt_then_generated(prompt: &TokenBuf, seed: u64, n: u32) -> TokenBuf {
+        let mut want = prompt.clone();
+        for i in 0..n as u64 {
+            want.push_generated(seed, i);
+        }
+        want
+    }
+
+    #[test]
+    fn preemption_requeues_the_prompt_then_the_generated_tokens() {
+        let mut e = Engine::new(EngineConfig::a100_llama8b().with_kv_fraction(0.02));
+        let prompts: Vec<TokenBuf> = (0..5u64)
+            .map(|i| TokenBuf::from_segment(10 + i, 700))
+            .collect();
+        for (i, p) in prompts.iter().enumerate() {
+            // Request ids and generation seeds both count up from 0.
+            e.submit(SimTime::ZERO, p.clone(), 300, i as u64);
+        }
+        let mut now = SimTime::ZERO;
+        let mut requeued_mid_decode = 0;
+        while let Some(end) = e.start_step_if_idle(now) {
+            now = end;
+            let _ = e.complete_step(now);
+            for w in e.waiting.iter().filter(|w| w.preemptions > 0) {
+                let want =
+                    prompt_then_generated(&prompts[w.id.0 as usize], w.gen_seed, w.generated);
+                assert_eq!(w.prompt, want, "{} requeued with the wrong context", w.id);
+                requeued_mid_decode += usize::from(w.generated > 0);
+            }
+        }
+        assert!(
+            requeued_mid_decode > 0,
+            "the starved pool must preempt mid-decode"
+        );
+        assert_eq!(e.metrics().completed, 5);
+        e.kv().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn migration_hands_on_the_prompt_then_the_first_token() {
+        for chunked in [false, true] {
+            let mut e = Engine::new(
+                EngineConfig::a100_llama8b()
+                    .with_role(EngineRole::Prefill)
+                    .with_chunked_prefill(chunked),
+            );
+            let prompts: Vec<TokenBuf> = (0..4u64)
+                .map(|i| TokenBuf::from_segment(20 + i, 300 + 37 * i as u32))
+                .collect();
+            for (i, p) in prompts.iter().enumerate() {
+                e.submit(SimTime::ZERO, p.clone(), 16, 100 + i as u64);
+            }
+            let _ = drain(&mut e, SimTime::ZERO);
+            let migrations = e.take_migrations();
+            assert_eq!(migrations.len(), 4);
+            for m in &migrations {
+                let i = m.id.0 as usize;
+                assert_eq!(m.ctx, prompt_then_generated(&prompts[i], 100 + i as u64, 1));
+                assert_eq!(m.generated, 1);
+            }
+        }
     }
 
     #[test]

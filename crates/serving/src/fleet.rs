@@ -426,6 +426,18 @@ impl Leg {
     }
 }
 
+/// Delivers a next-invocation prediction for the tracked context `ctx`
+/// to the `engine` holding it (KV offload hierarchies under
+/// invocation-distance eviction). The chain hashes come from `ctx`'s
+/// memo at the engine's own block size, since pools may differ.
+fn hint_ctx(engine: &mut Engine, ctx: &TokenBuf, now: SimTime, at: SimTime) {
+    let hashes = ctx.chain_hashes_cached(engine.config().block_size as usize);
+    // `hint_next_use` prunes stale predictions even for an empty list.
+    if !hashes.is_empty() {
+        engine.hint_next_use(&hashes, now, at);
+    }
+}
+
 /// The record of a call that finished on the replica that prefilled it.
 fn local_record(session: u64, replica: usize, c: &LlmCompletion) -> CallRecord {
     CallRecord {
@@ -1043,8 +1055,12 @@ impl FleetSim {
                 self.queue.push(wake, Event::ToolsDone { sid, epoch });
                 // The session's context blocks sit idle until the tools
                 // return — tell the offload hierarchy exactly when that is.
-                if let Some((replica, hashes)) = self.ctx_hashes(sid) {
-                    self.send_hint(replica, hashes, now, wake);
+                if self.hints {
+                    if let Some(m) = &self.slots[sid as usize] {
+                        if let Some((ctx, _)) = &m.kv_ctx {
+                            hint_ctx(&mut self.engines[m.kv_replica], ctx, now, wake);
+                        }
+                    }
                 }
             }
             SessionCmd::Finish(outcome) => {
@@ -1114,11 +1130,9 @@ impl FleetSim {
                         // A closed-loop user thinking before their next
                         // turn: that turn reopens with this context as
                         // its prefix, at a known future instant.
-                        if next.session == sid {
+                        if next.session == sid && self.hints {
                             if let Some((ctx, _)) = &m.kv_ctx {
-                                let block = self.block_size_of(m.kv_replica);
-                                let hashes = ctx.chain_hashes_cached(block).to_vec();
-                                self.send_hint(m.kv_replica, hashes, now, next.at);
+                                hint_ctx(&mut self.engines[m.kv_replica], ctx, now, next.at);
                             }
                         }
                         self.queue.push(next.at, Event::Arrival(next));
@@ -1136,31 +1150,6 @@ impl FleetSim {
         }
     }
 
-    /// The chain hashes of `sid`'s tracked engine-side context, with the
-    /// replica holding it. `None` unless offload hints are enabled and the
-    /// session has a tracked single-call context with at least one full
-    /// block.
-    fn ctx_hashes(&self, sid: u64) -> Option<(usize, Vec<u64>)> {
-        if !self.hints {
-            return None;
-        }
-        let m = self.slots[sid as usize].as_ref()?;
-        let (ctx, _) = m.kv_ctx.as_ref()?;
-        let hashes = ctx
-            .chain_hashes_cached(self.block_size_of(m.kv_replica))
-            .to_vec();
-        if hashes.is_empty() {
-            return None;
-        }
-        Some((m.kv_replica, hashes))
-    }
-
-    /// KV block size of the engine serving `replica` — pools may differ,
-    /// so context hashing must use the holder's block size, not pool 0's.
-    fn block_size_of(&self, replica: usize) -> usize {
-        self.config.pools[self.pool_of[replica]].engine.block_size as usize
-    }
-
     /// GPU-seconds per service-second on `replica`: the GPU count of its
     /// pool's cluster. A service-second wasted on a 4-GPU 70B replica
     /// burns four GPU-seconds — pricing every replica by pool 0's
@@ -1170,15 +1159,6 @@ impl FleetSim {
             .engine
             .cluster
             .gpu_count as f64
-    }
-
-    /// Delivers a next-invocation prediction to `replica`'s engine (KV
-    /// offload hierarchies under invocation-distance eviction).
-    fn send_hint(&mut self, replica: usize, hashes: Vec<u64>, now: SimTime, at: SimTime) {
-        if !self.hints || hashes.is_empty() {
-            return;
-        }
-        self.engines[replica].hint_next_use(&hashes, now, at);
     }
 
     /// A session's tool batch finished; ignore the wake-up if the attempt
@@ -1551,8 +1531,11 @@ impl FleetSim {
         // Snapshot the context before the prompt moves into the engine:
         // it seeds the next-invocation hints this op's tool calls and
         // turn boundaries will emit.
+        // Room for the call's output, which completion appends.
         let kv_ctx = if self.track_ctx && calls_len == 1 {
-            Some((op.calls[0].prompt.clone(), op.calls[0].gen_seed))
+            let call = &op.calls[0];
+            let ctx = call.prompt.clone_reserving(call.out_tokens as usize);
+            Some((ctx, call.gen_seed))
         } else {
             None
         };

@@ -29,7 +29,7 @@ use agentsim_agents::{
     build_agent, AgentConfig, AgentKind, AgentOp, AgentPolicy, LlmCallSpec, LlmOutput, OpResult,
     OutputKind, TaskOutcome,
 };
-use agentsim_kvcache::TokenBuf;
+use agentsim_kvcache::{TokenBuf, DEFAULT_BLOCK_SIZE};
 use agentsim_llm::LlmCompletion;
 use agentsim_simkit::{SimDuration, SimRng, SimTime};
 use agentsim_tools::{ToolCall, ToolExecutor, ToolResult};
@@ -107,6 +107,43 @@ impl CallDone {
     }
 }
 
+/// A session's carried history and the last prompt spliced behind it.
+#[derive(Debug)]
+struct Carry {
+    /// Leading tokens of `spliced` that are the carried history.
+    history_len: usize,
+    /// The history followed by the last prompt spliced behind it (at
+    /// first, the history alone), with a current chain-hash memo.
+    spliced: TokenBuf,
+}
+
+impl Carry {
+    fn new(history: TokenBuf) -> Self {
+        Carry {
+            history_len: history.len(),
+            spliced: history,
+        }
+    }
+
+    /// The history followed by `prompt`, its chain hashes memoized at
+    /// [`DEFAULT_BLOCK_SIZE`]. The splice reuses the previous one's
+    /// tokens and memo up to where the two prompts diverge, so an agent
+    /// prompt that extends the last one hashes only the tokens it added.
+    fn splice(&mut self, prompt: &TokenBuf) -> TokenBuf {
+        let shared = self.spliced.as_slice()[self.history_len..]
+            .iter()
+            .zip(prompt.as_slice())
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.spliced.truncate(self.history_len + shared);
+        self.spliced
+            .extend(prompt.as_slice()[shared..].iter().copied());
+        self.spliced
+            .chain_hashes_cached(DEFAULT_BLOCK_SIZE as usize);
+        self.spliced.clone()
+    }
+}
+
 /// How the runner derives randomness for tool execution.
 #[derive(Debug)]
 pub enum ToolRng {
@@ -133,7 +170,7 @@ pub struct SessionRunner {
     /// it: its own context starts fresh each turn, and the shared-prefix
     /// machinery (chain-hashed KV blocks) makes the carried tokens a
     /// cache hit when the history is still resident.
-    history: Option<TokenBuf>,
+    carry: Option<Carry>,
     /// Specs of the in-flight op (prompts already moved out), in
     /// submission order.
     pending: Vec<LlmCallSpec>,
@@ -173,7 +210,7 @@ impl SessionRunner {
             trace: RequestTrace::new(kind, task.benchmark, task.id, now),
             rng,
             tool_rng,
-            history,
+            carry: history.map(Carry::new),
             pending: Vec::new(),
             done: Vec::new(),
             done_count: 0,
@@ -208,7 +245,7 @@ impl SessionRunner {
             trace: RequestTrace::new(AgentKind::Cot, Benchmark::ShareGpt, task_id, now),
             rng,
             tool_rng: ToolRng::ForkByTime,
-            history: None,
+            carry: None,
             pending: Vec::new(),
             done: Vec::new(),
             done_count: 0,
@@ -388,12 +425,8 @@ impl SessionRunner {
         let mut calls = Vec::with_capacity(specs.len());
         let mut pending = Vec::with_capacity(specs.len());
         for (prompt, spec) in specs {
-            let prompt = match &self.history {
-                Some(h) => {
-                    let mut full = h.clone();
-                    full.push_buf(&prompt);
-                    full
-                }
+            let prompt = match &mut self.carry {
+                Some(carry) => carry.splice(&prompt),
                 None => prompt,
             };
             calls.push(LlmSubmit {
@@ -559,6 +592,68 @@ mod tests {
             &cont_prompt.as_slice()[history.len()..],
             fresh_prompt.as_slice()
         );
+    }
+
+    /// Every prompt a session submits, driven like [`drive`].
+    fn submitted_prompts(kind: AgentKind, history: Option<TokenBuf>) -> Vec<TokenBuf> {
+        let task = TaskGenerator::new(Benchmark::HotpotQa, 9).task(0);
+        let tools = ToolExecutor::new();
+        let (mut runner, mut cmd) = SessionRunner::agent(
+            history,
+            kind,
+            &task,
+            AgentConfig::default(),
+            SimRng::seed_from(9).fork(1),
+            ToolRng::ForkByTime,
+            &tools,
+            SimTime::ZERO,
+        );
+        let mut prompts = Vec::new();
+        let mut now = SimTime::ZERO;
+        loop {
+            match cmd {
+                SessionCmd::Llm(op) => {
+                    now += SimDuration::from_millis(250);
+                    let mut next = None;
+                    for (seq, call) in op.calls.into_iter().enumerate() {
+                        let done = CallDone::tokens_only(call.out_tokens);
+                        prompts.push(call.prompt);
+                        if let Some(c) = runner.on_call_done(seq as u32, done, &tools, now) {
+                            next = Some(c);
+                        }
+                    }
+                    cmd = next.expect("full batch completed");
+                }
+                SessionCmd::Tools { wake } => {
+                    now = wake;
+                    cmd = runner.on_tools_done(&tools, now);
+                }
+                SessionCmd::Finish(_) => return prompts,
+            }
+        }
+    }
+
+    #[test]
+    fn every_carried_prompt_is_the_history_then_the_agent_prompt_memoized() {
+        let bs = DEFAULT_BLOCK_SIZE as usize;
+        // A history off the block grid, so spliced blocks straddle it.
+        let history = TokenBuf::from_segment(0xC0FFEE, 101);
+        for kind in [AgentKind::React, AgentKind::Lats] {
+            let fresh = submitted_prompts(kind, None);
+            let carried = submitted_prompts(kind, Some(history.clone()));
+            assert!(fresh.len() > 2, "{kind:?} makes several calls");
+            assert_eq!(carried.len(), fresh.len());
+            for (f, c) in fresh.iter().zip(&carried) {
+                let mut want = history.clone();
+                want.push_buf(f);
+                assert_eq!(c, &want);
+                assert_eq!(c.memoized_blocks(bs), c.len() / bs, "memo is current");
+                assert_eq!(
+                    &*c.chain_hashes_cached(bs),
+                    &agentsim_kvcache::hash::chain_hashes(c.as_slice(), bs)[..]
+                );
+            }
+        }
     }
 
     #[test]
