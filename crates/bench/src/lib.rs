@@ -14,12 +14,11 @@
 //!   cargo run -p agentsim-bench --release --bin figures -- --quick # smaller samples
 //!   ```
 //!
-//! * **Criterion benches** — measure the *simulator's own* performance
-//!   (engine steps/s, KV allocator throughput, agent-session replays,
-//!   end-to-end figure runtimes):
+//! * **Simulator wall clock** — `perfstat` times the fleet driver and
+//!   gates the CI smoke against the baseline in `BENCH_fleet.json`:
 //!
 //!   ```sh
-//!   cargo bench -p agentsim-bench
+//!   cargo run -p agentsim-bench --release --bin perfstat -- --check
 //!   ```
 
 use std::collections::HashMap;

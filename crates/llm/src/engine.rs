@@ -372,7 +372,7 @@ impl Engine {
     /// and transferred in (disaggregated decode pools): `migrated.ctx` is
     /// the full context (prompt + first token), admitted via KV *import* —
     /// no prefill compute happens on this engine, and the request joins the
-    /// decode set directly.
+    /// decode set directly. The context moves into the engine uncopied.
     ///
     /// Returns the fresh id assigned on this engine (the id inside
     /// `migrated` belongs to the prefill engine).
@@ -381,7 +381,7 @@ impl Engine {
     ///
     /// Panics if the context is empty, no output tokens remain, or the
     /// total sequence exceeds the model's context window.
-    pub fn submit_prefilled(&mut self, now: SimTime, migrated: &MigratedRequest) -> RequestId {
+    pub fn submit_prefilled(&mut self, now: SimTime, migrated: MigratedRequest) -> RequestId {
         assert!(
             !migrated.ctx.is_empty(),
             "migrated context must be non-empty"
@@ -403,7 +403,7 @@ impl Engine {
             id,
             priority: migrated.priority,
             orig_prompt_tokens: migrated.prompt_tokens,
-            prompt: migrated.ctx.clone(),
+            prompt: migrated.ctx,
             target_out: migrated.target_out,
             generated: migrated.generated,
             gen_seed: migrated.gen_seed,
@@ -1853,7 +1853,7 @@ mod edge_tests {
 
         // Decode half resumes it with imported KV.
         let mut d = Engine::new(EngineConfig::a100_llama8b().with_role(EngineRole::Decode));
-        let id = d.submit_prefilled(released_at, &m);
+        let id = d.submit_prefilled(released_at, m);
         let (done, _) = drain(&mut d, released_at);
         assert_eq!(done.len(), 1);
         let c = &done[0];
@@ -1937,7 +1937,7 @@ mod edge_tests {
 
         let mut d = Engine::new(EngineConfig::a100_llama8b().with_role(EngineRole::Decode));
         d.begin_drain();
-        let id = d.submit_prefilled(released_at, &m);
+        let id = d.submit_prefilled(released_at, m);
         let (done, t) = drain(&mut d, released_at);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);

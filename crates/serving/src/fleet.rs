@@ -390,38 +390,54 @@ struct Roles {
     scratch: Vec<MigratedRequest>,
 }
 
-/// A migrated call's prefill leg, held until its decode leg completes.
-struct Leg {
-    prefill_replica: usize,
-    /// When the KV landed and the decode leg was submitted.
-    submitted: SimTime,
-    transfer_wait: SimDuration,
-    migration: MigratedRequest,
-}
+/// A migrated call's prefill leg, held until its decode leg completes:
+/// the call's record as far as the prefill side and the link know it.
+/// It keeps no tokens; the context moved on to the decode engine.
+struct Leg(CallRecord);
 
 impl Leg {
+    fn new(
+        session: u64,
+        prefill_replica: usize,
+        m: &MigratedRequest,
+        submitted: SimTime,
+        transfer_wait: SimDuration,
+    ) -> Self {
+        Leg(CallRecord {
+            session,
+            prefill_replica: prefill_replica as u32,
+            decode_replica: None,
+            arrived: m.arrived,
+            prefill_started: m.started,
+            released: m.released,
+            decode_submitted: Some(submitted),
+            decode_started: None,
+            finished: m.released,
+            prompt_tokens: m.prompt_tokens,
+            cached_tokens: m.cached_tokens,
+            output_tokens: m.generated,
+            prefill_time: m.prefill_time,
+            decode_time: SimDuration::ZERO,
+            transfer_wait,
+            kv_bytes: m.kv_bytes,
+            preemptions: m.preemptions,
+        })
+    }
+
     /// The call's cross-pool record, stitched from both legs.
-    fn record(&self, session: u64, replica: usize, c: &LlmCompletion) -> CallRecord {
-        let m = &self.migration;
+    fn record(self, replica: usize, c: &LlmCompletion) -> CallRecord {
         debug_assert!(
             c.prefill_time.is_zero(),
             "decode pools never run prefill steps"
         );
         CallRecord {
-            prefill_replica: self.prefill_replica as u32,
             decode_replica: Some(replica as u32),
-            arrived: m.arrived,
-            prefill_started: m.started,
-            released: m.released,
-            decode_submitted: Some(self.submitted),
             decode_started: Some(c.started),
-            prompt_tokens: m.prompt_tokens,
-            cached_tokens: m.cached_tokens,
-            prefill_time: m.prefill_time,
-            transfer_wait: self.transfer_wait,
-            kv_bytes: m.kv_bytes,
-            preemptions: m.preemptions + c.preemptions,
-            ..local_record(session, replica, c)
+            finished: c.finished,
+            output_tokens: c.output_tokens,
+            decode_time: c.decode_time,
+            preemptions: self.0.preemptions + c.preemptions,
+            ..self.0
         }
     }
 }
@@ -1286,7 +1302,7 @@ impl FleetSim {
                 if self.slots[sid as usize].as_ref().is_some_and(|m| m.expired) {
                     self.wasted_service += service;
                 }
-                let record = leg.record(sid, replica, &completion);
+                let record = leg.record(replica, &completion);
                 self.ttfts.push(record.ttft().as_secs_f64());
                 if let Some(tpot) = record.tpot() {
                     self.tpots.push(tpot.as_secs_f64());
@@ -1387,16 +1403,9 @@ impl FleetSim {
         let pt = roles.transfers.complete(tid);
         // A draining destination still accepts this: the KV was committed
         // to it before the drain began, and a flip waits for it to land.
-        let id = self.engines[pt.dst].submit_prefilled(now, &pt.migration);
-        roles.legs.insert(
-            (pt.dst, id),
-            Leg {
-                prefill_replica,
-                submitted: now,
-                transfer_wait: pt.transfer.wait(),
-                migration: pt.migration,
-            },
-        );
+        let leg = Leg::new(sid, prefill_replica, &pt.migration, now, pt.transfer.wait());
+        let id = self.engines[pt.dst].submit_prefilled(now, pt.migration);
+        roles.legs.insert((pt.dst, id), leg);
         self.owner.insert((pt.dst, id), (sid, seq));
     }
 

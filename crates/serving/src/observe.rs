@@ -1048,7 +1048,7 @@ mod tests {
         prefill.submit(SimTime::ZERO, TokenBuf::from_segment(1, 513), 8, 0);
         drain(&mut prefill, SimTime::ZERO);
 
-        let migrations = prefill.take_migrations();
+        let mut migrations = prefill.take_migrations();
         assert_eq!(migrations.len(), 1);
         let p_span = &p_rec.spans()[0];
         assert!(p_span.migrated);
@@ -1056,11 +1056,12 @@ mod tests {
         assert_eq!(p_span.transfer_time, SimDuration::ZERO);
 
         // KV transfer takes 100µs, then the decode pool takes over.
-        let handoff = migrations[0].released + SimDuration::from_micros(100);
+        let migration = migrations.pop().expect("one migration");
+        let handoff = migration.released + SimDuration::from_micros(100);
         let mut decode = Engine::new(EngineConfig::a100_llama8b().with_role(EngineRole::Decode));
         let d_rec = SpanRecorder::new();
         decode.set_observer(Box::new(d_rec.clone()));
-        decode.submit_prefilled(handoff, &migrations[0]);
+        decode.submit_prefilled(handoff, migration);
         drain(&mut decode, handoff);
 
         let d_span = &d_rec.spans()[0];

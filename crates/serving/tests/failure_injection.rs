@@ -66,7 +66,7 @@ fn draining_replica_lands_inflight_kv_then_flips() {
     // The committed transfer lands and the draining replica must accept
     // and finish it.
     let pt = transfers.complete(tid);
-    decode.submit_prefilled(arrival, &pt.migration);
+    decode.submit_prefilled(arrival, pt.migration);
     let (done, t_done) = drain_engine(&mut decode, arrival);
     assert_eq!(done.len(), 1, "committed KV decodes to completion");
     assert_eq!(done[0].output_tokens, 16);
