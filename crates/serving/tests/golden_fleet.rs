@@ -1,110 +1,10 @@
-//! Golden determinism tests: pinned `FleetReport` fingerprints for all
-//! three routing policies.
-//!
-//! Captured after the round-robin dispatch-order fix (first dispatch
-//! lands on replica 0). The fleet simulator must stay bit-deterministic
-//! for a given `(policy, seed)`: any drift here means a routing or
-//! engine change altered simulation semantics, not just speed.
-//!
-//! Floats are pinned via `f64::to_bits` — exact equality, no tolerance.
+//! Fleet routing determinism: three open-loop replicas per routing
+//! policy, each pinned by its golden-table row.
 
-use agentsim_serving::{FleetConfig, FleetReport, FleetSim, Routing};
+mod golden_table;
 
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    completed: u64,
-    p50_bits: u64,
-    p95_bits: u64,
-    kv_hit_bits: u64,
-    throughput_bits: u64,
-}
-
-impl Fingerprint {
-    fn of(r: &FleetReport) -> Self {
-        Fingerprint {
-            completed: r.completed,
-            p50_bits: r.p50_s.to_bits(),
-            p95_bits: r.p95_s.to_bits(),
-            kv_hit_bits: r.kv_hit_rate.to_bits(),
-            throughput_bits: r.throughput.to_bits(),
-        }
-    }
-}
-
-fn run(routing: Routing) -> Fingerprint {
-    // Enough load on 3 replicas that routing decisions interleave with
-    // queueing; seed fixed so every policy sees identical arrivals.
-    let cfg = FleetConfig::react_hotpotqa(3, routing, 4.0, 30).seed(0xF1E7);
-    Fingerprint::of(&FleetSim::new(cfg).run())
-}
-
-macro_rules! golden {
-    ($test:ident, $routing:expr, $completed:literal, $p50:literal, $p95:literal,
-     $hit:literal, $tput:literal) => {
-        #[test]
-        fn $test() {
-            let got = run($routing);
-            let want = Fingerprint {
-                completed: $completed,
-                p50_bits: $p50,
-                p95_bits: $p95,
-                kv_hit_bits: $hit,
-                throughput_bits: $tput,
-            };
-            assert_eq!(
-                got, want,
-                "{} fleet fingerprint drifted — a routing or engine change \
-                 altered simulation semantics (run `print_fleet_fingerprints` \
-                 to see current values)",
-                $routing
-            );
-        }
-    };
-}
-
-// Capture helper: `cargo test -p agentsim-serving --test golden_fleet \
-// print_fleet_fingerprints -- --ignored --nocapture` prints the constants
-// in the macro's argument order.
-golden!(
-    session_affinity,
-    Routing::SessionAffinity,
-    30,
-    0x40269e2b6ae7d567,
-    0x40318bfa6defc7a4,
-    0x3febc9a23153bc01,
-    0x3ff387d1986e41db
-);
-golden!(
-    round_robin,
-    Routing::RoundRobin,
-    30,
-    0x40257fc6759ab6d0,
-    0x4034f7e5753a3ec0,
-    0x3fe64fa1a26e9c5e,
-    0x3ff0e2a52355c778
-);
-golden!(
-    least_loaded,
-    Routing::LeastLoaded,
-    30,
-    0x4023ead948dc11e4,
-    0x40333586ca89fc6e,
-    0x3fe6aefbf64ebe9a,
-    0x3ff34593cf11fc89
-);
-
-#[test]
-#[ignore]
-fn print_fleet_fingerprints() {
-    for routing in [
-        Routing::SessionAffinity,
-        Routing::RoundRobin,
-        Routing::LeastLoaded,
-    ] {
-        let f = run(routing);
-        println!(
-            "{routing}: {}, {:#x}, {:#x}, {:#x}, {:#x}",
-            f.completed, f.p50_bits, f.p95_bits, f.kv_hit_bits, f.throughput_bits
-        );
-    }
+golden_table::golden_tests! {
+    session_affinity => "fleet/open-affinity",
+    round_robin => "fleet/open-round-robin",
+    least_loaded => "fleet/open-least-loaded",
 }
