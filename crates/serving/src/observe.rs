@@ -7,8 +7,9 @@
 //!   decode, and stall segments whose durations sum *exactly* to the
 //!   request's end-to-end latency (the invariant the paper's Fig. 5/10
 //!   breakdowns rely on),
-//! * **engine time-series** — KV block occupancy, running/waiting depth,
-//!   and per-step batch token composition, as
+//! * **step records** ([`StepRecord`]) — one per engine step, and from
+//!   them the engine time-series (KV block occupancy, running/waiting
+//!   depth, per-step batch token composition) as
 //!   [`agentsim_metrics::TimeSeries`],
 //! * **exporters** — Chrome `trace_event` JSON
 //!   ([`chrome_trace`](SpanRecorder::chrome_trace), loadable in
@@ -22,6 +23,12 @@
 //!
 //! [`FleetSim::attach_recorder`]: crate::FleetSim::attach_recorder
 //! [`FleetSim::attach_recorders`]: crate::FleetSim::attach_recorders
+//!
+//! The phase attribution is defined once, in a crate-private span book
+//! that hands back each span an event retires. The recorder and the
+//! streaming [`SpanStreamWriter`](crate::SpanStreamWriter) are two folds
+//! over it: the recorder keeps every span, the writer serializes each
+//! retired span and drops it.
 //!
 //! # Example
 //!
@@ -42,7 +49,9 @@
 //! agentsim_metrics::json::validate(&recorder.chrome_trace()).unwrap();
 //! ```
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use agentsim_llm::{EngineEvent, EngineObserver, RequestId, StepKind};
@@ -101,7 +110,7 @@ impl Segment {
 
 /// Where a span currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SpanState {
+enum SpanState {
     /// In the waiting queue since the given time.
     Queued(SimTime),
     /// In the running set; attributed up to the given time.
@@ -155,11 +164,11 @@ pub struct RequestSpan {
     pub abandoned: bool,
     /// Phase timeline, merged and in time order.
     pub segments: Vec<Segment>,
-    pub(crate) state: SpanState,
+    state: SpanState,
 }
 
 impl RequestSpan {
-    pub(crate) fn new(id: RequestId, at: SimTime, prompt_tokens: u32, target_out: u32) -> Self {
+    fn new(id: RequestId, at: SimTime, prompt_tokens: u32, target_out: u32) -> Self {
         RequestSpan {
             id,
             submitted: at,
@@ -208,7 +217,7 @@ impl RequestSpan {
             .map_or(SimDuration::ZERO, |a| a.saturating_since(self.submitted))
     }
 
-    pub(crate) fn push_segment(&mut self, phase: Phase, start: SimTime, end: SimTime) {
+    fn push_segment(&mut self, phase: Phase, start: SimTime, end: SimTime) {
         if end <= start {
             return;
         }
@@ -231,7 +240,7 @@ impl RequestSpan {
 
     /// Attributes `[started, ended]` to `phase`, charging any gap since
     /// the last attribution mark as stall.
-    pub(crate) fn mark_phase(&mut self, phase: Phase, started: SimTime, ended: SimTime) {
+    fn mark_phase(&mut self, phase: Phase, started: SimTime, ended: SimTime) {
         let SpanState::Running(mark) = self.state else {
             panic!("{}: {phase:?} attribution while not running", self.id);
         };
@@ -240,6 +249,171 @@ impl RequestSpan {
         }
         self.push_segment(phase, started.max(mark), ended);
         self.state = SpanState::Running(ended);
+    }
+}
+
+/// Hashes a [`RequestId`] with one multiply. Ids are engine-assigned
+/// counters, so SipHash's collision resistance buys nothing here.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a RequestId hashes as one u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The phase-attribution state machine of one engine: its live spans,
+/// the index of those in the running set, and the transition each
+/// [`EngineEvent`] drives. Both span sinks fold over it.
+#[derive(Debug, Default)]
+pub(crate) struct SpanBook {
+    /// Spans submitted and not yet retired.
+    live: HashMap<RequestId, RequestSpan, BuildHasherDefault<IdHasher>>,
+    /// Ids of the live spans in the running set (admitted and not since
+    /// preempted), in no particular order: the per-step stall sweep
+    /// visits only these.
+    running: Vec<RequestId>,
+}
+
+impl SpanBook {
+    /// Spans submitted and not yet retired.
+    pub(crate) fn live(&self) -> usize {
+        self.live.len()
+    }
+
+    fn live_mut(&mut self, id: RequestId) -> &mut RequestSpan {
+        self.live
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("unobserved request {id}"))
+    }
+
+    /// Drops `id` from the running index.
+    fn leave_running(&mut self, id: RequestId) {
+        let i = self
+            .running
+            .iter()
+            .position(|&r| r == id)
+            .unwrap_or_else(|| panic!("{id}: not in the running index"));
+        self.running.swap_remove(i);
+    }
+
+    /// Removes `id` at `at`, closing its open phase so the partition
+    /// telescopes to end-to-end. Only a purge (`from_queue`) may catch a
+    /// request still waiting.
+    fn retire(&mut self, id: RequestId, at: SimTime, from_queue: bool) -> RequestSpan {
+        let mut span = self
+            .live
+            .remove(&id)
+            .unwrap_or_else(|| panic!("unobserved request {id}"));
+        match span.state {
+            SpanState::Running(mark) => {
+                span.push_segment(Phase::Stall, mark, at);
+                self.leave_running(id);
+            }
+            SpanState::Queued(since) if from_queue => span.push_segment(Phase::Queue, since, at),
+            state => panic!("{id}: retired while {state:?}"),
+        }
+        span.finished = Some(at);
+        span.state = SpanState::Done;
+        span
+    }
+
+    /// Applies one engine event and returns the span it retired, if any.
+    pub(crate) fn apply(&mut self, event: &EngineEvent<'_>) -> Option<RequestSpan> {
+        match *event {
+            EngineEvent::Submitted {
+                id,
+                at,
+                prompt_tokens,
+                out_tokens,
+                ..
+            } => {
+                let span = RequestSpan::new(id, at, prompt_tokens, out_tokens);
+                let prev = self.live.insert(id, span);
+                assert!(prev.is_none(), "{id}: submitted twice");
+                None
+            }
+            EngineEvent::Admitted { id, at, .. } => {
+                let span = self.live_mut(id);
+                let SpanState::Queued(since) = span.state else {
+                    panic!("{id}: admitted while not queued");
+                };
+                span.push_segment(Phase::Queue, since, at);
+                span.first_admitted.get_or_insert(at);
+                span.state = SpanState::Running(at);
+                self.running.push(id);
+                None
+            }
+            EngineEvent::StepCompleted {
+                started,
+                ended,
+                prefill,
+                decode,
+                ..
+            } => {
+                for &(id, _) in prefill {
+                    self.live_mut(id).mark_phase(Phase::Prefill, started, ended);
+                }
+                for &id in decode {
+                    self.live_mut(id).mark_phase(Phase::Decode, started, ended);
+                }
+                // Everything else still running is stalled for this step.
+                for id in &self.running {
+                    let span = self.live.get_mut(id).expect("running spans are live");
+                    if let SpanState::Running(mark) = span.state {
+                        if mark < ended {
+                            span.push_segment(Phase::Stall, mark, ended);
+                            span.state = SpanState::Running(ended);
+                        }
+                    }
+                }
+                None
+            }
+            EngineEvent::Preempted { id, at, .. } => {
+                let span = self.live_mut(id);
+                let SpanState::Running(mark) = span.state else {
+                    panic!("{id}: preempted while not running");
+                };
+                span.push_segment(Phase::Stall, mark, at);
+                span.preemptions += 1;
+                span.state = SpanState::Queued(at);
+                self.leave_running(id);
+                None
+            }
+            EngineEvent::Completed { at, completion } => {
+                let mut span = self.retire(completion.id, at, false);
+                span.cached_tokens = completion.cached_tokens;
+                span.output_tokens = completion.output_tokens;
+                Some(span)
+            }
+            EngineEvent::Migrated {
+                id, at, generated, ..
+            } => {
+                let mut span = self.retire(id, at, false);
+                span.output_tokens = generated;
+                span.migrated = true;
+                Some(span)
+            }
+            EngineEvent::Abandoned { id, at, generated } => {
+                // The purge can catch the request waiting or admitted.
+                let mut span = self.retire(id, at, true);
+                span.output_tokens = generated;
+                span.abandoned = true;
+                Some(span)
+            }
+            // Role flips carry no per-request span; the engine is empty
+            // by contract when one fires.
+            EngineEvent::RoleChanged { .. } => None,
+        }
     }
 }
 
@@ -260,6 +434,12 @@ pub struct StepRecord {
     pub prefill_seqs: u32,
     /// Sequences participating as decode (one token each).
     pub decode_seqs: u32,
+    /// KV blocks referenced by live sequences at step end.
+    pub kv_used_blocks: u64,
+    /// Running sequences at step end (before completions are removed).
+    pub running: u32,
+    /// Requests waiting for admission at step end.
+    pub waiting: u32,
 }
 
 impl StepRecord {
@@ -269,38 +449,48 @@ impl StepRecord {
     }
 }
 
+/// Reads one counter off a step.
+type StepValue = fn(&StepRecord) -> f64;
+
+/// The engine time-series, each one point per step at its end, under
+/// the names the Chrome trace gives their counter tracks.
+const STEP_SERIES: [(&str, StepValue); 5] = [
+    ("kv_used_blocks", |s| s.kv_used_blocks as f64),
+    ("running", |s| s.running as f64),
+    ("waiting", |s| s.waiting as f64),
+    ("prefill_tokens", |s| s.prefill_tokens as f64),
+    ("decode_seqs", |s| s.decode_seqs as f64),
+];
+
 #[derive(Debug, Default)]
 struct RecorderInner {
-    spans: Vec<RequestSpan>,
-    /// Ids of the spans in the running set (admitted and not since
-    /// preempted or finished), in no particular order: the per-step
-    /// stall sweep visits only these.
-    running: Vec<RequestId>,
+    book: SpanBook,
+    /// One slot per submitted request, in id order: the span once it
+    /// retired, `None` while it is still live in `book`.
+    retired: Vec<Option<RequestSpan>>,
     steps: Vec<StepRecord>,
-    kv_used_blocks: TimeSeries,
-    running_depth: TimeSeries,
-    waiting_depth: TimeSeries,
-    batch_prefill_tokens: TimeSeries,
-    batch_decode_seqs: TimeSeries,
     kv_total_blocks: u64,
     jsonl: String,
 }
 
 impl RecorderInner {
-    fn span_mut(&mut self, id: RequestId) -> &mut RequestSpan {
-        self.spans
-            .get_mut(id.0 as usize)
-            .unwrap_or_else(|| panic!("unobserved request {id}"))
+    /// Every span in id order, in-flight ones included.
+    fn spans(&self) -> impl Iterator<Item = &RequestSpan> {
+        self.retired.iter().enumerate().map(|(id, span)| {
+            span.as_ref()
+                .unwrap_or_else(|| &self.book.live[&RequestId(id as u64)])
+        })
     }
 
-    /// Drops `id` from the running index.
-    fn leave_running(&mut self, id: RequestId) {
-        let i = self
-            .running
+    /// One of [`STEP_SERIES`] as a time-series.
+    fn series(&self, name: &str) -> TimeSeries {
+        let (_, value) = STEP_SERIES
             .iter()
-            .position(|&r| r == id)
-            .unwrap_or_else(|| panic!("{id}: not in the running index"));
-        self.running.swap_remove(i);
+            .find(|(series, _)| *series == name)
+            .expect("a step series");
+        let mut series = TimeSeries::new();
+        series.extend(self.steps.iter().map(|s| (s.ended, value(s))));
+        series
     }
 
     fn log_line(&mut self, line: std::fmt::Arguments<'_>) {
@@ -308,6 +498,10 @@ impl RecorderInner {
     }
 
     fn apply(&mut self, event: &EngineEvent<'_>) {
+        if let Some(span) = self.book.apply(event) {
+            let slot = span.id.0 as usize;
+            self.retired[slot] = Some(span);
+        }
         match *event {
             EngineEvent::Submitted {
                 id,
@@ -317,12 +511,11 @@ impl RecorderInner {
                 priority,
             } => {
                 assert_eq!(
-                    self.spans.len(),
+                    self.retired.len(),
                     id.0 as usize,
                     "a SpanRecorder must observe a single engine from its first request"
                 );
-                self.spans
-                    .push(RequestSpan::new(id, at, prompt_tokens, out_tokens));
+                self.retired.push(None);
                 self.log_line(format_args!(
                     "{{\"event\":\"submit\",\"t_us\":{},\"id\":{},\"prompt_tokens\":{},\
                      \"out_tokens\":{},\"priority\":{}}}",
@@ -339,16 +532,6 @@ impl RecorderInner {
                 new_tokens,
                 cached_tokens,
             } => {
-                let span = self.span_mut(id);
-                let SpanState::Queued(since) = span.state else {
-                    panic!("{id}: admitted while not queued");
-                };
-                span.push_segment(Phase::Queue, since, at);
-                if span.first_admitted.is_none() {
-                    span.first_admitted = Some(at);
-                }
-                span.state = SpanState::Running(at);
-                self.running.push(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"admit\",\"t_us\":{},\"id\":{},\"new_tokens\":{},\
                      \"cached_tokens\":{}}}",
@@ -371,13 +554,7 @@ impl RecorderInner {
                 waiting,
             } => {
                 self.kv_total_blocks = kv_total_blocks;
-                self.kv_used_blocks.record(ended, kv_used_blocks as f64);
-                self.running_depth.record(ended, running as f64);
-                self.waiting_depth.record(ended, waiting as f64);
                 let prefill_tokens: u32 = prefill.iter().map(|&(_, chunk)| chunk).sum();
-                self.batch_prefill_tokens
-                    .record(ended, prefill_tokens as f64);
-                self.batch_decode_seqs.record(ended, decode.len() as f64);
                 self.steps.push(StepRecord {
                     kind,
                     started,
@@ -386,23 +563,10 @@ impl RecorderInner {
                     prefill_tokens,
                     prefill_seqs: prefill.len() as u32,
                     decode_seqs: decode.len() as u32,
+                    kv_used_blocks,
+                    running,
+                    waiting,
                 });
-                for &(id, _) in prefill {
-                    self.span_mut(id).mark_phase(Phase::Prefill, started, ended);
-                }
-                for &id in decode {
-                    self.span_mut(id).mark_phase(Phase::Decode, started, ended);
-                }
-                // Everything else still running is stalled for this step.
-                for &id in &self.running {
-                    let span = &mut self.spans[id.0 as usize];
-                    if let SpanState::Running(mark) = span.state {
-                        if mark < ended {
-                            span.push_segment(Phase::Stall, mark, ended);
-                            span.state = SpanState::Running(ended);
-                        }
-                    }
-                }
                 self.log_line(format_args!(
                     "{{\"event\":\"step\",\"kind\":\"{}\",\"t_us\":{},\"dur_us\":{},\
                      \"flops\":{:.3e},\"prefill_tokens\":{},\"prefill_seqs\":{},\
@@ -422,14 +586,6 @@ impl RecorderInner {
                 ));
             }
             EngineEvent::Preempted { id, at, generated } => {
-                let span = self.span_mut(id);
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{id}: preempted while not running");
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.preemptions += 1;
-                span.state = SpanState::Queued(at);
-                self.leave_running(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"preempt\",\"t_us\":{},\"id\":{},\"generated\":{}}}",
                     at.as_micros(),
@@ -438,16 +594,6 @@ impl RecorderInner {
                 ));
             }
             EngineEvent::Completed { at, completion } => {
-                let span = self.span_mut(completion.id);
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{}: completed while not running", completion.id);
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.finished = Some(at);
-                span.cached_tokens = completion.cached_tokens;
-                span.output_tokens = completion.output_tokens;
-                span.state = SpanState::Done;
-                self.leave_running(completion.id);
                 self.log_line(format_args!(
                     "{{\"event\":\"complete\",\"t_us\":{},\"id\":{},\"output_tokens\":{},\
                      \"cached_tokens\":{},\"preemptions\":{},\"queue_us\":{},\
@@ -469,16 +615,6 @@ impl RecorderInner {
                 kv_blocks,
                 kv_bytes,
             } => {
-                let span = self.span_mut(id);
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{id}: migrated while not running");
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.finished = Some(at);
-                span.output_tokens = generated;
-                span.migrated = true;
-                span.state = SpanState::Done;
-                self.leave_running(id);
                 self.log_line(format_args!(
                     "{{\"event\":\"migrate\",\"t_us\":{},\"id\":{},\"generated\":{},\
                      \"kv_blocks\":{},\"kv_bytes\":{}}}",
@@ -490,23 +626,6 @@ impl RecorderInner {
                 ));
             }
             EngineEvent::Abandoned { id, at, generated } => {
-                let span = self.span_mut(id);
-                // The purge can catch the request waiting (queued) or
-                // admitted (running); close the open phase either way so
-                // the span partition still telescopes to end-to-end.
-                let was_running = matches!(span.state, SpanState::Running(_));
-                match span.state {
-                    SpanState::Running(mark) => span.push_segment(Phase::Stall, mark, at),
-                    SpanState::Queued(since) => span.push_segment(Phase::Queue, since, at),
-                    SpanState::Done => panic!("{id}: abandoned after finishing"),
-                }
-                span.finished = Some(at);
-                span.output_tokens = generated;
-                span.abandoned = true;
-                span.state = SpanState::Done;
-                if was_running {
-                    self.leave_running(id);
-                }
                 self.log_line(format_args!(
                     "{{\"event\":\"abandon\",\"t_us\":{},\"id\":{},\"generated\":{}}}",
                     at.as_micros(),
@@ -515,8 +634,7 @@ impl RecorderInner {
                 ));
             }
             EngineEvent::RoleChanged { at, from, to } => {
-                // Pool autoscaling flipped this engine's role; no span is
-                // touched (the engine is empty by contract), but the log
+                // Pool autoscaling flipped this engine's role; the log
                 // keeps the role timeline.
                 self.log_line(format_args!(
                     "{{\"event\":\"role\",\"t_us\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
@@ -544,7 +662,7 @@ impl SpanRecorder {
 
     /// All observed request spans, in request-id order.
     pub fn spans(&self) -> Vec<RequestSpan> {
-        self.inner.lock().unwrap().spans.clone()
+        self.inner.lock().unwrap().spans().cloned().collect()
     }
 
     /// All completed step records, in time order.
@@ -554,7 +672,7 @@ impl SpanRecorder {
 
     /// KV block occupancy sampled at every step completion.
     pub fn kv_used_blocks(&self) -> TimeSeries {
-        self.inner.lock().unwrap().kv_used_blocks.clone()
+        self.inner.lock().unwrap().series("kv_used_blocks")
     }
 
     /// Total KV pool size in blocks (0 until the first step completes).
@@ -564,22 +682,22 @@ impl SpanRecorder {
 
     /// Running-set depth sampled at every step completion.
     pub fn running_depth(&self) -> TimeSeries {
-        self.inner.lock().unwrap().running_depth.clone()
+        self.inner.lock().unwrap().series("running")
     }
 
     /// Waiting-queue depth sampled at every step completion.
     pub fn waiting_depth(&self) -> TimeSeries {
-        self.inner.lock().unwrap().waiting_depth.clone()
+        self.inner.lock().unwrap().series("waiting")
     }
 
     /// Prefill tokens per step (batch composition).
     pub fn batch_prefill_tokens(&self) -> TimeSeries {
-        self.inner.lock().unwrap().batch_prefill_tokens.clone()
+        self.inner.lock().unwrap().series("prefill_tokens")
     }
 
     /// Decode participants per step (batch composition).
     pub fn batch_decode_seqs(&self) -> TimeSeries {
-        self.inner.lock().unwrap().batch_decode_seqs.clone()
+        self.inner.lock().unwrap().series("decode_seqs")
     }
 
     /// The JSONL event log: one JSON object per line, in emission order.
@@ -607,73 +725,42 @@ impl EngineObserver for SpanRecorder {
 /// Chrome `trace_event` JSON combining several recorders, one process
 /// (`pid`) per `(label, recorder)` pair — e.g. one per fleet replica.
 pub fn chrome_trace(recorders: &[(&str, &SpanRecorder)]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: &str| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(line);
-    };
+    let mut events = Vec::new();
     for (pid, &(label, recorder)) in recorders.iter().enumerate() {
         let inner = recorder.inner.lock().unwrap();
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json::escape(label)
-            ),
-        );
-        for span in &inner.spans {
-            push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
-                     \"args\":{{\"name\":\"req#{}\"}}}}",
-                    span.id.0, span.id.0
-                ),
-            );
-            for seg in &span.segments {
-                push(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":{pid},\
-                         \"tid\":{},\"ts\":{},\"dur\":{}}}",
-                        seg.phase.name(),
-                        span.id.0,
-                        seg.start.as_micros(),
-                        seg.duration().as_micros()
-                    ),
-                );
-            }
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            json::escape(label)
+        ));
+        for span in inner.spans() {
+            let tid = span.id.0;
+            events.push(format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+                 \"args\":{{\"name\":\"req#{tid}\"}}}}"
+            ));
+            events.extend(span.segments.iter().map(|seg| {
+                format!(
+                    "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":{pid},\
+                     \"tid\":{tid},\"ts\":{},\"dur\":{}}}",
+                    seg.phase.name(),
+                    seg.start.as_micros(),
+                    seg.duration().as_micros()
+                )
+            }));
         }
-        for (name, series) in [
-            ("kv_used_blocks", &inner.kv_used_blocks),
-            ("running", &inner.running_depth),
-            ("waiting", &inner.waiting_depth),
-            ("prefill_tokens", &inner.batch_prefill_tokens),
-            ("decode_seqs", &inner.batch_decode_seqs),
-        ] {
-            for &(at, value) in series.points() {
-                push(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\
-                         \"args\":{{\"value\":{value}}}}}",
-                        at.as_micros()
-                    ),
-                );
-            }
+        for (name, value) in STEP_SERIES {
+            events.extend(inner.steps.iter().map(|step| {
+                format!(
+                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\
+                     \"args\":{{\"value\":{}}}}}",
+                    step.ended.as_micros(),
+                    value(step)
+                )
+            }));
         }
     }
-    out.push_str("\n]}\n");
-    out
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 /// Joins a prefill-side span (ended by migration) and the decode-side
@@ -733,11 +820,32 @@ pub fn stitch_disagg_span(prefill: &RequestSpan, decode: &RequestSpan) -> Reques
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{FleetSim, ServingConfig, Workload};
+    use crate::{FleetSim, ServingConfig, SpanStreamWriter, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig};
+
+    /// A `Write` target a test can inspect after a writer is boxed.
+    #[derive(Clone, Default)]
+    pub(crate) struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        /// Everything written so far.
+        pub(crate) fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
 
     fn drain(engine: &mut Engine, mut now: SimTime) -> SimTime {
         while let Some(end) = engine.start_step_if_idle(now) {
@@ -747,9 +855,9 @@ mod tests {
         now
     }
 
-    /// The stall sweep before the running index: every span ever seen.
-    fn full_sweep(inner: &mut RecorderInner, ended: SimTime) {
-        for span in &mut inner.spans {
+    /// The stall sweep before the running index: every live span.
+    fn full_sweep(book: &mut SpanBook, ended: SimTime) {
+        for span in book.live.values_mut() {
             if let SpanState::Running(mark) = span.state {
                 if mark < ended {
                     span.push_segment(Phase::Stall, mark, ended);
@@ -759,19 +867,79 @@ mod tests {
         }
     }
 
-    /// Applies `event` to the indexed recorder, and to the reference
-    /// followed by a full sweep at each step end.
-    fn feed(indexed: &mut RecorderInner, reference: &mut RecorderInner, event: EngineEvent<'_>) {
-        indexed.apply(&event);
-        reference.apply(&event);
-        if let EngineEvent::StepCompleted { ended, .. } = event {
-            full_sweep(reference, ended);
+    /// The sinks a script feeds: a recorder, a reference recorder that
+    /// also sweeps every live span at each step end, and a streaming
+    /// writer.
+    struct Sinks {
+        indexed: RecorderInner,
+        reference: RecorderInner,
+        writer: SpanStreamWriter,
+    }
+
+    impl Sinks {
+        fn feed(&mut self, event: EngineEvent<'_>) {
+            self.indexed.apply(&event);
+            self.reference.apply(&event);
+            if let EngineEvent::StepCompleted { ended, .. } = event {
+                full_sweep(&mut self.reference.book, ended);
+                // A finished span reads the same without any sweep, so
+                // compare the in-flight ones at every step end.
+                for (id, span) in &self.indexed.book.live {
+                    let expected = &self.reference.book.live[id];
+                    assert_eq!(format!("{span:?}"), format!("{expected:?}"));
+                }
+            }
+            self.writer.on_event(&event);
+            let unfinished = self.reference.spans().filter(|s| !s.is_complete());
+            assert_eq!(self.writer.live(), unfinished.count());
         }
+    }
+
+    /// The line the writer must stream for a retired span.
+    fn expected_line(span: &RequestSpan) -> String {
+        let segments: Vec<String> = span
+            .segments
+            .iter()
+            .map(|seg| {
+                format!(
+                    "{{\"phase\":\"{}\",\"start_us\":{},\"end_us\":{}}}",
+                    seg.phase.name(),
+                    seg.start.as_micros(),
+                    seg.end.as_micros()
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\":{},\"migrated\":{},\"submitted_us\":{},\"finished_us\":{},\
+             \"prompt_tokens\":{},\"cached_tokens\":{},\"output_tokens\":{},\
+             \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\"transfer_us\":{},\
+             \"stall_us\":{},\"preemptions\":{},\"abandoned\":{},\"segments\":[{}]}}",
+            span.id.0,
+            span.migrated,
+            span.submitted.as_micros(),
+            span.finished.unwrap().as_micros(),
+            span.prompt_tokens,
+            span.cached_tokens,
+            span.output_tokens,
+            span.queue_time.as_micros(),
+            span.prefill_time.as_micros(),
+            span.decode_time.as_micros(),
+            span.transfer_time.as_micros(),
+            span.stall_time.as_micros(),
+            span.preemptions,
+            span.abandoned,
+            segments.join(",")
+        )
     }
 
     #[test]
     fn running_index_matches_a_full_stall_sweep() {
-        let (mut indexed, mut reference) = (RecorderInner::default(), RecorderInner::default());
+        let buf = SharedBuf::default();
+        let mut sinks = Sinks {
+            indexed: RecorderInner::default(),
+            reference: RecorderInner::default(),
+            writer: SpanStreamWriter::new(Box::new(buf.clone())),
+        };
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = move |n: usize| -> usize {
             state ^= state << 13;
@@ -785,7 +953,7 @@ mod tests {
             now += SimDuration::from_micros(draw(3) as u64);
             match draw(8) {
                 0 | 1 => {
-                    let id = RequestId(indexed.spans.len() as u64);
+                    let id = RequestId(sinks.indexed.retired.len() as u64);
                     queued.push(id);
                     let submit = EngineEvent::Submitted {
                         id,
@@ -794,7 +962,7 @@ mod tests {
                         out_tokens: 8,
                         priority: 0,
                     };
-                    feed(&mut indexed, &mut reference, submit);
+                    sinks.feed(submit);
                 }
                 2 | 3 if !queued.is_empty() => {
                     let id = queued.swap_remove(draw(queued.len()));
@@ -805,7 +973,7 @@ mod tests {
                         new_tokens: 64,
                         cached_tokens: 0,
                     };
-                    feed(&mut indexed, &mut reference, admit);
+                    sinks.feed(admit);
                 }
                 4 | 5 => {
                     // Some running spans advance; the rest stall.
@@ -832,7 +1000,7 @@ mod tests {
                         running: running.len() as u32,
                         waiting: queued.len() as u32,
                     };
-                    feed(&mut indexed, &mut reference, step);
+                    sinks.feed(step);
                     now = ended;
                 }
                 6 if !running.is_empty() => {
@@ -859,7 +1027,7 @@ mod tests {
                             generated: 1,
                         },
                     };
-                    feed(&mut indexed, &mut reference, event);
+                    sinks.feed(event);
                 }
                 7 if !running.is_empty() => {
                     let id = running.swap_remove(draw(running.len()));
@@ -880,7 +1048,7 @@ mod tests {
                         at: now,
                         completion: &completion,
                     };
-                    feed(&mut indexed, &mut reference, done);
+                    sinks.feed(done);
                 }
                 _ if !queued.is_empty() => {
                     let id = queued.swap_remove(draw(queued.len()));
@@ -889,25 +1057,43 @@ mod tests {
                         at: now,
                         generated: 0,
                     };
-                    feed(&mut indexed, &mut reference, abandon);
+                    sinks.feed(abandon);
                 }
                 _ => {}
             }
         }
+        let Sinks {
+            indexed,
+            reference,
+            writer,
+        } = sinks;
+        let spans: Vec<&RequestSpan> = reference.spans().collect();
         assert_eq!(
-            format!("{:?}", indexed.spans),
-            format!("{:?}", reference.spans)
+            format!("{:?}", indexed.spans().collect::<Vec<_>>()),
+            format!("{spans:?}")
         );
         assert_eq!(indexed.jsonl, reference.jsonl);
-        let mut live: Vec<u64> = indexed.running.iter().map(|id| id.0).collect();
+        let mut live: Vec<u64> = indexed.book.running.iter().map(|id| id.0).collect();
         live.sort_unstable();
         assert_eq!(live, {
             let mut r: Vec<u64> = running.iter().map(|id| id.0).collect();
             r.sort_unstable();
             r
         });
+        // The writer streamed each retired span exactly as the reference
+        // holds it.
+        let text = buf.text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len() as u64, writer.written());
+        assert_eq!(
+            lines.len(),
+            spans.iter().filter(|s| s.is_complete()).count()
+        );
+        for line in lines {
+            let id = line["{\"id\":".len()..].split(',').next().unwrap();
+            assert_eq!(line, expected_line(spans[id.parse::<usize>().unwrap()]));
+        }
         // The script exercised every transition the index tracks.
-        let spans = &reference.spans;
         assert!(spans.iter().any(|s| s.stall_time > SimDuration::ZERO));
         assert!(spans.iter().any(|s| s.preemptions > 0));
         assert!(spans.iter().any(|s| s.migrated));

@@ -188,29 +188,11 @@ impl SingleRequest {
     /// Runs tasks `0..n` of the stream on fresh replicas, in parallel
     /// across OS threads. Results are index-ordered and deterministic.
     pub fn run_batch(&self, n: u64) -> Vec<SingleOutcome> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n.max(1) as usize);
-        let mut results: Vec<Option<SingleOutcome>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let chunks = results.chunks_mut(n.max(1).div_ceil(threads as u64) as usize);
-            for (chunk_idx, chunk) in chunks.enumerate() {
-                let runner = self.clone();
-                let base = chunk_idx as u64 * n.max(1).div_ceil(threads as u64);
-                scope.spawn(move || {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let mut r = runner.clone();
-                        r.task_index = base + i as u64;
-                        *slot = Some(r.run());
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("worker filled slot"))
-            .collect()
+        crate::sweep::par_map(n as usize, |i| {
+            let mut runner = self.clone();
+            runner.task_index = i as u64;
+            runner.run()
+        })
     }
 }
 
@@ -317,6 +299,7 @@ mod tests {
         }
         // Distinct tasks differ.
         assert!(a.windows(2).any(|w| w[0].trace.e2e() != w[1].trace.e2e()));
+        assert!(runner.run_batch(0).is_empty());
     }
 
     #[test]

@@ -3,33 +3,34 @@
 //! [`SpanRecorder`](crate::SpanRecorder) keeps every span and a growing
 //! event log in memory — right for post-hoc analysis, wrong for long
 //! sweeps where a run retires hundreds of thousands of requests. A
-//! [`SpanStreamWriter`] runs the same per-request phase-attribution state
-//! machine but holds only the *live* spans: the moment a request retires
-//! (completes, or migrates off a prefill-role engine) its finished span
+//! [`SpanStreamWriter`] folds over the same span book — one
+//! phase-attribution state machine — but keeps nothing it retires: the
+//! moment a request retires (completes, migrates off a prefill-role
+//! engine, or is purged after its client abandoned it) its finished span
 //! is serialized as one JSON line to the underlying writer and dropped.
 //! Memory is `O(concurrent requests)` instead of `O(total requests)`.
 //!
 //! Each emitted line carries the full five-phase partition
-//! (`queue/prefill/decode/transfer/stall`, microseconds) plus the merged
-//! segment timeline, so downstream tooling can rebuild tail breakdowns
-//! without replaying the run.
+//! (`queue/prefill/decode/transfer/stall`, microseconds), how the span
+//! ended (`migrated`, `abandoned`), and the merged segment timeline, so
+//! downstream tooling can rebuild tail breakdowns without replaying the
+//! run.
 //!
 //! I/O errors never panic the simulation: the first error is captured,
 //! subsequent writes are skipped, and [`SpanStreamWriter::io_error`]
 //! reports it at the end of the run.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use agentsim_llm::{EngineEvent, EngineObserver, RequestId};
+use agentsim_llm::{EngineEvent, EngineObserver};
 
-use crate::observe::{Phase, RequestSpan, SpanState};
+use crate::observe::{RequestSpan, SpanBook};
 
 struct StreamInner {
     out: Box<dyn Write + Send>,
-    live: HashMap<RequestId, RequestSpan>,
+    book: SpanBook,
     written: u64,
     peak_live: usize,
     io_error: Option<io::Error>,
@@ -41,7 +42,7 @@ impl std::fmt::Debug for SpanStreamWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock().unwrap();
         f.debug_struct("SpanStreamWriter")
-            .field("live", &inner.live.len())
+            .field("live", &inner.book.live())
             .field("written", &inner.written)
             .field("peak_live", &inner.peak_live)
             .field("io_error", &inner.io_error)
@@ -50,7 +51,7 @@ impl std::fmt::Debug for SpanStreamWriter {
 }
 
 impl StreamInner {
-    fn retire(&mut self, span: RequestSpan) {
+    fn write_span(&mut self, span: &RequestSpan) {
         self.line.clear();
         let finished = span.finished.expect("retired span always has an end");
         let _ = write!(
@@ -58,7 +59,7 @@ impl StreamInner {
             "{{\"id\":{},\"migrated\":{},\"submitted_us\":{},\"finished_us\":{},\
              \"prompt_tokens\":{},\"cached_tokens\":{},\"output_tokens\":{},\
              \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\"transfer_us\":{},\
-             \"stall_us\":{},\"preemptions\":{},\"segments\":[",
+             \"stall_us\":{},\"preemptions\":{},\"abandoned\":{},\"segments\":[",
             span.id.0,
             span.migrated,
             span.submitted.as_micros(),
@@ -72,6 +73,7 @@ impl StreamInner {
             span.transfer_time.as_micros(),
             span.stall_time.as_micros(),
             span.preemptions,
+            span.abandoned,
         );
         for (i, seg) in span.segments.iter().enumerate() {
             let _ = write!(
@@ -92,123 +94,6 @@ impl StreamInner {
             }
         }
     }
-
-    fn live_mut(&mut self, id: RequestId) -> &mut RequestSpan {
-        self.live
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unobserved request {id}"))
-    }
-
-    fn apply(&mut self, event: &EngineEvent<'_>) {
-        match *event {
-            EngineEvent::Submitted {
-                id,
-                at,
-                prompt_tokens,
-                out_tokens,
-                ..
-            } => {
-                let prev = self
-                    .live
-                    .insert(id, RequestSpan::new(id, at, prompt_tokens, out_tokens));
-                assert!(prev.is_none(), "{id}: submitted twice");
-                self.peak_live = self.peak_live.max(self.live.len());
-            }
-            EngineEvent::Admitted { id, at, .. } => {
-                let span = self.live_mut(id);
-                let SpanState::Queued(since) = span.state else {
-                    panic!("{id}: admitted while not queued");
-                };
-                span.push_segment(Phase::Queue, since, at);
-                if span.first_admitted.is_none() {
-                    span.first_admitted = Some(at);
-                }
-                span.state = SpanState::Running(at);
-            }
-            EngineEvent::StepCompleted {
-                started,
-                ended,
-                prefill,
-                decode,
-                ..
-            } => {
-                for &(id, _) in prefill {
-                    self.live_mut(id).mark_phase(Phase::Prefill, started, ended);
-                }
-                for &id in decode {
-                    self.live_mut(id).mark_phase(Phase::Decode, started, ended);
-                }
-                for span in self.live.values_mut() {
-                    if let SpanState::Running(mark) = span.state {
-                        if mark < ended {
-                            span.push_segment(Phase::Stall, mark, ended);
-                            span.state = SpanState::Running(ended);
-                        }
-                    }
-                }
-            }
-            EngineEvent::Preempted { id, at, .. } => {
-                let span = self.live_mut(id);
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{id}: preempted while not running");
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.preemptions += 1;
-                span.state = SpanState::Queued(at);
-            }
-            EngineEvent::Completed { at, completion } => {
-                let mut span = self
-                    .live
-                    .remove(&completion.id)
-                    .unwrap_or_else(|| panic!("unobserved request {}", completion.id));
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{}: completed while not running", completion.id);
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.finished = Some(at);
-                span.cached_tokens = completion.cached_tokens;
-                span.output_tokens = completion.output_tokens;
-                span.state = SpanState::Done;
-                self.retire(span);
-            }
-            EngineEvent::Migrated {
-                id, at, generated, ..
-            } => {
-                let mut span = self
-                    .live
-                    .remove(&id)
-                    .unwrap_or_else(|| panic!("unobserved request {id}"));
-                let SpanState::Running(mark) = span.state else {
-                    panic!("{id}: migrated while not running");
-                };
-                span.push_segment(Phase::Stall, mark, at);
-                span.finished = Some(at);
-                span.output_tokens = generated;
-                span.migrated = true;
-                span.state = SpanState::Done;
-                self.retire(span);
-            }
-            EngineEvent::Abandoned { id, at, generated } => {
-                let mut span = self
-                    .live
-                    .remove(&id)
-                    .unwrap_or_else(|| panic!("unobserved request {id}"));
-                match span.state {
-                    SpanState::Running(mark) => span.push_segment(Phase::Stall, mark, at),
-                    SpanState::Queued(since) => span.push_segment(Phase::Queue, since, at),
-                    SpanState::Done => panic!("{id}: abandoned after finishing"),
-                }
-                span.finished = Some(at);
-                span.output_tokens = generated;
-                span.abandoned = true;
-                span.state = SpanState::Done;
-                self.retire(span);
-            }
-            // Role flips carry no per-request span; the engine is empty
-            // by contract when one fires.
-            EngineEvent::RoleChanged { .. } => {}
-        }
-    }
 }
 
 /// A clonable [`EngineObserver`] that streams each retired request span
@@ -226,7 +111,7 @@ impl SpanStreamWriter {
         SpanStreamWriter {
             inner: Arc::new(Mutex::new(StreamInner {
                 out,
-                live: HashMap::new(),
+                book: SpanBook::default(),
                 written: 0,
                 peak_live: 0,
                 io_error: None,
@@ -248,7 +133,7 @@ impl SpanStreamWriter {
 
     /// Requests currently in flight (spans held in memory).
     pub fn live(&self) -> usize {
-        self.inner.lock().unwrap().live.len()
+        self.inner.lock().unwrap().book.live()
     }
 
     /// High-water mark of concurrently held spans — the writer's actual
@@ -277,32 +162,24 @@ impl SpanStreamWriter {
 
 impl EngineObserver for SpanStreamWriter {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
-        self.inner.lock().unwrap().apply(event);
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(span) = inner.book.apply(event) {
+            inner.write_span(&span);
+        }
+        inner.peak_live = inner.peak_live.max(inner.book.live());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::tests::SharedBuf;
     use crate::observe::SpanRecorder;
     use crate::{FleetSim, ServingConfig, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig, EngineRole, FanoutObserver};
     use agentsim_metrics::json;
     use agentsim_simkit::SimTime;
-
-    /// A `Write` target the test can inspect after the writer is boxed.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
 
     fn drain(engine: &mut Engine, mut now: SimTime) {
         while let Some(end) = engine.start_step_if_idle(now) {
@@ -330,8 +207,7 @@ mod tests {
         assert!(writer.peak_live() >= 1);
         assert!(writer.io_error().is_none());
 
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         let spans = recorder.spans();
         assert_eq!(lines.len() as u64, writer.written());
@@ -355,6 +231,7 @@ mod tests {
             assert!(line.contains(&format!("\"prefill_us\":{}", span.prefill_time.as_micros())));
             assert!(line.contains(&format!("\"decode_us\":{}", span.decode_time.as_micros())));
             assert!(line.contains(&format!("\"stall_us\":{}", span.stall_time.as_micros())));
+            assert!(line.contains("\"abandoned\":false"));
         }
     }
 
@@ -369,10 +246,34 @@ mod tests {
 
         assert_eq!(writer.written(), 1);
         assert_eq!(writer.live(), 0);
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = buf.text();
         assert!(text.contains("\"migrated\":true"));
         assert!(text.contains("\"transfer_us\":0"));
+        json::validate(text.trim()).unwrap();
+    }
+
+    #[test]
+    fn cancelled_spans_retire_with_the_abandoned_flag() {
+        let buf = SharedBuf::default();
+        let writer = SpanStreamWriter::new(Box::new(buf.clone()));
+        let mut e = Engine::new(EngineConfig::a100_llama8b());
+        e.set_observer(Box::new(writer.clone()));
+        let id = e.submit(SimTime::ZERO, TokenBuf::from_segment(1, 1000), 400, 0);
+        // Prefill and a decode step, then cancel mid-step while running.
+        let mut now = SimTime::ZERO;
+        for _ in 0..2 {
+            now = e.start_step_if_idle(now).expect("step forms");
+            e.complete_step(now);
+        }
+        let end = e.start_step_if_idle(now).expect("step forms");
+        e.cancel(now, id);
+        e.complete_step(end);
+
+        assert_eq!(writer.written(), 1);
+        assert_eq!(writer.live(), 0);
+        let text = buf.text();
+        assert!(text.contains("\"migrated\":false"));
+        assert!(text.contains("\"preemptions\":0,\"abandoned\":true,\"segments\":["));
         json::validate(text.trim()).unwrap();
     }
 

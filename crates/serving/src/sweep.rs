@@ -19,30 +19,28 @@ pub struct SweepPoint {
     pub report: FleetReport,
 }
 
-/// Runs `run_point` at each offered load, in parallel across at most
-/// `available_parallelism` OS threads, preserving input order.
-fn sweep_map<T: Send>(qps_points: &[f64], run_point: impl Fn(f64) -> T + Sync) -> Vec<T> {
+/// `f(0), …, f(n - 1)`, computed in contiguous chunks across at most
+/// `available_parallelism` OS threads and returned in index order.
+pub(crate) fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-        .min(qps_points.len());
-    let per_thread = qps_points.len().div_ceil(threads);
-    let mut out: Vec<Option<T>> = qps_points.iter().map(|_| None).collect();
-    let run_point = &run_point;
+        .min(n)
+        .max(1);
+    let per_thread = n.div_ceil(threads).max(1);
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let f = &f;
     std::thread::scope(|scope| {
-        for (slots, points) in out
-            .chunks_mut(per_thread)
-            .zip(qps_points.chunks(per_thread))
-        {
+        for (chunk, slots) in out.chunks_mut(per_thread).enumerate() {
             scope.spawn(move || {
-                for (slot, &qps) in slots.iter_mut().zip(points) {
-                    *slot = Some(run_point(qps));
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(f(chunk * per_thread + i));
                 }
             });
         }
     });
     out.into_iter()
-        .map(|p| p.expect("point computed"))
+        .map(|slot| slot.expect("worker filled slot"))
         .collect()
 }
 
@@ -63,7 +61,8 @@ pub fn qps_sweep(
 ) -> Vec<SweepPoint> {
     assert!(!qps_points.is_empty(), "sweep needs at least one point");
     assert!(num_requests > 0, "sweep needs requests");
-    sweep_map(qps_points, |qps| {
+    par_map(qps_points.len(), |i| {
+        let qps = qps_points[i];
         let cfg = ServingConfig::new(workload.clone(), qps, num_requests)
             .seed(splitmix64(seed ^ qps.to_bits()))
             .engine(engine.clone());
@@ -177,7 +176,8 @@ pub fn qps_sweep_observed(
 ) -> Vec<ObservedSweepPoint> {
     assert!(!qps_points.is_empty(), "sweep needs at least one point");
     assert!(num_requests > 0, "sweep needs requests");
-    sweep_map(qps_points, |qps| {
+    par_map(qps_points.len(), |i| {
+        let qps = qps_points[i];
         let cfg = ServingConfig::new(workload.clone(), qps, num_requests)
             .seed(splitmix64(seed ^ qps.to_bits()))
             .engine(engine.clone());

@@ -65,7 +65,6 @@ pub const GOLDEN: &[(&str, u64)] = &[
     ("overload/adaptive", 0xdffefcde60f92dcd),
     ("overload/retry", 0xe1429512385031be),
     ("perf/react-high-qps", 0x2c63266d902b2971),
-    ("perf/react-deepest-first", 0x2c63266d902b2971),
     ("perf/lats-single", 0xc3ebe194bb6c06c7),
     ("perf/fig14-sweep", 0x3f0e7167c323cb35),
 ];
@@ -140,10 +139,7 @@ pub const CELLS: &[(&str, Builder)] = &[
     ("overload/retry", || {
         digest(&overload(adaptive().retry(RetryPolicy::standard())))
     }),
-    ("perf/react-high-qps", || digest(&perf_serving(FCFS))),
-    ("perf/react-deepest-first", || {
-        digest(&perf_serving(DEEPEST))
-    }),
+    ("perf/react-high-qps", || digest(&perf_serving())),
     ("perf/lats-single", || {
         let runner = SingleRequest::new(AgentKind::Lats, Benchmark::HotpotQa).seed(8);
         digest(&runner.run_batch(1))
@@ -383,8 +379,8 @@ pub fn overload(policy: OverloadPolicy) -> FleetReport {
 }
 
 /// One replica at 40 qps: a deep waiting queue and a full running set.
-pub fn perf_serving(scheduler: SchedulerPolicy) -> FleetReport {
-    let engine = EngineConfig::a100_llama8b().with_scheduler(scheduler);
+pub fn perf_serving() -> FleetReport {
+    let engine = EngineConfig::a100_llama8b();
     FleetSim::new(ServingConfig::new(react(), 40.0, 10).seed(7).engine(engine)).run()
 }
 
