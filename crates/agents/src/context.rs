@@ -122,9 +122,7 @@ impl ContextTracker {
     /// Appends a completed LLM output (identified by its generation seed)
     /// to the context.
     pub fn append_llm_output(&mut self, gen_seed: u64, tokens: u32) {
-        for i in 0..tokens as u64 {
-            self.buf.push_generated(gen_seed, i);
-        }
+        self.buf.push_generated_run(gen_seed, 0, tokens.into());
         self.breakdown.llm_history += tokens;
         self.extend_memo();
     }
@@ -201,8 +199,8 @@ mod tests {
         let a = ContextTracker::new(2, &g.task(0), 4).snapshot();
         let b = ContextTracker::new(2, &g.task(1), 4).snapshot();
         let shared = 180 + 4 * 190;
-        assert_eq!(&a.as_slice()[..shared], &b.as_slice()[..shared]);
-        assert_ne!(a.as_slice()[shared], b.as_slice()[shared]);
+        assert!(a.ids().take(shared).eq(b.ids().take(shared)));
+        assert_ne!(a.ids().nth(shared), b.ids().nth(shared));
     }
 
     #[test]
@@ -210,7 +208,7 @@ mod tests {
         let t = task();
         let a = ContextTracker::new(2, &t, 4).snapshot();
         let b = ContextTracker::new(3, &t, 4).snapshot();
-        assert_ne!(a.as_slice()[0], b.as_slice()[0]);
+        assert_ne!(a.ids().next(), b.ids().next());
     }
 
     #[test]
@@ -241,6 +239,9 @@ mod tests {
         expected.push_generated(99, 1);
         expected.push_generated(99, 2);
         assert_eq!(after, expected);
+        // The output is one run however long it is.
+        ctx.append_llm_output(100, 500);
+        assert_eq!(ctx.snapshot().run_count(), after.run_count() + 1);
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
             assert_eq!(buf.memoized_blocks(bs), buf.len() / bs, "memo is current");
             assert_eq!(
                 &*buf.chain_hashes_cached(bs),
-                &agentsim_kvcache::hash::chain_hashes(buf.as_slice(), bs)[..]
+                &agentsim_kvcache::hash::chain_hashes(&buf.ids().collect::<Vec<_>>(), bs)[..]
             );
         };
         let t = task();
@@ -278,9 +279,9 @@ mod tests {
         let mut ctx = ContextTracker::new(2, &t, 0);
         let start = ctx.len();
         ctx.append_tool(&tool_result(10));
-        let first: Vec<u64> = ctx.snapshot().as_slice()[start..].to_vec();
+        let first: Vec<u64> = ctx.snapshot().ids().skip(start).collect();
         ctx.append_tool(&tool_result(10));
-        let second: Vec<u64> = ctx.snapshot().as_slice()[start + 10..].to_vec();
+        let second: Vec<u64> = ctx.snapshot().ids().skip(start + 10).collect();
         assert_ne!(first, second);
     }
 }

@@ -11,7 +11,7 @@ use std::fmt;
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
-use crate::hash::{chain_hash, chain_start, chain_step, KeyMap, CHAIN_ROOT};
+use crate::hash::{chain_start, chain_step, KeyMap, CHAIN_ROOT};
 use crate::heap::{EvictionHeap, Key};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
 use crate::stats::KvStats;
@@ -307,7 +307,7 @@ impl KvBlockManager {
         // Fresh blocks for the remaining full blocks (hash known now — the
         // prefill computing them, or the promotion restoring them, makes
         // the content immediately shareable).
-        for h in &hashes[hits..] {
+        for (k, h) in hashes[hits..].iter().enumerate() {
             let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
             meta.state = BlockState::Active;
@@ -322,9 +322,14 @@ impl KvBlockManager {
                     self.metas[prev.0 as usize].registered = false;
                 }
                 // Recomputed content invalidates any stale offloaded copy:
-                // a hash lives in exactly one place.
-                if let Some(hier) = &mut self.hierarchy {
-                    hier.take(*h);
+                // a hash lives in exactly one place. The promotion scan
+                // just took the leading `promoted` hashes, and nothing
+                // here puts them back (eviction demotes only HBM-resident
+                // hashes), so only the recomputed ones are probed.
+                if k >= promoted {
+                    if let Some(hier) = &mut self.hierarchy {
+                        hier.take(*h);
+                    }
                 }
             }
             blocks.push(id);
@@ -357,9 +362,9 @@ impl KvBlockManager {
 
         // `chain_hash` over a partial block is the running state
         // `append_token` continues.
-        let tail_state = chain_hash(
-            hashes.last().copied().unwrap_or(CHAIN_ROOT),
-            &tokens.as_slice()[tokens.len() - rem..],
+        let tail_state = tokens.ids_from(tokens.len() - rem).fold(
+            chain_start(hashes.last().copied().unwrap_or(CHAIN_ROOT)),
+            chain_step,
         );
         let handle = SeqHandle(self.next_seq);
         self.next_seq += 1;
@@ -706,7 +711,7 @@ impl KvBlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::chain_hashes;
+    use crate::hash::{chain_hash, chain_hashes};
     use crate::tokens::generated_token;
 
     fn mgr(blocks: u32, caching: bool) -> KvBlockManager {
@@ -797,9 +802,9 @@ mod tests {
         let _s3 = m.allocate(&p3, t(4)).unwrap();
         assert_eq!(m.stats().evictions, 4);
         // p1 no longer cached, p2 still is.
-        let hashes1 = chain_hashes(p1.as_slice(), 16);
+        let hashes1 = p1.chain_hashes_cached(16).to_vec();
         assert_eq!(count_hits(&m, &hashes1), 0);
-        let hashes2 = chain_hashes(p2.as_slice(), 16);
+        let hashes2 = p2.chain_hashes_cached(16).to_vec();
         assert_eq!(count_hits(&m, &hashes2), 4);
         m.check_invariants().unwrap();
     }
@@ -830,9 +835,9 @@ mod tests {
 
         // Grow by 8 tokens: fills the partial block (now hashed).
         let mut full = p.clone();
+        full.push_segment(777, 8);
         for i in 0..8u64 {
             let tok = crate::tokens::segment_token(777, i);
-            full.extend([tok]);
             m.append_token(s, tok, t(10 + i)).unwrap();
         }
         assert_eq!(m.seq_len(&s), 32);
@@ -1385,7 +1390,8 @@ mod tests {
         fn check_seq(m: &KvBlockManager, (h, tokens, _, _): &Live) -> Result<(), String> {
             let bs = m.config.block_size as usize;
             let state = &m.seqs[&h.0];
-            let want = chain_hashes(tokens.as_slice(), bs);
+            let ids: Vec<Token> = tokens.ids().collect();
+            let want = chain_hashes(&ids, bs);
             if state.len_tokens != tokens.len() || state.blocks.len() != tokens.len().div_ceil(bs) {
                 return Err(format!("{h:?} holds the wrong number of tokens or blocks"));
             }
@@ -1399,7 +1405,7 @@ mod tests {
                 }
             }
             let parent = want.last().copied().unwrap_or(CHAIN_ROOT);
-            if state.tail_state != chain_hash(parent, &tokens.as_slice()[want.len() * bs..]) {
+            if state.tail_state != chain_hash(parent, &ids[want.len() * bs..]) {
                 return Err(format!("{h:?} tail state diverged"));
             }
             Ok(())

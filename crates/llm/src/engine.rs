@@ -1,6 +1,6 @@
 //! The step-loop serving engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use agentsim_gpu::perf::PrefillItem;
 use agentsim_gpu::{EnergyModel, Link, PerfModel};
@@ -57,6 +57,9 @@ struct Running {
     prompt_tokens: u32,
     /// Uncached prompt tokens still to prefill (chunked mode only).
     prefill_remaining: u32,
+    /// Whether the step being completed carries a prefill chunk of this
+    /// sequence; set for every running sequence as the step completes.
+    in_chunk: bool,
     imported: bool,
     prefill_time: SimDuration,
     decode_time: SimDuration,
@@ -75,9 +78,11 @@ impl Running {
     /// The full context, for a preemption or migration that hands it on:
     /// the admitted context followed by the tokens generated since.
     fn take_ctx(&mut self) -> TokenBuf {
-        for i in self.generated - self.unappended..self.generated {
-            self.ctx.push_generated(self.gen_seed, i as u64);
-        }
+        self.ctx.push_generated_run(
+            self.gen_seed,
+            (self.generated - self.unappended).into(),
+            self.unappended.into(),
+        );
         self.unappended = 0;
         std::mem::take(&mut self.ctx)
     }
@@ -126,6 +131,32 @@ pub struct Engine {
     nvme_link: Option<Link>,
     /// Scratch buffer for draining tier-transfer events from the manager.
     tier_events: Vec<TierTransfer>,
+    /// Buffers reused by every step, so forming and completing a step
+    /// allocates nothing.
+    scratch: StepScratch,
+}
+
+/// Per-step working buffers, cleared before each use.
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// Context lengths of the decoding sequences.
+    ctx_lens: Vec<u64>,
+    /// `(id, uncached, cached)` of each prefill admission.
+    admitted: Vec<(RequestId, u32, u32)>,
+    /// Perf-model items of the step's prefill work.
+    items: Vec<PrefillItem>,
+    /// The prefill-chunk list of the last completed step, handed back to
+    /// be the next step's.
+    chunks: Vec<(RequestId, u32)>,
+}
+
+impl StepScratch {
+    /// The chunk-list buffer, emptied, for a step to own while in flight.
+    fn take_chunks(&mut self) -> Vec<(RequestId, u32)> {
+        let mut chunks = std::mem::take(&mut self.chunks);
+        chunks.clear();
+        chunks
+    }
 }
 
 impl Engine {
@@ -168,6 +199,7 @@ impl Engine {
             host_link,
             nvme_link,
             tier_events: Vec::new(),
+            scratch: StepScratch::default(),
             config,
         }
     }
@@ -512,16 +544,25 @@ impl Engine {
         }
 
         // Per-request attribution of step wall-time and prefill progress,
-        // in one pass over the running set (ids are unique per step).
-        let chunk_of: HashMap<RequestId, u32> = step.prefill_chunks.iter().copied().collect();
+        // in one pass over the running set. The step's chunks follow the
+        // running set's order (both formation paths list them that way,
+        // and the set does not change while a step is in flight), so one
+        // cursor finds each.
+        let mut chunks = step.prefill_chunks.iter().peekable();
         for r in &mut self.running {
-            if let Some(&chunk) = chunk_of.get(&r.id) {
+            let chunk = chunks.next_if(|&&(id, _)| id == r.id);
+            r.in_chunk = chunk.is_some();
+            if let Some(&(_, chunk)) = chunk {
                 r.prefill_time += step.duration;
                 r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
             } else if step.kind != StepKind::Prefill && r.prefill_remaining == 0 {
                 r.decode_time += step.duration;
             }
         }
+        debug_assert!(
+            chunks.next().is_none(),
+            "a prefill chunk left the running set"
+        );
 
         // Emit the step's batch composition and occupancy snapshot before
         // token production removes completions and preempts victims.
@@ -531,7 +572,7 @@ impl Engine {
             } else {
                 self.running
                     .iter()
-                    .filter(|r| r.prefill_remaining == 0 && !chunk_of.contains_key(&r.id))
+                    .filter(|r| r.prefill_remaining == 0 && !r.in_chunk)
                     .map(|r| r.id)
                     .collect()
             };
@@ -559,8 +600,7 @@ impl Engine {
         // decode participants produce one token each.
         let mut idx = 0;
         while idx < self.running.len() {
-            let was_chunk = chunk_of.contains_key(&self.running[idx].id);
-            let produces = if was_chunk {
+            let produces = if self.running[idx].in_chunk {
                 // Prefill participants emit their first token only once
                 // the whole prompt has been processed.
                 self.running[idx].prefill_remaining == 0
@@ -607,6 +647,7 @@ impl Engine {
             }
         }
         self.metrics.completed += (done.len() - done_before) as u64;
+        self.scratch.chunks = step.prefill_chunks;
         // Token appends can evict cached blocks into the offload tiers;
         // those demotes are asynchronous, so the stall is always zero.
         let stall = self.charge_tier_transfers(now, SimDuration::ZERO);
@@ -733,16 +774,20 @@ impl Engine {
     /// Classic vLLM scheduling: a step is either a prefill batch (admitted
     /// FCFS under the token budget) or one decode iteration.
     fn form_classic_step(&mut self, now: SimTime) -> Option<StepInProgress> {
-        let admitted = self.admit(now, self.config.max_batch_tokens);
-        if !admitted.is_empty() {
-            let items: Vec<PrefillItem> = admitted
-                .iter()
-                .map(|&(_, new, cached)| PrefillItem {
-                    new_tokens: new as u64,
-                    cached_tokens: cached as u64,
-                })
-                .collect();
-            let cost = self.perf.prefill(&items);
+        self.admit(now, self.config.max_batch_tokens);
+        if !self.scratch.admitted.is_empty() {
+            let items = &mut self.scratch.items;
+            items.clear();
+            items.extend(
+                self.scratch
+                    .admitted
+                    .iter()
+                    .map(|&(_, new, cached)| PrefillItem {
+                        new_tokens: new as u64,
+                        cached_tokens: cached as u64,
+                    }),
+            );
+            let cost = self.perf.prefill(items);
             // Price any KV the admission moved through the offload
             // tiers. Promotions gate this prefill; chunked promotion
             // pricing overlaps the fetch against the prefill compute,
@@ -752,16 +797,18 @@ impl Engine {
             // Newly admitted requests carry their whole uncached prompt as
             // one "chunk"; they produce their first token at step end.
             // Imported admissions may interleave with them in `running`,
-            // so attribute by id rather than by tail position.
-            let chunk_of: HashMap<RequestId, (u32, u32)> = admitted
-                .iter()
-                .map(|&(id, new, cached)| (id, (new, cached)))
-                .collect();
+            // so attribute by id rather than by tail position. They
+            // joined `running` in admission order, so one cursor finds
+            // each.
+            let mut prefill_chunks = self.scratch.take_chunks();
+            let admitted = &self.scratch.admitted;
+            let mut pending = admitted.iter().peekable();
             for r in &mut self.running {
-                if let Some(&(new, cached)) = chunk_of.get(&r.id) {
+                if let Some(&(_, new, cached)) = pending.next_if(|a| a.0 == r.id) {
                     r.flops += self.perf.prefill_flops(new as u64, cached as u64);
                 }
             }
+            prefill_chunks.extend(admitted.iter().map(|&(id, new, _)| (id, new)));
             let duration = cost.duration + stall;
             return Some(StepInProgress {
                 kind: StepKind::Prefill,
@@ -769,7 +816,7 @@ impl Engine {
                 ends: now + duration,
                 duration,
                 flops: cost.flops,
-                prefill_chunks: admitted.iter().map(|&(id, new, _)| (id, new)).collect(),
+                prefill_chunks,
             });
         }
         // No admission, so nothing can have promoted — but demotes the
@@ -779,30 +826,42 @@ impl Engine {
         self.form_decode_step(now)
     }
 
-    fn form_decode_step(&mut self, now: SimTime) -> Option<StepInProgress> {
-        let decoding: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|r| r.prefill_remaining == 0)
-            .map(Running::ctx_len)
-            .collect();
-        if decoding.is_empty() {
-            return None;
-        }
-        let cost = self.perf.decode_step(&decoding);
+    /// Refills the context-length scratch with the decoding sequences'.
+    fn collect_ctx_lens(&mut self) {
+        let lens = &mut self.scratch.ctx_lens;
+        lens.clear();
+        lens.extend(
+            self.running
+                .iter()
+                .filter(|r| r.prefill_remaining == 0)
+                .map(Running::ctx_len),
+        );
+    }
+
+    /// Charges each decoding sequence one token's flops.
+    fn charge_decode_flops(&mut self) {
         let model = &self.config.cluster.model;
         for r in &mut self.running {
             if r.prefill_remaining == 0 {
                 r.flops += model.flops_per_token(r.ctx_len());
             }
         }
+    }
+
+    fn form_decode_step(&mut self, now: SimTime) -> Option<StepInProgress> {
+        self.collect_ctx_lens();
+        if self.scratch.ctx_lens.is_empty() {
+            return None;
+        }
+        let cost = self.perf.decode_step(&self.scratch.ctx_lens);
+        self.charge_decode_flops();
         Some(StepInProgress {
             kind: StepKind::Decode,
             started: now,
             ends: now + cost.duration,
             duration: cost.duration,
             flops: cost.flops,
-            prefill_chunks: Vec::new(),
+            prefill_chunks: self.scratch.take_chunks(),
         })
     }
 
@@ -818,7 +877,7 @@ impl Engine {
 
         // Admit new requests while budget remains (they join mid-prefill).
         if budget > 0 && self.running.iter().all(|r| r.prefill_remaining == 0) {
-            let _ = self.admit(now, budget);
+            self.admit(now, budget);
         }
         // Price KV moved through the offload tiers by that admission; a
         // promotion gates this whole mixed step (the new request's first
@@ -831,52 +890,43 @@ impl Engine {
         // The decode set is re-derived after admission: ordinary admits
         // enter mid-prefill (excluded), while imported admits arrive with
         // their KV complete and decode immediately.
-        let decoding: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|r| r.prefill_remaining == 0)
-            .map(Running::ctx_len)
-            .collect();
+        self.collect_ctx_lens();
 
         // Advance in-progress prefills, oldest first, one pass: record the
-        // chunk, its perf-model item, and the owner's index together.
-        let mut chunks: Vec<(RequestId, u32)> = Vec::new();
-        let mut chunk_idx: Vec<usize> = Vec::new();
-        let mut items: Vec<PrefillItem> = Vec::new();
+        // chunk and its perf-model item, and charge the owner's flops (a
+        // sequence mid-prefill is charged no decode flops this step).
+        let mut chunks = self.scratch.take_chunks();
+        let items = &mut self.scratch.items;
+        items.clear();
         let mut remaining_budget = budget;
-        for (i, r) in self.running.iter().enumerate() {
+        for r in &mut self.running {
             if r.prefill_remaining > 0 && remaining_budget > 0 {
                 let chunk = r.prefill_remaining.min(remaining_budget);
                 remaining_budget -= chunk;
                 let already = (r.prompt_tokens - r.cached_tokens - r.prefill_remaining) as u64;
-                items.push(PrefillItem {
+                let item = PrefillItem {
                     new_tokens: chunk as u64,
                     cached_tokens: r.cached_tokens as u64 + already,
-                });
+                };
+                r.flops += self.perf.prefill_flops(item.new_tokens, item.cached_tokens);
+                items.push(item);
                 chunks.push((r.id, chunk));
-                chunk_idx.push(i);
             }
         }
 
+        let decoding = &self.scratch.ctx_lens;
         if chunks.is_empty() && decoding.is_empty() {
             debug_assert!(stall.is_zero(), "promotion without an admission");
+            self.scratch.chunks = chunks;
             return None;
         }
 
         let cost = if chunks.is_empty() {
-            self.perf.decode_step(&decoding)
+            self.perf.decode_step(decoding)
         } else {
-            self.perf.mixed_step(&items, &decoding)
+            self.perf.mixed_step(items, decoding)
         };
-        let model = &self.config.cluster.model;
-        for r in &mut self.running {
-            if r.prefill_remaining == 0 {
-                r.flops += model.flops_per_token(r.ctx_len());
-            }
-        }
-        for (item, &i) in items.iter().zip(&chunk_idx) {
-            self.running[i].flops += self.perf.prefill_flops(item.new_tokens, item.cached_tokens);
-        }
+        self.charge_decode_flops();
         let kind = if chunks.is_empty() {
             StepKind::Decode
         } else {
@@ -893,13 +943,13 @@ impl Engine {
         })
     }
 
-    /// FCFS admission under a token budget. Returns `(id, uncached,
-    /// cached)` for each admitted request *that needs prefill*; KV is
-    /// allocated immediately. Imported requests (KV transferred in) are
-    /// also admitted here — they consume a running slot and KV blocks but
-    /// no token budget, join the decode set directly, and do not appear in
-    /// the returned list.
-    fn admit(&mut self, now: SimTime, budget_tokens: u32) -> Vec<(RequestId, u32, u32)> {
+    /// FCFS admission under a token budget. Leaves `(id, uncached,
+    /// cached)` for each admitted request *that needs prefill* in
+    /// `scratch.admitted`, in admission order; KV is allocated
+    /// immediately. Imported requests (KV transferred in) are also
+    /// admitted here — they consume a running slot and KV blocks but no
+    /// token budget, join the decode set directly, and are not listed.
+    fn admit(&mut self, now: SimTime, budget_tokens: u32) {
         // Under DeepestFirst, order the whole queue once (highest priority
         // first; FCFS within a level). The key is a total order (ids are
         // unique), so popping the sorted front yields exactly the sequence
@@ -909,7 +959,7 @@ impl Engine {
                 .make_contiguous()
                 .sort_unstable_by_key(|w| (std::cmp::Reverse(w.priority), w.arrived, w.id));
         }
-        let mut admitted = Vec::new();
+        self.scratch.admitted.clear();
         let mut budget_used: u32 = 0;
         while let Some(head) = self.waiting.front() {
             if self.running.len() >= self.config.max_running as usize {
@@ -937,6 +987,7 @@ impl Engine {
                     orig_prompt_tokens: w.orig_prompt_tokens,
                     prompt_tokens: 0, // set below
                     prefill_remaining: 0,
+                    in_chunk: false,
                     imported: true,
                     prefill_time: w.prefill_time,
                     decode_time: w.decode_time,
@@ -965,13 +1016,13 @@ impl Engine {
             let uncached = head.prompt.len() as u32 - cached;
             // Budget check: a request may exceed the budget only if it is
             // the sole occupant of the step (vLLM non-chunked behaviour).
-            if !admitted.is_empty() && budget_used + uncached > budget_tokens {
+            if !self.scratch.admitted.is_empty() && budget_used + uncached > budget_tokens {
                 self.kv.free(seq, now);
                 break;
             }
             budget_used = budget_used.saturating_add(uncached);
             let w = self.waiting.pop_front().expect("non-empty");
-            admitted.push((w.id, uncached, cached));
+            self.scratch.admitted.push((w.id, uncached, cached));
             self.running.push(Running {
                 id: w.id,
                 priority: w.priority,
@@ -986,6 +1037,7 @@ impl Engine {
                 orig_prompt_tokens: w.orig_prompt_tokens,
                 prompt_tokens: 0, // set below
                 prefill_remaining: uncached,
+                in_chunk: false,
                 imported: false,
                 prefill_time: w.prefill_time,
                 decode_time: w.decode_time,
@@ -996,7 +1048,8 @@ impl Engine {
             let r = self.running.last_mut().expect("just pushed");
             r.prompt_tokens = r.ctx.len() as u32;
             if let Some(obs) = self.observer.as_deref_mut() {
-                let &(id, new_tokens, cached_tokens) = admitted.last().expect("just admitted");
+                let &(id, new_tokens, cached_tokens) =
+                    self.scratch.admitted.last().expect("just admitted");
                 obs.on_event(&EngineEvent::Admitted {
                     id,
                     at: now,
@@ -1008,7 +1061,6 @@ impl Engine {
                 break;
             }
         }
-        admitted
     }
 
     // ---- token production and preemption --------------------------------
@@ -1743,6 +1795,10 @@ mod edge_tests {
                 let want =
                     prompt_then_generated(&prompts[w.id.0 as usize], w.gen_seed, w.generated);
                 assert_eq!(w.prompt, want, "{} requeued with the wrong context", w.id);
+                // Every decode token since the first admission, across
+                // repeated preemptions, extends one generated run.
+                let runs = prompts[w.id.0 as usize].run_count() + usize::from(w.generated > 0);
+                assert_eq!(w.prompt.run_count(), runs);
                 requeued_mid_decode += usize::from(w.generated > 0);
             }
         }
@@ -1774,6 +1830,7 @@ mod edge_tests {
             for m in &migrations {
                 let i = m.id.0 as usize;
                 assert_eq!(m.ctx, prompt_then_generated(&prompts[i], 100 + i as u64, 1));
+                assert_eq!(m.ctx.run_count(), prompts[i].run_count() + 1);
                 assert_eq!(m.generated, 1);
             }
         }
@@ -2119,8 +2176,9 @@ mod offload_tests {
         let off = OffloadConfig::tiers(64, 64).with_policy(EvictionPolicy::InvocationDistance);
         let mut e = engine_with(Some(off));
         let prompt = TokenBuf::from_segment(1, 512);
-        let hashes =
-            agentsim_kvcache::hash::chain_hashes(prompt.as_slice(), e.config().block_size as usize);
+        let hashes = prompt
+            .chain_hashes_cached(e.config().block_size as usize)
+            .to_vec();
         e.submit(SimTime::ZERO, prompt, 4, 1);
         let (_, t) = drain(&mut e, SimTime::ZERO);
         // Predict A's prompt is needed again soon: its blocks now outrank

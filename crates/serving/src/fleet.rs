@@ -1317,9 +1317,7 @@ impl FleetSim {
         // Extend the tracked context with this call's output so hints
         // cover the blocks the engine appended during decode.
         if let Some((ctx, gen_seed)) = m.kv_ctx.as_mut() {
-            for i in 0..done.tokens as u64 {
-                ctx.push_generated(*gen_seed, i);
-            }
+            ctx.push_generated_run(*gen_seed, 0, done.tokens.into());
         }
         if let Some(cmd) = m.runner.on_call_done(seq, done, &self.tools, now) {
             self.exec(sid, cmd, now);
@@ -1540,11 +1538,9 @@ impl FleetSim {
         // Snapshot the context before the prompt moves into the engine:
         // it seeds the next-invocation hints this op's tool calls and
         // turn boundaries will emit.
-        // Room for the call's output, which completion appends.
         let kv_ctx = if self.track_ctx && calls_len == 1 {
             let call = &op.calls[0];
-            let ctx = call.prompt.clone_reserving(call.out_tokens as usize);
-            Some((ctx, call.gen_seed))
+            Some((call.prompt.clone(), call.gen_seed))
         } else {
             None
         };

@@ -127,17 +127,12 @@ impl Carry {
 
     /// The history followed by `prompt`, its chain hashes memoized at
     /// [`DEFAULT_BLOCK_SIZE`]. The splice reuses the previous one's
-    /// tokens and memo up to where the two prompts diverge, so an agent
+    /// runs and memo up to where the two prompts diverge, so an agent
     /// prompt that extends the last one hashes only the tokens it added.
     fn splice(&mut self, prompt: &TokenBuf) -> TokenBuf {
-        let shared = self.spliced.as_slice()[self.history_len..]
-            .iter()
-            .zip(prompt.as_slice())
-            .take_while(|(a, b)| a == b)
-            .count();
+        let shared = self.spliced.common_prefix_len(self.history_len, prompt);
         self.spliced.truncate(self.history_len + shared);
-        self.spliced
-            .extend(prompt.as_slice()[shared..].iter().copied());
+        self.spliced.push_buf_from(prompt, shared);
         self.spliced
             .chain_hashes_cached(DEFAULT_BLOCK_SIZE as usize);
         self.spliced.clone()
@@ -587,11 +582,9 @@ mod tests {
         let fresh_prompt = &fresh_op.calls[0].prompt;
         let cont_prompt = &cont_op.calls[0].prompt;
         assert_eq!(cont_prompt.len(), history.len() + fresh_prompt.len());
-        assert_eq!(&cont_prompt.as_slice()[..history.len()], history.as_slice());
-        assert_eq!(
-            &cont_prompt.as_slice()[history.len()..],
-            fresh_prompt.as_slice()
-        );
+        let mut want = history.clone();
+        want.push_buf(fresh_prompt);
+        assert!(cont_prompt.ids().eq(want.ids()));
     }
 
     /// Every prompt a session submits, driven like [`drive`].
@@ -650,7 +643,7 @@ mod tests {
                 assert_eq!(c.memoized_blocks(bs), c.len() / bs, "memo is current");
                 assert_eq!(
                     &*c.chain_hashes_cached(bs),
-                    &agentsim_kvcache::hash::chain_hashes(c.as_slice(), bs)[..]
+                    &agentsim_kvcache::hash::chain_hashes(&c.ids().collect::<Vec<_>>(), bs)[..]
                 );
             }
         }

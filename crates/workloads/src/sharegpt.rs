@@ -93,8 +93,8 @@ mod tests {
         let a = g.query(0).prompt;
         let b = g.query(1).prompt;
         let sys = instruction_tokens(Benchmark::ShareGpt) as usize;
-        assert_eq!(&a.as_slice()[..sys], &b.as_slice()[..sys]);
-        assert_ne!(a.as_slice()[sys], b.as_slice()[sys]);
+        assert!(a.ids().take(sys).eq(b.ids().take(sys)));
+        assert_ne!(a.ids().nth(sys), b.ids().nth(sys));
     }
 
     #[test]

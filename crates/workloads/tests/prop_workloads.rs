@@ -61,7 +61,7 @@ proptest! {
         let a = g.query(i).prompt;
         let b = g.query(j).prompt;
         let sys = agentsim_workloads::segments::instruction_tokens(Benchmark::ShareGpt) as usize;
-        prop_assert_eq!(&a.as_slice()[..sys], &b.as_slice()[..sys]);
-        prop_assert_ne!(a.as_slice()[sys], b.as_slice()[sys]);
+        prop_assert!(a.ids().take(sys).eq(b.ids().take(sys)));
+        prop_assert_ne!(a.ids().nth(sys), b.ids().nth(sys));
     }
 }
