@@ -17,8 +17,8 @@ use agentsim_serving::{
 };
 use agentsim_simkit::{SimDuration, SimTime};
 use golden_table::{
-    check, digest, disagg, flip_2p2d, golden_tests, kv_thrash, kv_tiers, pcie_1p1d, react,
-    split_1p1d, CELLS, DISTANCE, GOLDEN, LRU,
+    check, digest, disagg, flip_2p2d, golden_tests, kv_thrash, kv_tiers, kv_tight_tiers, pcie_1p1d,
+    react, split_1p1d, CELLS, DISTANCE, GOLDEN, LRU,
 };
 
 #[test]
@@ -103,6 +103,19 @@ fn kv_thrash_point_spills_and_restores() {
         digest(&kv_thrash(None)),
         "zero-capacity tiers must reproduce the bare pool bit for bit"
     );
+}
+
+/// The tight-tier cell overflows NVMe, so its digest pins the drop path
+/// that the roomy tiers never reach.
+#[test]
+fn kv_tight_tiers_drop_blocks() {
+    assert_eq!(
+        kv_thrash(Some(kv_tiers(DISTANCE))).offload_dropped_blocks,
+        0
+    );
+    let tight = kv_thrash(Some(kv_tight_tiers(DISTANCE)));
+    assert!(tight.offload_dropped_blocks > 0);
+    assert!(tight.offload_promoted_tokens > 0);
 }
 
 #[test]

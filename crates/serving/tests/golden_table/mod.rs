@@ -60,6 +60,7 @@ pub const GOLDEN: &[(&str, u64)] = &[
     ("kv/no-offload", 0x83b113679b3077b6),
     ("kv/offload-lru", 0x64c9d17fa6614916),
     ("kv/offload-distance", 0xa39ae940790c735d),
+    ("kv/offload-distance-tight", 0x5f5672f024116eb7),
     ("kv/zero-capacity", 0x83b113679b3077b6),
     ("overload/accept-all", 0x94246086477b93b1),
     ("overload/adaptive", 0xdffefcde60f92dcd),
@@ -128,6 +129,9 @@ pub const CELLS: &[(&str, Builder)] = &[
     ("kv/offload-lru", || digest(&kv_thrash(Some(kv_tiers(LRU))))),
     ("kv/offload-distance", || {
         digest(&kv_thrash(Some(kv_tiers(DISTANCE))))
+    }),
+    ("kv/offload-distance-tight", || {
+        digest(&kv_thrash(Some(kv_tight_tiers(DISTANCE))))
     }),
     ("kv/zero-capacity", || {
         digest(&kv_thrash(Some(OffloadConfig::tiers(0, 0))))
@@ -338,6 +342,12 @@ pub fn pcie_1p1d(chunks: u32) -> DisaggConfig {
 
 pub fn kv_tiers(policy: EvictionPolicy) -> OffloadConfig {
     OffloadConfig::tiers(2048, 8192).with_policy(policy)
+}
+
+/// Tiers small enough that [`kv_thrash`] overflows NVMe: blocks drop
+/// off the bottom and the prediction map outgrows its prune watermark.
+pub fn kv_tight_tiers(policy: EvictionPolicy) -> OffloadConfig {
+    OffloadConfig::tiers(32, 64).with_policy(policy)
 }
 
 /// Closed-loop multi-turn users whose carried contexts overrun a
