@@ -1,41 +1,53 @@
 //! The eviction order of HBM and of each offload tier: `(rank, stamp,
-//! item)` keys, kept in a sorted FIFO run beside a min-heap and
-//! invalidated lazily.
+//! item)` keys, kept as one FIFO run per rank beside a small fallback
+//! heap, and invalidated lazily.
 //!
-//! Keys usually arrive in ascending order: under LRU every key is
-//! `(0, fresh stamp, item)`. [`EvictionHeap::push`] appends such a key to
-//! the back of the run, and only a key below the run's back (a hinted
-//! rank, a re-key to a lower rank) goes to the heap. The run therefore
-//! stays sorted, its front is its minimum, and under LRU push and pop are
-//! O(1) with no sift. [`EvictionHeap::pop`] returns the smaller of the two
-//! heads, so the victim is the minimum key, exactly as with one heap.
+//! Within one rank, keys almost always arrive in ascending order: stamps
+//! only grow, and a hint re-keys a whole context to one new rank in chain
+//! order, whose stamps ascend too. [`EvictionHeap::push`] therefore
+//! appends a key at or above the back of its rank's run, so every run
+//! stays sorted and its front is its minimum. Only a key below its run's
+//! back (an item re-keyed A → B → A, back to a rank whose run has grown
+//! since) goes to the fallback min-heap. [`EvictionHeap::pop`] returns the
+//! smaller of the lowest run's front and the fallback's top, so the victim
+//! is the minimum key, exactly as with one heap. Under LRU every key has
+//! rank 0: there is one run, and push and pop are a deque append and
+//! pop-front.
 //!
 //! The owner keeps each evictable item's *current* key in its own state
 //! and decides liveness: an entry is live only while its item is still
 //! evictable under exactly that key. Reviving, removing or re-keying an
 //! item therefore costs no search: the old entry simply goes stale,
 //! [`EvictionHeap::pop`] skips stale entries at both heads, and once
-//! stale entries outnumber live ones the live keys of both structures
-//! are merged, in order, into a new run and the heap starts empty.
-//! Re-keying an item A → B → A makes its first A entry
-//! live again next to the new one; both are the same key, so the minimum
-//! is unchanged, and whichever copy pops second is stale by then (a
-//! popped item leaves the evictable set).
+//! stale entries outnumber live ones every run and the fallback are
+//! filtered in place. A filtered run keeps its order, so compaction sorts
+//! nothing; it also drops adjacent duplicates and runs left empty.
+//! Re-keying an item A → B → A makes its first A entry live again next
+//! to the new one; both are the same key, so the minimum is unchanged,
+//! and whichever copy pops second is stale by then (a popped item leaves
+//! the evictable set).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// `(rank, stamp, item)`: the minimum is the next victim.
 pub(crate) type Key<T> = (u64, u64, T);
 
-/// Eviction keys in a sorted run plus a min-heap, with lazy
-/// invalidation; see the module docs.
+/// One rank's `(stamp, item)` keys in push order, which is ascending.
+type Run<T> = VecDeque<(u64, T)>;
+
+/// Eviction keys in per-rank sorted runs plus a fallback min-heap, with
+/// lazy invalidation; see the module docs.
 #[derive(Debug)]
 pub(crate) struct EvictionHeap<T: Ord> {
-    /// Keys pushed in ascending order, smallest at the front.
-    run: VecDeque<Key<T>>,
-    /// Keys that arrived below the run's back.
-    heap: BinaryHeap<Reverse<Key<T>>>,
+    /// rank -> that rank's run. No run is empty.
+    runs: BTreeMap<u64, Run<T>>,
+    /// Keys that arrived below their run's back.
+    fallback: BinaryHeap<Reverse<Key<T>>>,
+    /// The buffer of the last run that emptied, for the next new run.
+    spare: Run<T>,
+    /// Entries in `runs` and `fallback`, live or stale.
+    stored: usize,
     /// Evictable items: one per live key.
     live: usize,
 }
@@ -43,8 +55,10 @@ pub(crate) struct EvictionHeap<T: Ord> {
 impl<T: Ord> Default for EvictionHeap<T> {
     fn default() -> Self {
         EvictionHeap {
-            run: VecDeque::new(),
-            heap: BinaryHeap::new(),
+            runs: BTreeMap::new(),
+            fallback: BinaryHeap::new(),
+            spare: VecDeque::new(),
+            stored: 0,
             live: 0,
         }
     }
@@ -59,11 +73,17 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// Adds an evictable item under `key`, which the owner has already
     /// recorded as the item's current key.
     pub(crate) fn push(&mut self, key: Key<T>) {
-        if self.run.back().is_none_or(|back| key >= *back) {
-            self.run.push_back(key);
+        let (rank, stamp, item) = key;
+        let run = self
+            .runs
+            .entry(rank)
+            .or_insert_with(|| std::mem::take(&mut self.spare));
+        if run.back().is_none_or(|&back| (stamp, item) >= back) {
+            run.push_back((stamp, item));
         } else {
-            self.heap.push(Reverse(key));
+            self.fallback.push(Reverse(key));
         }
+        self.stored += 1;
         self.live += 1;
     }
 
@@ -72,50 +92,104 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// already rejects the old key.
     pub(crate) fn invalidate(&mut self, is_live: impl Fn(&Key<T>) -> bool) {
         self.live -= 1;
-        if self.run.len() + self.heap.len() - self.live > self.live {
-            // The live keys of both, in order, become the new run in the
-            // run's buffer; the heap's buffer is released.
-            let mut keys = Vec::from(std::mem::take(&mut self.run));
-            keys.retain(|k| is_live(k));
-            let heap = std::mem::take(&mut self.heap).into_vec();
-            keys.extend(heap.into_iter().map(|Reverse(k)| k).filter(|k| is_live(k)));
-            keys.sort_unstable();
-            keys.dedup();
-            self.run = VecDeque::from(keys);
+        if self.stored - self.live > self.live {
+            self.compact(is_live);
         }
+    }
+
+    /// Drops every stale entry, and each run's adjacent duplicates, in
+    /// place.
+    fn compact(&mut self, is_live: impl Fn(&Key<T>) -> bool) {
+        self.runs.retain(|&rank, run| {
+            let mut last = None;
+            run.retain(|&(stamp, item)| {
+                let keep = last != Some((stamp, item)) && is_live(&(rank, stamp, item));
+                if keep {
+                    last = Some((stamp, item));
+                }
+                keep
+            });
+            !run.is_empty()
+        });
+        self.fallback.retain(|Reverse(key)| is_live(key));
+        self.stored = self.runs.values().map(VecDeque::len).sum::<usize>() + self.fallback.len();
     }
 
     /// Removes and returns the minimum live key. The owner must take the
     /// item out of its evictable set before the next call.
     pub(crate) fn pop(&mut self, is_live: impl Fn(&Key<T>) -> bool) -> Option<Key<T>> {
         if self.live == 0 {
-            self.run.clear();
-            self.heap.clear();
+            if let Some((_, run)) = self.runs.pop_first() {
+                self.retire(run);
+            }
+            self.runs.clear();
+            self.fallback.clear();
+            self.stored = 0;
             return None;
         }
-        while self.run.front().is_some_and(|k| !is_live(k)) {
-            self.run.pop_front();
+        // The lowest run's first live key; runs holding only stale keys
+        // are dropped on the way.
+        let front = loop {
+            let Some(mut first) = self.runs.first_entry() else {
+                break None;
+            };
+            let rank = *first.key();
+            let run = first.get_mut();
+            while let Some(&(stamp, item)) = run.front() {
+                if is_live(&(rank, stamp, item)) {
+                    break;
+                }
+                run.pop_front();
+                self.stored -= 1;
+            }
+            if let Some(&(stamp, item)) = run.front() {
+                break Some((rank, stamp, item));
+            }
+            let run = first.remove();
+            self.retire(run);
+        };
+        while self.fallback.peek().is_some_and(|Reverse(k)| !is_live(k)) {
+            self.fallback.pop();
+            self.stored -= 1;
         }
-        while self.heap.peek().is_some_and(|Reverse(k)| !is_live(k)) {
-            self.heap.pop();
-        }
-        let key = match (self.run.front(), self.heap.peek()) {
-            (Some(front), Some(Reverse(top))) if top < front => self.heap.pop().map(|Reverse(k)| k),
-            (Some(_), _) => self.run.pop_front(),
-            (None, Some(_)) => self.heap.pop().map(|Reverse(k)| k),
+        let key = match (front, self.fallback.peek()) {
+            (Some(front), Some(&Reverse(top))) if top < front => {
+                self.fallback.pop();
+                top
+            }
+            (Some(front), _) => {
+                let mut first = self.runs.first_entry().expect("front is in a run");
+                first.get_mut().pop_front();
+                if first.get().is_empty() {
+                    let run = first.remove();
+                    self.retire(run);
+                }
+                front
+            }
+            (None, Some(&Reverse(top))) => {
+                self.fallback.pop();
+                top
+            }
             (None, None) => unreachable!("{} evictable items but no live key", self.live),
         };
+        self.stored -= 1;
         self.live -= 1;
-        key
+        Some(key)
+    }
+
+    /// Keeps an emptied run's buffer for the next new run.
+    fn retire(&mut self, mut run: Run<T>) {
+        run.clear();
+        self.spare = run;
     }
 
     /// The distinct live keys in ascending order (invariant checks).
     pub(crate) fn live_keys(&self, is_live: impl Fn(&Key<T>) -> bool) -> Vec<Key<T>> {
         let mut keys: Vec<Key<T>> = self
-            .run
+            .runs
             .iter()
-            .chain(self.heap.iter().map(|Reverse(k)| k))
-            .copied()
+            .flat_map(|(&rank, run)| run.iter().map(move |&(stamp, item)| (rank, stamp, item)))
+            .chain(self.fallback.iter().map(|&Reverse(k)| k))
             .filter(|k| is_live(k))
             .collect();
         keys.sort_unstable();
@@ -141,6 +215,9 @@ mod tests {
         Revive { item: u32 },
         /// Re-rank an evictable item, keeping its stamp.
         Rekey { item: u32, rank: u64 },
+        /// Re-rank every evictable item of rank `from` to `to`, in stamp
+        /// order: a hint covering a whole context.
+        RekeyRun { from: u64, to: u64 },
         /// Evict the minimum.
         Pop,
     }
@@ -158,8 +235,8 @@ mod tests {
     }
 
     /// The LRU shape: most pushes are rank 0 under ascending stamps, so
-    /// they land in the run, and the re-keys up and back down send keys
-    /// below the run's back to the heap.
+    /// they append to one run, and the re-keys up and back down send
+    /// keys below the rank-0 run's back to the fallback.
     fn lru_op_strategy() -> impl Strategy<Value = Op> {
         let push = || (0u32..ITEMS).prop_map(|item| Op::Push { item, rank: 0 });
         prop_oneof![
@@ -173,79 +250,126 @@ mod tests {
         ]
     }
 
-    /// LRU-shaped scripts open with a rank-0 push, a re-key to a higher
-    /// rank and another rank-0 push, which lands below the run's back: so
-    /// every script reaches both structures.
-    fn lru_ops() -> impl Strategy<Value = Vec<Op>> {
-        prop::collection::vec(lru_op_strategy(), 1..200).prop_map(|ops| {
+    /// The hint shape: many keys share a rank under ascending stamps,
+    /// whole runs move to one new rank, and single items move A -> B -> A
+    /// back to an older rank.
+    fn hint_op_strategy() -> impl Strategy<Value = Op> {
+        let push = || (0u32..ITEMS, 0u64..4).prop_map(|(item, rank)| Op::Push { item, rank });
+        prop_oneof![
+            push(),
+            push(),
+            push(),
+            (0u64..4, 0u64..4).prop_map(|(from, to)| Op::RekeyRun { from, to }),
+            (0u64..4, 0u64..4).prop_map(|(from, to)| Op::RekeyRun { from, to }),
+            (0u32..ITEMS, 0u64..4).prop_map(|(item, rank)| Op::Rekey { item, rank }),
+            (0u32..ITEMS).prop_map(|item| Op::Revive { item }),
+            Just(Op::Pop),
+        ]
+    }
+
+    /// Every coverage script opens with a rank-0 push, a re-key to a
+    /// higher rank, another rank-0 push and the re-key back: the last
+    /// key lands below the rank-0 run's back, so every script reaches both
+    /// the per-rank append and the fallback.
+    fn covering(ops: impl Strategy<Value = Op>) -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(ops, 1..200).prop_map(|ops| {
             let mut script = vec![
                 Op::Push { item: 0, rank: 0 },
                 Op::Rekey { item: 0, rank: 2 },
                 Op::Push { item: 1, rank: 0 },
+                Op::Rekey { item: 0, rank: 0 },
             ];
             script.extend(ops);
             script
         })
     }
 
-    /// Drives the heap and a `BTreeSet` of current keys side by side.
-    /// With `both_paths`, it also fails unless the run and the heap each
-    /// received at least one push.
-    fn run(ops: &[Op], both_paths: bool) -> Result<(), String> {
-        let mut heap = EvictionHeap::default();
-        let mut reference: BTreeSet<Key<u32>> = BTreeSet::new();
-        let mut current: Vec<Option<(u64, u64)>> = vec![None; ITEMS as usize];
-        let mut stamp = 0u64;
-        let (mut to_run, mut to_heap) = (0usize, 0usize);
-        let mut push = |heap: &mut EvictionHeap<u32>, key: Key<u32>| {
-            let before = heap.run.len();
-            heap.push(key);
-            if heap.run.len() > before {
-                to_run += 1;
+    /// Whether every run holds its keys in ascending order.
+    fn runs_sorted<T: Ord + Copy>(heap: &EvictionHeap<T>) -> bool {
+        heap.runs
+            .values()
+            .all(|run| run.iter().zip(run.iter().skip(1)).all(|(a, b)| a <= b))
+    }
+
+    /// The heap, a `BTreeSet` of current keys, and each item's current
+    /// `(rank, stamp)`, driven side by side.
+    #[derive(Default)]
+    struct Harness {
+        heap: EvictionHeap<u32>,
+        reference: BTreeSet<Key<u32>>,
+        current: Vec<Option<(u64, u64)>>,
+        stamp: u64,
+        to_runs: usize,
+        to_fallback: usize,
+    }
+
+    fn live(current: &[Option<(u64, u64)>]) -> impl Fn(&Key<u32>) -> bool + '_ {
+        |&(r, s, i)| current[i as usize] == Some((r, s))
+    }
+
+    impl Harness {
+        fn push(&mut self, key: Key<u32>) {
+            let before = self.heap.fallback.len();
+            self.heap.push(key);
+            if self.heap.fallback.len() > before {
+                self.to_fallback += 1;
             } else {
-                to_heap += 1;
+                self.to_runs += 1;
             }
-        };
-        for op in ops {
-            let live =
-                |cur: &[Option<(u64, u64)>], &(r, s, i): &Key<u32>| cur[i as usize] == Some((r, s));
+        }
+
+        fn rekey(&mut self, item: u32, rank: u64) {
+            if let Some((old, s)) = self.current[item as usize] {
+                if old != rank {
+                    self.current[item as usize] = Some((rank, s));
+                    self.push((rank, s, item));
+                    self.heap.invalidate(live(&self.current));
+                    self.reference.remove(&(old, s, item));
+                    self.reference.insert((rank, s, item));
+                }
+            }
+        }
+
+        fn apply(&mut self, op: &Op) -> Result<(), String> {
             match *op {
                 Op::Push { item, rank } => {
-                    if current[item as usize].is_none() {
-                        stamp += 1;
-                        current[item as usize] = Some((rank, stamp));
-                        push(&mut heap, (rank, stamp, item));
-                        reference.insert((rank, stamp, item));
+                    if self.current[item as usize].is_none() {
+                        self.stamp += 1;
+                        self.current[item as usize] = Some((rank, self.stamp));
+                        self.push((rank, self.stamp, item));
+                        self.reference.insert((rank, self.stamp, item));
                     }
                 }
                 Op::Revive { item } => {
-                    if let Some((rank, s)) = current[item as usize].take() {
-                        heap.invalidate(|k| live(&current, k));
-                        reference.remove(&(rank, s, item));
+                    if let Some((rank, s)) = self.current[item as usize].take() {
+                        self.heap.invalidate(live(&self.current));
+                        self.reference.remove(&(rank, s, item));
                     }
                 }
-                Op::Rekey { item, rank } => {
-                    if let Some((old, s)) = current[item as usize] {
-                        if old != rank {
-                            current[item as usize] = Some((rank, s));
-                            push(&mut heap, (rank, s, item));
-                            heap.invalidate(|k| live(&current, k));
-                            reference.remove(&(old, s, item));
-                            reference.insert((rank, s, item));
-                        }
+                Op::Rekey { item, rank } => self.rekey(item, rank),
+                Op::RekeyRun { from, to } => {
+                    let run: Vec<u32> = self
+                        .reference
+                        .iter()
+                        .filter(|&&(r, _, _)| r == from)
+                        .map(|&(_, _, item)| item)
+                        .collect();
+                    for item in run {
+                        self.rekey(item, to);
                     }
                 }
                 Op::Pop => {
-                    let got = heap.pop(|k| live(&current, k));
-                    let want = reference.pop_first();
+                    let got = self.heap.pop(live(&self.current));
+                    let want = self.reference.pop_first();
                     if got != want {
                         return Err(format!("popped {got:?}, reference {want:?}"));
                     }
                     if let Some((_, _, item)) = got {
-                        current[item as usize] = None;
+                        self.current[item as usize] = None;
                     }
                 }
             }
+            let (heap, reference) = (&self.heap, &self.reference);
             if heap.len() != reference.len() {
                 return Err(format!(
                     "{} evictable, reference {}",
@@ -253,27 +377,62 @@ mod tests {
                     reference.len()
                 ));
             }
-            let keys = heap.live_keys(|k| live(&current, k));
+            let keys = heap.live_keys(live(&self.current));
             if !keys.iter().eq(reference.iter()) {
                 return Err(format!("live keys {keys:?}, reference {reference:?}"));
             }
+            if !runs_sorted(heap) || heap.runs.values().any(VecDeque::is_empty) {
+                return Err(format!("runs unsorted or empty: {:?}", heap.runs));
+            }
+            Ok(())
         }
-        if both_paths && (to_run == 0 || to_heap == 0) {
-            return Err(format!("{to_run} pushes to the run, {to_heap} to the heap"));
+    }
+
+    /// Drives [`Harness`] through `ops`. With `both_paths`, it also fails
+    /// unless the per-rank append and the fallback each took a push.
+    fn run(ops: &[Op], both_paths: bool) -> Result<(), String> {
+        let mut h = Harness {
+            current: vec![None; ITEMS as usize],
+            ..Harness::default()
+        };
+        for op in ops {
+            h.apply(op)?;
+        }
+        if both_paths && (h.to_runs == 0 || h.to_fallback == 0) {
+            return Err(format!(
+                "{} pushes to the runs, {} to the fallback",
+                h.to_runs, h.to_fallback
+            ));
         }
         Ok(())
+    }
+
+    fn scripts() -> impl Strategy<Value = (Vec<Op>, bool)> {
+        prop_oneof![
+            prop::collection::vec(op_strategy(), 1..200).prop_map(|ops| (ops, false)),
+            covering(lru_op_strategy()).prop_map(|ops| (ops, true)),
+            covering(hint_op_strategy()).prop_map(|ops| (ops, true)),
+        ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn pops_match_a_btreeset_reference(
-            script in prop_oneof![
-                prop::collection::vec(op_strategy(), 1..200).prop_map(|ops| (ops, false)),
-                lru_ops().prop_map(|ops| (ops, true)),
-            ]
-        ) {
+        fn pops_match_a_btreeset_reference(script in scripts()) {
+            let (ops, both_paths) = script;
+            prop_assert_eq!(run(&ops, both_paths), Ok(()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        // The same differential at depth: `cargo test --release -p
+        // agentsim-kvcache -- --ignored`.
+        #[test]
+        #[ignore]
+        fn pops_match_a_btreeset_reference_deep(script in scripts()) {
             let (ops, both_paths) = script;
             prop_assert_eq!(run(&ops, both_paths), Ok(()));
         }
@@ -290,23 +449,29 @@ mod tests {
             Op::Pop,
             Op::Pop,
         ];
-        assert_eq!(run(&ops, true), Ok(()));
+        assert_eq!(run(&ops, false), Ok(()));
     }
 
     #[test]
-    fn in_order_keys_never_reach_the_heap() {
+    fn in_order_keys_never_reach_the_fallback() {
         let mut heap = EvictionHeap::default();
+        // Two ranks, each pushed in stamp order but interleaved.
         for i in 0..8u32 {
-            heap.push((0, u64::from(i), i));
+            heap.push((u64::from(i % 2), u64::from(i), i));
         }
-        assert_eq!((heap.run.len(), heap.heap.len()), (8, 0));
-        for i in 0..8u32 {
-            assert_eq!(heap.pop(|_| true), Some((0, u64::from(i), i)));
+        assert!(heap.fallback.is_empty());
+        assert_eq!(heap.runs.len(), 2);
+        for i in [0u32, 2, 4, 6, 1, 3, 5, 7] {
+            assert_eq!(
+                heap.pop(|_| true),
+                Some((u64::from(i % 2), u64::from(i), i))
+            );
         }
+        assert!(heap.runs.is_empty(), "emptied runs are dropped");
     }
 
     #[test]
-    fn compaction_drops_stale_entries() {
+    fn compaction_filters_runs_in_order() {
         let mut heap = EvictionHeap::default();
         // Item i's current (rank, stamp).
         let mut current: [Option<(u64, u64)>; 7] = [None; 7];
@@ -315,34 +480,47 @@ mod tests {
             *cur = Some((0, i as u64));
             heap.push((0, i as u64, i));
         }
+        let rekey =
+            |heap: &mut EvictionHeap<usize>, cur: &mut [Option<(u64, u64)>], item: usize, rank| {
+                let (_, stamp) = cur[item].expect("evictable");
+                cur[item] = Some((rank, stamp));
+                heap.push((rank, stamp, item));
+                heap.invalidate(|k| live(cur, k));
+            };
+        // Item 2 re-keyed 0 -> 1 -> 0: its second rank-0 key sorts below
+        // that run's back and goes to the fallback, and its first one is
+        // live again.
+        rekey(&mut heap, &mut current, 2, 1);
+        rekey(&mut heap, &mut current, 2, 0);
+        // Item 5 re-keyed 1 -> 0 -> 1: every key lands at the back of its
+        // rank's run, so rank 1 holds the same key twice, side by side.
         current[5] = Some((1, 5));
         heap.push((1, 5, 5));
-        // Re-key item 5 A -> B -> A: B sorts below the run's back and goes
-        // to the heap, the second A lands in the run next to the first.
-        current[5] = Some((0, 5));
-        heap.push((0, 5, 5));
-        heap.invalidate(|k| live(&current, k));
-        current[5] = Some((1, 5));
-        heap.push((1, 5, 5));
-        heap.invalidate(|k| live(&current, k));
-        // A live key that also sorts below the run's back.
-        current[6] = Some((0, 6));
-        heap.push((0, 6, 6));
-        assert_eq!((heap.run.len(), heap.heap.len()), (7, 2));
-        // Reviving items 0..3 stales their run entries; the third revival
-        // leaves 5 stale entries (3 in the run, B, a duplicate A) against
-        // 4 live, which triggers the rebuild.
-        for i in 0..3 {
+        rekey(&mut heap, &mut current, 5, 0);
+        rekey(&mut heap, &mut current, 5, 1);
+        assert_eq!((heap.stored, heap.fallback.len()), (10, 1));
+        // Reviving items 0 and 1 leaves 6 entries beyond the 4 live keys
+        // (items 0 and 1, item 2's rank-1 key and second live copy, item
+        // 5's rank-0 key and duplicate), which triggers the compaction.
+        for i in 0..2 {
             current[i] = None;
             heap.invalidate(|k| live(&current, k));
         }
         assert_eq!(heap.len(), 4);
+        let runs: Vec<(u64, Vec<(u64, usize)>)> = heap
+            .runs
+            .iter()
+            .map(|(&rank, run)| (rank, run.iter().copied().collect()))
+            .collect();
         assert_eq!(
-            heap.run.iter().copied().collect::<Vec<_>>(),
-            [(0, 3, 3), (0, 4, 4), (0, 6, 6), (1, 5, 5)],
-            "stale entries and the duplicate A are gone, the live heap key merged in order"
+            runs,
+            [(0, vec![(2, 2), (3, 3), (4, 4)]), (1, vec![(5, 5)])],
+            "stale entries and the duplicate are gone, each run still in order"
         );
-        assert!(heap.heap.is_empty());
+        assert_eq!(heap.fallback.len(), 1, "the live fallback key stays");
+        assert_eq!(heap.stored, 5);
+        assert_eq!(heap.pop(|k| live(&current, k)), Some((0, 2, 2)));
+        current[2] = None;
         assert_eq!(heap.pop(|k| live(&current, k)), Some((0, 3, 3)));
     }
 }

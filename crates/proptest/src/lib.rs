@@ -18,6 +18,7 @@ pub use test_runner::{CaseRng, ProptestConfig};
 
 /// Declares property tests: each `#[test] fn name(arg in strategy, ..)`
 /// runs `ProptestConfig::cases` times with freshly generated inputs.
+/// Attributes after `#[test]` (such as `#[ignore]`) pass through.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -34,11 +35,13 @@ macro_rules! __proptest_impl {
     ( ($cfg:expr)
       $(
           #[test]
+          $( #[$attr:meta] )*
           fn $name:ident ( $( $arg:ident in $strat:expr ),* $(,)? ) $body:block
       )*
     ) => {
         $(
             #[test]
+            $( #[$attr] )*
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 let test_key = concat!(module_path!(), "::", stringify!($name));
