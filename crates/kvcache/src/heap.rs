@@ -10,9 +10,10 @@
 //! back (an item re-keyed A → B → A, back to a rank whose run has grown
 //! since) goes to the fallback min-heap. [`EvictionHeap::pop`] returns the
 //! smaller of the lowest run's front and the fallback's top, so the victim
-//! is the minimum key, exactly as with one heap. Under LRU every key has
-//! rank 0: there is one run, and push and pop are a deque append and
-//! pop-front.
+//! is the minimum key, exactly as with one heap. The lowest rank's run is
+//! held outside the map of the others, so a pop finds it without a
+//! search. Under LRU every key has rank 0: that run is the only one, and
+//! push and pop are a deque append and pop-front.
 //!
 //! The owner keeps each evictable item's *current* key in its own state
 //! and decides liveness: an entry is live only while its item is still
@@ -40,13 +41,17 @@ type Run<T> = VecDeque<(u64, T)>;
 /// lazy invalidation; see the module docs.
 #[derive(Debug)]
 pub(crate) struct EvictionHeap<T: Ord> {
-    /// rank -> that rank's run. No run is empty.
-    runs: BTreeMap<u64, Run<T>>,
+    /// The lowest rank's run, kept out of `rest` so that pops, and under
+    /// LRU every push, touch no map. Empty only when `rest` is empty too.
+    head: Run<T>,
+    /// The rank of `head`, below every rank in `rest`.
+    head_rank: u64,
+    /// rank -> that rank's run, for the ranks above `head_rank`. No run
+    /// is empty.
+    rest: BTreeMap<u64, Run<T>>,
     /// Keys that arrived below their run's back.
     fallback: BinaryHeap<Reverse<Key<T>>>,
-    /// The buffer of the last run that emptied, for the next new run.
-    spare: Run<T>,
-    /// Entries in `runs` and `fallback`, live or stale.
+    /// Entries in the runs and `fallback`, live or stale.
     stored: usize,
     /// Evictable items: one per live key.
     live: usize,
@@ -55,9 +60,10 @@ pub(crate) struct EvictionHeap<T: Ord> {
 impl<T: Ord> Default for EvictionHeap<T> {
     fn default() -> Self {
         EvictionHeap {
-            runs: BTreeMap::new(),
+            head: VecDeque::new(),
+            head_rank: 0,
+            rest: BTreeMap::new(),
             fallback: BinaryHeap::new(),
-            spare: VecDeque::new(),
             stored: 0,
             live: 0,
         }
@@ -74,10 +80,18 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// recorded as the item's current key.
     pub(crate) fn push(&mut self, key: Key<T>) {
         let (rank, stamp, item) = key;
-        let run = self
-            .runs
-            .entry(rank)
-            .or_insert_with(|| std::mem::take(&mut self.spare));
+        if self.head.is_empty() {
+            self.head_rank = rank;
+        } else if rank < self.head_rank {
+            let head = std::mem::take(&mut self.head);
+            self.rest.insert(self.head_rank, head);
+            self.head_rank = rank;
+        }
+        let run = if rank == self.head_rank {
+            &mut self.head
+        } else {
+            self.rest.entry(rank).or_default()
+        };
         if run.back().is_none_or(|&back| (stamp, item) >= back) {
             run.push_back((stamp, item));
         } else {
@@ -100,7 +114,7 @@ impl<T: Ord + Copy> EvictionHeap<T> {
     /// Drops every stale entry, and each run's adjacent duplicates, in
     /// place.
     fn compact(&mut self, is_live: impl Fn(&Key<T>) -> bool) {
-        self.runs.retain(|&rank, run| {
+        let filter = |rank: u64, run: &mut Run<T>| {
             let mut last = None;
             run.retain(|&(stamp, item)| {
                 let keep = last != Some((stamp, item)) && is_live(&(rank, stamp, item));
@@ -110,60 +124,68 @@ impl<T: Ord + Copy> EvictionHeap<T> {
                 keep
             });
             !run.is_empty()
-        });
+        };
+        filter(self.head_rank, &mut self.head);
+        self.rest.retain(|&rank, run| filter(rank, run));
+        self.refill_head();
         self.fallback.retain(|Reverse(key)| is_live(key));
-        self.stored = self.runs.values().map(VecDeque::len).sum::<usize>() + self.fallback.len();
+        self.stored = self.head.len()
+            + self.rest.values().map(VecDeque::len).sum::<usize>()
+            + self.fallback.len();
+    }
+
+    /// Makes the lowest run in `rest` the head once the head is empty.
+    fn refill_head(&mut self) {
+        if self.head.is_empty() {
+            if let Some((rank, run)) = self.rest.pop_first() {
+                self.head = run;
+                self.head_rank = rank;
+            }
+        }
     }
 
     /// Removes and returns the minimum live key. The owner must take the
     /// item out of its evictable set before the next call.
     pub(crate) fn pop(&mut self, is_live: impl Fn(&Key<T>) -> bool) -> Option<Key<T>> {
         if self.live == 0 {
-            if let Some((_, run)) = self.runs.pop_first() {
-                self.retire(run);
-            }
-            self.runs.clear();
+            self.head.clear();
+            self.rest.clear();
             self.fallback.clear();
             self.stored = 0;
             return None;
         }
         // The lowest run's first live key; runs holding only stale keys
         // are dropped on the way.
-        let front = loop {
-            let Some(mut first) = self.runs.first_entry() else {
-                break None;
-            };
-            let rank = *first.key();
-            let run = first.get_mut();
-            while let Some(&(stamp, item)) = run.front() {
-                if is_live(&(rank, stamp, item)) {
-                    break;
-                }
-                run.pop_front();
+        loop {
+            while self
+                .head
+                .front()
+                .is_some_and(|&(stamp, item)| !is_live(&(self.head_rank, stamp, item)))
+            {
+                self.head.pop_front();
                 self.stored -= 1;
             }
-            if let Some(&(stamp, item)) = run.front() {
-                break Some((rank, stamp, item));
+            if !self.head.is_empty() || self.rest.is_empty() {
+                break;
             }
-            let run = first.remove();
-            self.retire(run);
-        };
+            self.refill_head();
+        }
         while self.fallback.peek().is_some_and(|Reverse(k)| !is_live(k)) {
             self.fallback.pop();
             self.stored -= 1;
         }
+        let front = self
+            .head
+            .front()
+            .map(|&(stamp, item)| (self.head_rank, stamp, item));
         let key = match (front, self.fallback.peek()) {
             (Some(front), Some(&Reverse(top))) if top < front => {
                 self.fallback.pop();
                 top
             }
             (Some(front), _) => {
-                let mut first = self.runs.first_entry().expect("front is in a run");
-                first.get_mut().pop_front();
-                if first.get().is_empty() {
-                    let run = first.remove();
-                    self.retire(run);
-                }
+                self.head.pop_front();
+                self.refill_head();
                 front
             }
             (None, Some(&Reverse(top))) => {
@@ -177,18 +199,18 @@ impl<T: Ord + Copy> EvictionHeap<T> {
         Some(key)
     }
 
-    /// Keeps an emptied run's buffer for the next new run.
-    fn retire(&mut self, mut run: Run<T>) {
-        run.clear();
-        self.spare = run;
+    /// Every run with its rank, lowest rank first.
+    fn runs(&self) -> impl Iterator<Item = (u64, &Run<T>)> {
+        let head = (!self.head.is_empty()).then_some((self.head_rank, &self.head));
+        head.into_iter()
+            .chain(self.rest.iter().map(|(&rank, run)| (rank, run)))
     }
 
     /// The distinct live keys in ascending order (invariant checks).
     pub(crate) fn live_keys(&self, is_live: impl Fn(&Key<T>) -> bool) -> Vec<Key<T>> {
         let mut keys: Vec<Key<T>> = self
-            .runs
-            .iter()
-            .flat_map(|(&rank, run)| run.iter().map(move |&(stamp, item)| (rank, stamp, item)))
+            .runs()
+            .flat_map(|(rank, run)| run.iter().map(move |&(stamp, item)| (rank, stamp, item)))
             .chain(self.fallback.iter().map(|&Reverse(k)| k))
             .filter(|k| is_live(k))
             .collect();
@@ -284,11 +306,17 @@ mod tests {
         })
     }
 
-    /// Whether every run holds its keys in ascending order.
-    fn runs_sorted<T: Ord + Copy>(heap: &EvictionHeap<T>) -> bool {
-        heap.runs
-            .values()
-            .all(|run| run.iter().zip(run.iter().skip(1)).all(|(a, b)| a <= b))
+    /// Whether every run holds its keys in ascending order, no run in
+    /// `rest` is empty, and the head is the lowest run.
+    fn well_formed<T: Ord + Copy>(heap: &EvictionHeap<T>) -> bool {
+        let sorted = heap
+            .runs()
+            .all(|(_, run)| run.iter().zip(run.iter().skip(1)).all(|(a, b)| a <= b));
+        let head_lowest = match heap.rest.first_key_value() {
+            Some((&rank, _)) => !heap.head.is_empty() && heap.head_rank < rank,
+            None => true,
+        };
+        sorted && head_lowest && heap.rest.values().all(|run| !run.is_empty())
     }
 
     /// The heap, a `BTreeSet` of current keys, and each item's current
@@ -381,8 +409,8 @@ mod tests {
             if !keys.iter().eq(reference.iter()) {
                 return Err(format!("live keys {keys:?}, reference {reference:?}"));
             }
-            if !runs_sorted(heap) || heap.runs.values().any(VecDeque::is_empty) {
-                return Err(format!("runs unsorted or empty: {:?}", heap.runs));
+            if !well_formed(heap) {
+                return Err(format!("runs malformed: {heap:?}"));
             }
             Ok(())
         }
@@ -453,25 +481,25 @@ mod tests {
     }
 
     #[test]
-    fn in_order_keys_never_reach_the_fallback() {
+    fn in_order_keys_never_reach_the_heap() {
         let mut heap = EvictionHeap::default();
         // Two ranks, each pushed in stamp order but interleaved.
         for i in 0..8u32 {
             heap.push((u64::from(i % 2), u64::from(i), i));
         }
         assert!(heap.fallback.is_empty());
-        assert_eq!(heap.runs.len(), 2);
+        assert_eq!(heap.runs().count(), 2);
         for i in [0u32, 2, 4, 6, 1, 3, 5, 7] {
             assert_eq!(
                 heap.pop(|_| true),
                 Some((u64::from(i % 2), u64::from(i), i))
             );
         }
-        assert!(heap.runs.is_empty(), "emptied runs are dropped");
+        assert_eq!(heap.runs().count(), 0, "emptied runs are dropped");
     }
 
     #[test]
-    fn compaction_filters_runs_in_order() {
+    fn compaction_drops_stale_entries() {
         let mut heap = EvictionHeap::default();
         // Item i's current (rank, stamp).
         let mut current: [Option<(u64, u64)>; 7] = [None; 7];
@@ -508,9 +536,8 @@ mod tests {
         }
         assert_eq!(heap.len(), 4);
         let runs: Vec<(u64, Vec<(u64, usize)>)> = heap
-            .runs
-            .iter()
-            .map(|(&rank, run)| (rank, run.iter().copied().collect()))
+            .runs()
+            .map(|(rank, run)| (rank, run.iter().copied().collect()))
             .collect();
         assert_eq!(
             runs,

@@ -31,11 +31,25 @@
 //!   it is reused, so unhinted content is treated as imminently needed.
 //!   LRU order breaks ties. With no hints at all the policy degenerates
 //!   to exact LRU.
+//!
+//! Everything the hierarchy knows about one chain hash sits in one
+//! record: its prediction, and while the content is offloaded, the tier
+//! holding it and its `(rank, stamp)` key in that tier's eviction order.
+//! A record with neither is removed. So one map probe serves each
+//! operation: [`MemoryHierarchy::take`] and
+//! [`MemoryHierarchy::take_and_clear`] (which also drops the prediction,
+//! as a promotion does), [`MemoryHierarchy::predict`] (which also re-keys
+//! an offloaded copy), and a demotion's cascade, which updates the
+//! victim's record in place as it moves down a tier. Each tier's order
+//! reads liveness from the same records: a key is live while its hash's
+//! record names that tier, rank and stamp.
+
+use std::collections::hash_map::Entry;
 
 use agentsim_simkit::SimTime;
 
 use crate::hash::KeyMap;
-use crate::heap::EvictionHeap;
+use crate::heap::{EvictionHeap, Key};
 use crate::stats::KvStats;
 
 /// An offload tier below HBM.
@@ -116,61 +130,40 @@ pub struct OffloadSpec {
 /// (recency) decides alone.
 type Rank = u64;
 
-/// One tier's content set, ordered for eviction.
+/// The rank that `policy` gives content predicted back at `pred`.
+fn rank(policy: EvictionPolicy, pred: Option<u64>) -> Rank {
+    match policy {
+        EvictionPolicy::Lru => 0,
+        EvictionPolicy::InvocationDistance => pred.map_or(u64::MAX, |at| u64::MAX - at),
+    }
+}
+
+/// What the hierarchy knows about one chain hash; see the module docs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    /// Predicted next-invocation time (absolute micros), from a hint.
+    pred: Option<u64>,
+    /// `(tier, rank, stamp)`: the tier holding the content and its key
+    /// in that tier's order.
+    slot: Option<(Tier, Rank, u64)>,
+}
+
+/// One tier's eviction order.
 #[derive(Debug, Default)]
 struct TierState {
     capacity: u32,
-    /// chain hash -> (rank, stamp) as currently keyed in `order`.
-    entries: KeyMap<(Rank, u64)>,
     /// (rank, stamp, hash): the minimum is the next victim. Stamps are
     /// unique per insertion, so ties resolve FIFO and deterministically.
-    /// A key is live while `entries` maps its hash to its rank and stamp.
+    /// A key is live while its hash's record holds it as its slot here.
     order: EvictionHeap<u64>,
 }
 
-/// Whether `key` is its hash's current entry in `entries`.
-fn live_in(entries: &KeyMap<(Rank, u64)>) -> impl Fn(&(Rank, u64, u64)) -> bool + '_ {
-    |&(rank, stamp, hash)| entries.get(&hash) == Some(&(rank, stamp))
-}
-
-impl TierState {
-    fn insert(&mut self, hash: u64, rank: Rank, stamp: u64) {
-        let prev = self.entries.insert(hash, (rank, stamp));
-        debug_assert!(prev.is_none(), "hash {hash:#x} already in tier");
-        self.order.push((rank, stamp, hash));
-    }
-
-    fn remove(&mut self, hash: u64) -> bool {
-        let removed = self.entries.remove(&hash).is_some();
-        if removed {
-            self.order.invalidate(live_in(&self.entries));
-        }
-        removed
-    }
-
-    /// Removes and returns the lowest-ranked entry's hash.
-    fn pop_victim(&mut self) -> Option<u64> {
-        let (_, _, hash) = self.order.pop(live_in(&self.entries))?;
-        self.entries.remove(&hash);
-        Some(hash)
-    }
-
-    /// Re-keys `hash` under `rank` if this tier holds it; returns whether
-    /// it does.
-    fn rekey(&mut self, hash: u64, rank: Rank) -> bool {
-        let Some(&(old_rank, stamp)) = self.entries.get(&hash) else {
-            return false;
-        };
-        if old_rank != rank {
-            self.entries.insert(hash, (rank, stamp));
-            self.order.push((rank, stamp, hash));
-            self.order.invalidate(live_in(&self.entries));
-        }
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+/// Whether `key` is its hash's current slot in `tier`.
+fn live_in(records: &KeyMap<Record>, tier: Tier) -> impl Fn(&Key<u64>) -> bool + '_ {
+    move |&(rank, stamp, hash)| {
+        records
+            .get(&hash)
+            .is_some_and(|r| r.slot == Some((tier, rank, stamp)))
     }
 }
 
@@ -183,9 +176,11 @@ pub struct MemoryHierarchy {
     spec: OffloadSpec,
     host: TierState,
     nvme: TierState,
-    /// chain hash -> predicted next-invocation time (absolute micros),
-    /// fed by the session layer via hints.
-    pred: KeyMap<u64>,
+    /// chain hash -> its prediction (fed by the session layer via hints)
+    /// and its tier slot. No record is empty.
+    records: KeyMap<Record>,
+    /// Records holding a prediction.
+    preds: usize,
     /// Monotonic insertion counter for deterministic tie-breaks.
     stamp: u64,
     /// Transfers recorded since the last drain, in occurrence order.
@@ -205,7 +200,8 @@ impl MemoryHierarchy {
                 capacity: spec.nvme_blocks,
                 ..TierState::default()
             },
-            pred: KeyMap::default(),
+            records: KeyMap::default(),
+            preds: 0,
             stamp: 0,
             events: Vec::new(),
         }
@@ -225,31 +221,23 @@ impl MemoryHierarchy {
     pub fn rank_for(&self, hash: u64) -> Rank {
         match self.spec.policy {
             EvictionPolicy::Lru => 0,
-            EvictionPolicy::InvocationDistance => {
-                self.pred.get(&hash).map_or(u64::MAX, |&at| u64::MAX - at)
-            }
+            policy => rank(policy, self.records.get(&hash).and_then(|r| r.pred)),
         }
     }
 
     /// Which tier holds `hash`, if any.
     pub fn tier_of(&self, hash: u64) -> Option<Tier> {
-        if self.host.entries.contains_key(&hash) {
-            Some(Tier::Host)
-        } else if self.nvme.entries.contains_key(&hash) {
-            Some(Tier::Nvme)
-        } else {
-            None
-        }
+        self.records.get(&hash)?.slot.map(|(tier, ..)| tier)
     }
 
     /// Blocks currently resident in the host tier.
     pub fn host_resident(&self) -> usize {
-        self.host.len()
+        self.host.order.len()
     }
 
     /// Blocks currently resident in the NVMe tier.
     pub fn nvme_resident(&self) -> usize {
-        self.nvme.len()
+        self.nvme.order.len()
     }
 
     /// Spills an HBM-evicted block's content into the hierarchy,
@@ -261,19 +249,22 @@ impl MemoryHierarchy {
             "demoting {hash:#x} which is already offloaded"
         );
         if self.host.capacity > 0 {
-            if self.host.len() as u32 >= self.host.capacity {
-                let victim = self.host.pop_victim().expect("full tier has a victim");
+            if self.host_resident() as u32 >= self.host.capacity {
+                let (_, _, victim) = self
+                    .host
+                    .order
+                    .pop(live_in(&self.records, Tier::Host))
+                    .expect("full tier has a victim");
                 self.spill_to_nvme(victim, stats);
             }
-            let (rank, stamp) = self.fresh_key(hash);
-            self.host.insert(hash, rank, stamp);
+            self.place(hash, Tier::Host);
             self.events.push(TierTransfer {
                 tier: Tier::Host,
                 dir: TierDir::Demote,
                 blocks: 1,
             });
             stats.demoted_blocks_host += 1;
-            stats.host_peak_blocks = stats.host_peak_blocks.max(self.host.len() as u64);
+            stats.host_peak_blocks = stats.host_peak_blocks.max(self.host_resident() as u64);
         } else {
             self.spill_to_nvme(hash, stats);
         }
@@ -289,37 +280,91 @@ impl MemoryHierarchy {
             if self.host.capacity > 0 {
                 stats.offload_dropped_blocks += 1;
             }
-            self.pred.remove(&hash);
+            self.forget(hash);
             return;
         }
-        if self.nvme.len() as u32 >= self.nvme.capacity {
-            let victim = self.nvme.pop_victim().expect("full tier has a victim");
+        if self.nvme_resident() as u32 >= self.nvme.capacity {
+            let (_, _, victim) = self
+                .nvme
+                .order
+                .pop(live_in(&self.records, Tier::Nvme))
+                .expect("full tier has a victim");
             stats.offload_dropped_blocks += 1;
-            self.pred.remove(&victim);
+            self.forget(victim);
         }
-        let (rank, stamp) = self.fresh_key(hash);
-        self.nvme.insert(hash, rank, stamp);
+        self.place(hash, Tier::Nvme);
         self.events.push(TierTransfer {
             tier: Tier::Nvme,
             dir: TierDir::Demote,
             blocks: 1,
         });
         stats.demoted_blocks_nvme += 1;
-        stats.nvme_peak_blocks = stats.nvme_peak_blocks.max(self.nvme.len() as u64);
+        stats.nvme_peak_blocks = stats.nvme_peak_blocks.max(self.nvme_resident() as u64);
     }
 
-    /// Removes `hash` from whichever tier holds it, returning the tier.
-    /// Used both for promotion (the caller records the transfer) and to
-    /// invalidate a stale copy when the same content is recomputed fresh
-    /// in HBM — keeping every hash resident in exactly one place.
-    pub fn take(&mut self, hash: u64) -> Option<Tier> {
-        if self.host.remove(hash) {
-            Some(Tier::Host)
-        } else if self.nvme.remove(hash) {
-            Some(Tier::Nvme)
-        } else {
-            None
+    /// Keys `hash` into `tier` under a fresh stamp and the rank its
+    /// prediction gives, updating its record in place (a host victim
+    /// moving down to NVMe keeps its prediction).
+    fn place(&mut self, hash: u64, tier: Tier) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let record = self.records.entry(hash).or_default();
+        let rank = rank(self.spec.policy, record.pred);
+        record.slot = Some((tier, rank, stamp));
+        self.order_mut(tier).0.push((rank, stamp, hash));
+    }
+
+    /// Drops everything known about `hash`: dropped content takes its
+    /// prediction with it.
+    fn forget(&mut self, hash: u64) {
+        if self.records.remove(&hash).is_some_and(|r| r.pred.is_some()) {
+            self.preds -= 1;
         }
+    }
+
+    /// `tier`'s eviction order, beside the records its liveness reads.
+    fn order_mut(&mut self, tier: Tier) -> (&mut EvictionHeap<u64>, &KeyMap<Record>) {
+        let state = match tier {
+            Tier::Host => &mut self.host,
+            Tier::Nvme => &mut self.nvme,
+        };
+        (&mut state.order, &self.records)
+    }
+
+    /// Marks `tier`'s key for a hash stale once its record no longer
+    /// holds it.
+    fn invalidate(&mut self, tier: Tier) {
+        let (order, records) = self.order_mut(tier);
+        order.invalidate(live_in(records, tier));
+    }
+
+    /// Removes `hash` from whichever tier holds it, returning the tier,
+    /// and keeps its prediction. Used to invalidate a stale copy when the
+    /// same content is recomputed fresh in HBM — keeping every hash
+    /// resident in exactly one place.
+    pub fn take(&mut self, hash: u64) -> Option<Tier> {
+        let Entry::Occupied(mut entry) = self.records.entry(hash) else {
+            return None;
+        };
+        let (tier, ..) = entry.get_mut().slot.take()?;
+        if entry.get().pred.is_none() {
+            entry.remove();
+        }
+        self.invalidate(tier);
+        Some(tier)
+    }
+
+    /// Removes `hash` from whichever tier holds it, returning the tier,
+    /// and clears its prediction: a promotion, whose predicted invocation
+    /// has happened. Clears the prediction even when no tier holds it.
+    pub fn take_and_clear(&mut self, hash: u64) -> Option<Tier> {
+        let record = self.records.remove(&hash)?;
+        if record.pred.is_some() {
+            self.preds -= 1;
+        }
+        let (tier, ..) = record.slot?;
+        self.invalidate(tier);
+        Some(tier)
     }
 
     /// Records a coalesced promotion transfer of `blocks` from `tier`.
@@ -338,49 +383,56 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Sets the predicted next-invocation time for `hash` and re-ranks it
-    /// wherever it is offloaded. (The manager re-ranks HBM-resident copies
-    /// itself — it owns that order.)
-    pub fn hint(&mut self, hash: u64, at: SimTime) {
-        let rank = self.predict(hash, at);
-        self.rekey(hash, rank);
-    }
-
-    /// Sets the predicted next-invocation time for `hash` and returns the
-    /// rank that gives it (what [`Self::rank_for`] now reports), without
-    /// re-ranking any copy.
+    /// Sets the predicted next-invocation time for `hash`, re-keys its
+    /// offloaded copy (if any) under the rank that gives, and returns
+    /// that rank (what [`Self::rank_for`] now reports). The manager
+    /// re-keys an HBM-resident copy itself — it owns that order.
     pub fn predict(&mut self, hash: u64, at: SimTime) -> Rank {
         let at = at.as_micros();
-        self.pred.insert(hash, at);
-        match self.spec.policy {
-            EvictionPolicy::Lru => 0,
-            EvictionPolicy::InvocationDistance => u64::MAX - at,
+        let rank = rank(self.spec.policy, Some(at));
+        let record = self.records.entry(hash).or_default();
+        if record.pred.replace(at).is_none() {
+            self.preds += 1;
         }
-    }
-
-    /// Re-keys `hash` under `rank` in whichever tier holds it; a no-op
-    /// when no tier does.
-    pub fn rekey(&mut self, hash: u64, rank: Rank) {
-        if !self.host.rekey(hash, rank) {
-            self.nvme.rekey(hash, rank);
+        if let Some((tier, old, stamp)) = record.slot {
+            if old != rank {
+                record.slot = Some((tier, rank, stamp));
+                self.order_mut(tier).0.push((rank, stamp, hash));
+                self.invalidate(tier);
+            }
         }
+        rank
     }
 
     /// Clears the prediction for `hash` — its invocation has happened.
     /// Without this, an ended session's last hint would keep its blocks
     /// looking imminently useful forever.
     pub fn clear_pred(&mut self, hash: u64) {
-        self.pred.remove(&hash);
+        if let Entry::Occupied(mut entry) = self.records.entry(hash) {
+            if entry.get_mut().pred.take().is_some() {
+                self.preds -= 1;
+                if entry.get().slot.is_none() {
+                    entry.remove();
+                }
+            }
+        }
     }
 
-    /// Drops predictions that expired before `now`, once the map outgrows
-    /// the tier working set. The outcome depends only on map contents and
-    /// `now`, never on iteration order, so it is deterministic.
+    /// Drops predictions that expired before `now`, once more hashes hold
+    /// one than twice the tier working set plus 1024. The outcome depends
+    /// only on map contents and `now`, never on iteration order, so it is
+    /// deterministic.
     pub fn prune_pred(&mut self, now: SimTime) {
         let watermark = 2 * (self.spec.host_blocks + self.spec.nvme_blocks) as usize + 1024;
-        if self.pred.len() > watermark {
+        if self.preds > watermark {
             let now_us = now.as_micros();
-            self.pred.retain(|_, &mut at| at >= now_us);
+            let mut preds = 0;
+            self.records.retain(|_, r| {
+                r.pred = r.pred.filter(|&at| at >= now_us);
+                preds += usize::from(r.pred.is_some());
+                r.pred.is_some() || r.slot.is_some()
+            });
+            self.preds = preds;
         }
     }
 
@@ -389,45 +441,50 @@ impl MemoryHierarchy {
         out.append(&mut self.events);
     }
 
-    /// Whether any transfers are pending drain.
-    pub fn has_transfers(&self) -> bool {
-        !self.events.is_empty()
-    }
-
-    fn fresh_key(&mut self, hash: u64) -> (Rank, u64) {
-        self.stamp += 1;
-        (self.rank_for(hash), self.stamp)
-    }
-
     /// Internal-consistency check, composed into
     /// [`crate::KvBlockManager::check_invariants`]: capacities respected,
-    /// each entry has exactly one live key in its tier's order heap, and
-    /// no hash in two tiers.
+    /// each tier's live keys are exactly its records' slots, no record is
+    /// empty, and the prediction count matches the records.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (tier, state) in [(Tier::Host, &self.host), (Tier::Nvme, &self.nvme)] {
-            if state.len() as u32 > state.capacity {
+            let mut slots: Vec<Key<u64>> = self
+                .records
+                .iter()
+                .filter_map(|(&hash, r)| match r.slot {
+                    Some((t, rank, stamp)) if t == tier => Some((rank, stamp, hash)),
+                    _ => None,
+                })
+                .collect();
+            slots.sort_unstable();
+            if slots.len() as u32 > state.capacity {
                 return Err(format!(
                     "{} tier holds {} blocks over capacity {}",
                     tier.name(),
-                    state.len(),
+                    slots.len(),
                     state.capacity
                 ));
             }
-            let live = state.order.live_keys(live_in(&state.entries));
-            if live.len() != state.entries.len() || state.order.len() != live.len() {
+            let live = state.order.live_keys(live_in(&self.records, tier));
+            if live != slots || state.order.len() != live.len() {
                 return Err(format!(
-                    "{} tier order heap has {} live keys (counted {}) for {} entries",
+                    "{} tier order has {} live keys (counted {}) for {} slots",
                     tier.name(),
                     live.len(),
                     state.order.len(),
-                    state.entries.len()
+                    slots.len()
                 ));
             }
         }
-        for hash in self.host.entries.keys() {
-            if self.nvme.entries.contains_key(hash) {
-                return Err(format!("hash {hash:#x} resident in both host and nvme"));
-            }
+        if let Some(hash) = self
+            .records
+            .iter()
+            .find_map(|(&hash, r)| (r.pred.is_none() && r.slot.is_none()).then_some(hash))
+        {
+            return Err(format!("hash {hash:#x} has an empty record"));
+        }
+        let preds = self.records.values().filter(|r| r.pred.is_some()).count();
+        if preds != self.preds {
+            return Err(format!("{preds} predictions counted as {}", self.preds));
         }
         Ok(())
     }
@@ -443,6 +500,14 @@ mod tests {
             nvme_blocks: nvme,
             policy,
         }
+    }
+
+    /// Evicts the host tier's victim as a full tier would, without the
+    /// cascade.
+    fn pop_host(h: &mut MemoryHierarchy) -> Option<u64> {
+        let (_, _, hash) = h.host.order.pop(live_in(&h.records, Tier::Host))?;
+        h.forget(hash);
+        Some(hash)
     }
 
     fn demote_n(h: &mut MemoryHierarchy, stats: &mut KvStats, hashes: &[u64]) {
@@ -479,7 +544,9 @@ mod tests {
         demote_n(&mut h, &mut stats, &[1, 2, 3]);
         assert_eq!(h.host_resident(), 0);
         assert_eq!(h.nvme_resident(), 0);
-        assert!(!h.has_transfers());
+        let mut out = Vec::new();
+        h.take_transfers(&mut out);
+        assert!(out.is_empty());
         assert_eq!(stats.demoted_blocks_host, 0);
         assert_eq!(stats.offload_dropped_blocks, 0);
     }
@@ -511,26 +578,26 @@ mod tests {
         let mut h = MemoryHierarchy::new(spec(4, 0, EvictionPolicy::Lru));
         let mut stats = KvStats::default();
         demote_n(&mut h, &mut stats, &[10, 20, 30, 40]);
-        assert_eq!(h.host.pop_victim(), Some(10));
-        assert_eq!(h.host.pop_victim(), Some(20));
-        assert_eq!(h.host.pop_victim(), Some(30));
-        assert_eq!(h.host.pop_victim(), Some(40));
+        assert_eq!(pop_host(&mut h), Some(10));
+        assert_eq!(pop_host(&mut h), Some(20));
+        assert_eq!(pop_host(&mut h), Some(30));
+        assert_eq!(pop_host(&mut h), Some(40));
     }
 
     #[test]
     fn invocation_distance_evicts_farthest_first_and_unhinted_last() {
         let mut h = MemoryHierarchy::new(spec(4, 0, EvictionPolicy::InvocationDistance));
         let mut stats = KvStats::default();
-        h.hint(20, SimTime::from_micros(5_000)); // returns soon
-        h.hint(30, SimTime::from_micros(9_000_000)); // returns much later
+        h.predict(20, SimTime::from_micros(5_000)); // returns soon
+        h.predict(30, SimTime::from_micros(9_000_000)); // returns much later
         demote_n(&mut h, &mut stats, &[10, 20, 30, 40]);
         // Farthest prediction (30) goes first, then the imminent 20.
         // Unhinted 10 and 40 are assumed imminently reusable: out last,
         // in insertion order among themselves.
-        assert_eq!(h.host.pop_victim(), Some(30));
-        assert_eq!(h.host.pop_victim(), Some(20));
-        assert_eq!(h.host.pop_victim(), Some(10));
-        assert_eq!(h.host.pop_victim(), Some(40));
+        assert_eq!(pop_host(&mut h), Some(30));
+        assert_eq!(pop_host(&mut h), Some(20));
+        assert_eq!(pop_host(&mut h), Some(10));
+        assert_eq!(pop_host(&mut h), Some(40));
     }
 
     #[test]
@@ -540,7 +607,7 @@ mod tests {
         demote_n(&mut h, &mut stats, &[1, 2]);
         // Both unhinted: 1 (older) would go first. A hint that 2 returns
         // far in the future re-keys it ahead of 1 in the victim order.
-        h.hint(2, SimTime::from_micros(9_000_000));
+        h.predict(2, SimTime::from_micros(9_000_000));
         h.check_invariants().unwrap();
         h.demote(3, &mut stats);
         assert_eq!(h.tier_of(1), Some(Tier::Host));
@@ -553,7 +620,7 @@ mod tests {
         let mut h = MemoryHierarchy::new(spec(2, 0, EvictionPolicy::Lru));
         let mut stats = KvStats::default();
         demote_n(&mut h, &mut stats, &[1, 2]);
-        h.hint(1, SimTime::from_micros(100));
+        h.predict(1, SimTime::from_micros(100));
         h.demote(3, &mut stats);
         // LRU ignores the hint: 1 is still the oldest and still the victim.
         assert_eq!(h.tier_of(1), None);
@@ -563,7 +630,7 @@ mod tests {
     #[test]
     fn cleared_prediction_reverts_to_unhinted() {
         let mut h = MemoryHierarchy::new(spec(8, 0, EvictionPolicy::InvocationDistance));
-        h.hint(7, SimTime::from_micros(42));
+        h.predict(7, SimTime::from_micros(42));
         assert_eq!(h.rank_for(7), u64::MAX - 42);
         h.clear_pred(7);
         assert_eq!(h.rank_for(7), u64::MAX, "unhinted is assumed imminent");
@@ -602,7 +669,8 @@ mod tests {
                 },
             ]
         );
-        assert!(!h.has_transfers());
+        h.take_transfers(&mut out);
+        assert_eq!(out.len(), 4, "a drain empties the queue");
         assert_eq!(stats.promoted_blocks_host, 3);
     }
 
@@ -611,7 +679,7 @@ mod tests {
         let mut h = MemoryHierarchy::new(spec(0, 0, EvictionPolicy::InvocationDistance));
         // Fill past the watermark (2*(0+0)+1024).
         for i in 0..2000u64 {
-            h.hint(i, SimTime::from_micros(i));
+            h.predict(i, SimTime::from_micros(i));
         }
         h.prune_pred(SimTime::from_micros(1_500));
         assert_eq!(h.rank_for(100), u64::MAX, "expired prediction pruned");

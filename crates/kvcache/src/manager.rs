@@ -284,9 +284,16 @@ impl KvBlockManager {
         let mut promoted = 0usize;
         if !imported && self.config.prefix_caching {
             if let Some(hier) = &mut self.hierarchy {
+                // Every prefix block touched by this admission has had its
+                // predicted invocation happen; stale predictions would
+                // keep an ended session's blocks looking hot forever. The
+                // scan clears the predictions of the hashes it reaches,
+                // the loop below those of the rest, all before the fresh
+                // blocks: an eviction there can demote a later hash of
+                // this prompt, ranked by its prediction.
                 let (mut from_host, mut from_nvme) = (0u32, 0u32);
                 for h in &hashes[hits..] {
-                    match hier.take(*h) {
+                    match hier.take_and_clear(*h) {
                         Some(Tier::Host) => from_host += 1,
                         Some(Tier::Nvme) => from_nvme += 1,
                         None => break,
@@ -295,10 +302,8 @@ impl KvBlockManager {
                 }
                 hier.record_promote(Tier::Host, from_host, &mut self.stats);
                 hier.record_promote(Tier::Nvme, from_nvme, &mut self.stats);
-                // Every prefix block touched by this admission has had its
-                // predicted invocation happen; stale predictions would
-                // keep an ended session's blocks looking hot forever.
-                for h in hashes.iter() {
+                let scanned = (hits + promoted + 1).min(hashes.len());
+                for h in hashes[..hits].iter().chain(&hashes[scanned..]) {
                     hier.clear_pred(*h);
                 }
             }
@@ -529,20 +534,17 @@ impl KvBlockManager {
             return;
         }
         for &h in hashes {
+            // `predict` re-keys an offloaded copy; a hash lives in exactly
+            // one place, so only one the prefix cache does not hold.
             let rank = hier.predict(h, at);
-            // A hash lives in exactly one place, so only content the
-            // prefix cache does not hold can sit in an offload tier.
-            match self.cache.get(&h) {
-                Some(&id) => {
-                    // Re-key a resident evictable copy under its new rank.
-                    let meta = &mut self.metas[id.0 as usize];
-                    if meta.state == BlockState::Cached && rank != meta.rank {
-                        meta.rank = rank;
-                        self.evictable.push((rank, meta.tick, id));
-                        self.evictable.invalidate(Self::live_key(&self.metas));
-                    }
+            if let Some(&id) = self.cache.get(&h) {
+                // Re-key a resident evictable copy under its new rank.
+                let meta = &mut self.metas[id.0 as usize];
+                if meta.state == BlockState::Cached && rank != meta.rank {
+                    meta.rank = rank;
+                    self.evictable.push((rank, meta.tick, id));
+                    self.evictable.invalidate(Self::live_key(&self.metas));
                 }
-                None => hier.rekey(h, rank),
             }
         }
         hier.prune_pred(now);
