@@ -446,45 +446,42 @@ impl MemoryHierarchy {
     /// each tier's live keys are exactly its records' slots, no record is
     /// empty, and the prediction count matches the records.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (tier, state) in [(Tier::Host, &self.host), (Tier::Nvme, &self.nvme)] {
-            let mut slots: Vec<Key<u64>> = self
-                .records
-                .iter()
-                .filter_map(|(&hash, r)| match r.slot {
-                    Some((t, rank, stamp)) if t == tier => Some((rank, stamp, hash)),
-                    _ => None,
-                })
-                .collect();
-            slots.sort_unstable();
-            if slots.len() as u32 > state.capacity {
+        let (mut host, mut nvme, mut preds) = (0, 0, 0);
+        for (&hash, r) in &self.records {
+            match r.slot {
+                Some((Tier::Host, ..)) => host += 1,
+                Some((Tier::Nvme, ..)) => nvme += 1,
+                None if r.pred.is_none() => {
+                    return Err(format!("hash {hash:#x} has an empty record"));
+                }
+                None => {}
+            }
+            preds += usize::from(r.pred.is_some());
+        }
+        if preds != self.preds {
+            return Err(format!("{preds} predictions counted as {}", self.preds));
+        }
+        for (tier, state, slots) in [
+            (Tier::Host, &self.host, host),
+            (Tier::Nvme, &self.nvme, nvme),
+        ] {
+            if slots as u32 > state.capacity {
                 return Err(format!(
-                    "{} tier holds {} blocks over capacity {}",
+                    "{} tier holds {slots} blocks over capacity {}",
                     tier.name(),
-                    slots.len(),
                     state.capacity
                 ));
             }
-            let live = state.order.live_keys(live_in(&self.records, tier));
-            if live != slots || state.order.len() != live.len() {
+            // A live key is its hash's slot, so the live keys are the
+            // slots exactly when they are as many.
+            let live = state.order.live_keys(live_in(&self.records, tier)).len();
+            if live != slots || state.order.len() != slots {
                 return Err(format!(
-                    "{} tier order has {} live keys (counted {}) for {} slots",
+                    "{} tier order has {live} live keys (counted {}) for {slots} slots",
                     tier.name(),
-                    live.len(),
                     state.order.len(),
-                    slots.len()
                 ));
             }
-        }
-        if let Some(hash) = self
-            .records
-            .iter()
-            .find_map(|(&hash, r)| (r.pred.is_none() && r.slot.is_none()).then_some(hash))
-        {
-            return Err(format!("hash {hash:#x} has an empty record"));
-        }
-        let preds = self.records.values().filter(|r| r.pred.is_some()).count();
-        if preds != self.preds {
-            return Err(format!("{preds} predictions counted as {}", self.preds));
         }
         Ok(())
     }

@@ -11,8 +11,8 @@
 //!   sequence whose prompt shares a prefix with earlier traffic reuses
 //!   those blocks instead of recomputing them,
 //! * blocks whose reference count drops to zero stay cached and become
-//!   **evictable** (LRU, kept in a sorted FIFO run beside a lazily
-//!   invalidated min-heap, so in-order LRU keys never sift),
+//!   **evictable** (LRU, kept as one sorted FIFO run per rank, lazily
+//!   invalidated, so LRU keys are a deque append and pop-front),
 //!   reproducing vLLM's automatic prefix caching and
 //!   — under memory pressure — its cache-thrashing behaviour (the paper's
 //!   Fig. 17).
