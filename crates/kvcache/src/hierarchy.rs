@@ -139,13 +139,71 @@ fn rank(policy: EvictionPolicy, pred: Option<u64>) -> Rank {
 }
 
 /// What the hierarchy knows about one chain hash; see the module docs.
+/// Three words, because the record map's footprint sets what every
+/// probe costs: `bits` packs the slot's stamp with whether the record
+/// holds a prediction and which tier holds the content.
 #[derive(Debug, Clone, Copy, Default)]
 struct Record {
+    /// Predicted next-invocation time (absolute micros), while
+    /// [`HAS_PRED`] is set.
+    at: u64,
+    /// The slot's rank, while a tier holds the content.
+    rank: Rank,
+    /// `stamp << 3 | HAS_PRED | tier`, the tier bits 0 (none), 1 (host)
+    /// or 2 (NVMe).
+    bits: u64,
+}
+
+/// [`Record::bits`]: the record holds a prediction.
+const HAS_PRED: u64 = 0b100;
+/// [`Record::bits`]: the tier holding the content.
+const TIER_BITS: u64 = 0b011;
+
+impl Record {
     /// Predicted next-invocation time (absolute micros), from a hint.
-    pred: Option<u64>,
+    fn pred(&self) -> Option<u64> {
+        (self.bits & HAS_PRED != 0).then_some(self.at)
+    }
+
+    /// Sets the prediction, returning the previous one.
+    fn set_pred(&mut self, pred: Option<u64>) -> Option<u64> {
+        let old = self.pred();
+        match pred {
+            Some(at) => {
+                self.at = at;
+                self.bits |= HAS_PRED;
+            }
+            None => self.bits &= !HAS_PRED,
+        }
+        old
+    }
+
     /// `(tier, rank, stamp)`: the tier holding the content and its key
     /// in that tier's order.
-    slot: Option<(Tier, Rank, u64)>,
+    fn slot(&self) -> Option<(Tier, Rank, u64)> {
+        let tier = match self.bits & TIER_BITS {
+            0 => return None,
+            1 => Tier::Host,
+            _ => Tier::Nvme,
+        };
+        Some((tier, self.rank, self.bits >> 3))
+    }
+
+    /// Sets the slot, returning the previous one.
+    fn set_slot(&mut self, slot: Option<(Tier, Rank, u64)>) -> Option<(Tier, Rank, u64)> {
+        let old = self.slot();
+        self.bits &= HAS_PRED;
+        if let Some((tier, rank, stamp)) = slot {
+            debug_assert!(stamp < 1 << 61, "stamp {stamp} overflows the record");
+            self.rank = rank;
+            self.bits |= stamp << 3
+                | match tier {
+                    Tier::Host => 1,
+                    Tier::Nvme => 2,
+                };
+        }
+        old
+    }
 }
 
 /// One tier's eviction order.
@@ -163,7 +221,7 @@ fn live_in(records: &KeyMap<Record>, tier: Tier) -> impl Fn(&Key<u64>) -> bool +
     move |&(rank, stamp, hash)| {
         records
             .get(&hash)
-            .is_some_and(|r| r.slot == Some((tier, rank, stamp)))
+            .is_some_and(|r| r.slot() == Some((tier, rank, stamp)))
     }
 }
 
@@ -221,13 +279,13 @@ impl MemoryHierarchy {
     pub fn rank_for(&self, hash: u64) -> Rank {
         match self.spec.policy {
             EvictionPolicy::Lru => 0,
-            policy => rank(policy, self.records.get(&hash).and_then(|r| r.pred)),
+            policy => rank(policy, self.records.get(&hash).and_then(|r| r.pred())),
         }
     }
 
     /// Which tier holds `hash`, if any.
     pub fn tier_of(&self, hash: u64) -> Option<Tier> {
-        self.records.get(&hash)?.slot.map(|(tier, ..)| tier)
+        self.records.get(&hash)?.slot().map(|(tier, ..)| tier)
     }
 
     /// Blocks currently resident in the host tier.
@@ -309,15 +367,19 @@ impl MemoryHierarchy {
         self.stamp += 1;
         let stamp = self.stamp;
         let record = self.records.entry(hash).or_default();
-        let rank = rank(self.spec.policy, record.pred);
-        record.slot = Some((tier, rank, stamp));
+        let rank = rank(self.spec.policy, record.pred());
+        record.set_slot(Some((tier, rank, stamp)));
         self.order_mut(tier).0.push((rank, stamp, hash));
     }
 
     /// Drops everything known about `hash`: dropped content takes its
     /// prediction with it.
     fn forget(&mut self, hash: u64) {
-        if self.records.remove(&hash).is_some_and(|r| r.pred.is_some()) {
+        if self
+            .records
+            .remove(&hash)
+            .is_some_and(|r| r.pred().is_some())
+        {
             self.preds -= 1;
         }
     }
@@ -346,8 +408,8 @@ impl MemoryHierarchy {
         let Entry::Occupied(mut entry) = self.records.entry(hash) else {
             return None;
         };
-        let (tier, ..) = entry.get_mut().slot.take()?;
-        if entry.get().pred.is_none() {
+        let (tier, ..) = entry.get_mut().set_slot(None)?;
+        if entry.get().pred().is_none() {
             entry.remove();
         }
         self.invalidate(tier);
@@ -359,10 +421,10 @@ impl MemoryHierarchy {
     /// has happened. Clears the prediction even when no tier holds it.
     pub fn take_and_clear(&mut self, hash: u64) -> Option<Tier> {
         let record = self.records.remove(&hash)?;
-        if record.pred.is_some() {
+        if record.pred().is_some() {
             self.preds -= 1;
         }
-        let (tier, ..) = record.slot?;
+        let (tier, ..) = record.slot()?;
         self.invalidate(tier);
         Some(tier)
     }
@@ -391,12 +453,12 @@ impl MemoryHierarchy {
         let at = at.as_micros();
         let rank = rank(self.spec.policy, Some(at));
         let record = self.records.entry(hash).or_default();
-        if record.pred.replace(at).is_none() {
+        if record.set_pred(Some(at)).is_none() {
             self.preds += 1;
         }
-        if let Some((tier, old, stamp)) = record.slot {
+        if let Some((tier, old, stamp)) = record.slot() {
             if old != rank {
-                record.slot = Some((tier, rank, stamp));
+                record.set_slot(Some((tier, rank, stamp)));
                 self.order_mut(tier).0.push((rank, stamp, hash));
                 self.invalidate(tier);
             }
@@ -409,9 +471,9 @@ impl MemoryHierarchy {
     /// looking imminently useful forever.
     pub fn clear_pred(&mut self, hash: u64) {
         if let Entry::Occupied(mut entry) = self.records.entry(hash) {
-            if entry.get_mut().pred.take().is_some() {
+            if entry.get_mut().set_pred(None).is_some() {
                 self.preds -= 1;
-                if entry.get().slot.is_none() {
+                if entry.get().slot().is_none() {
                     entry.remove();
                 }
             }
@@ -428,9 +490,10 @@ impl MemoryHierarchy {
             let now_us = now.as_micros();
             let mut preds = 0;
             self.records.retain(|_, r| {
-                r.pred = r.pred.filter(|&at| at >= now_us);
-                preds += usize::from(r.pred.is_some());
-                r.pred.is_some() || r.slot.is_some()
+                let pred = r.pred().filter(|&at| at >= now_us);
+                r.set_pred(pred);
+                preds += usize::from(r.pred().is_some());
+                r.pred().is_some() || r.slot().is_some()
             });
             self.preds = preds;
         }
@@ -448,15 +511,15 @@ impl MemoryHierarchy {
     pub fn check_invariants(&self) -> Result<(), String> {
         let (mut host, mut nvme, mut preds) = (0, 0, 0);
         for (&hash, r) in &self.records {
-            match r.slot {
+            match r.slot() {
                 Some((Tier::Host, ..)) => host += 1,
                 Some((Tier::Nvme, ..)) => nvme += 1,
-                None if r.pred.is_none() => {
+                None if r.pred().is_none() => {
                     return Err(format!("hash {hash:#x} has an empty record"));
                 }
                 None => {}
             }
-            preds += usize::from(r.pred.is_some());
+            preds += usize::from(r.pred().is_some());
         }
         if preds != self.preds {
             return Err(format!("{preds} predictions counted as {}", self.preds));
@@ -512,6 +575,22 @@ mod tests {
             h.demote(hash, stats);
             h.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn record_keeps_prediction_and_slot_apart() {
+        let mut r = Record::default();
+        assert_eq!((r.pred(), r.slot()), (None, None));
+        assert_eq!(r.set_pred(Some(u64::MAX)), None);
+        let slot = (Tier::Nvme, u64::MAX, (1 << 61) - 1);
+        assert_eq!(r.set_slot(Some(slot)), None);
+        assert_eq!((r.pred(), r.slot()), (Some(u64::MAX), Some(slot)));
+        assert_eq!(r.set_pred(None), Some(u64::MAX));
+        assert_eq!(r.slot(), Some(slot));
+        r.set_pred(Some(0));
+        assert_eq!(r.set_slot(Some((Tier::Host, 0, 1))), Some(slot));
+        assert_eq!(r.set_slot(None), Some((Tier::Host, 0, 1)));
+        assert_eq!((r.pred(), r.slot()), (Some(0), None));
     }
 
     #[test]
