@@ -534,8 +534,8 @@ impl KvBlockManager {
             return;
         }
         for &h in hashes {
-            // `predict` re-keys an offloaded copy; a hash lives in exactly
-            // one place, so only one the prefix cache does not hold.
+            // `predict` re-keys an offloaded copy. A hash lives in exactly
+            // one place, so one the prefix cache holds has no such copy.
             let rank = hier.predict(h, at);
             if let Some(&id) = self.cache.get(&h) {
                 // Re-key a resident evictable copy under its new rank.
