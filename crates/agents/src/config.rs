@@ -109,17 +109,6 @@ impl AgentConfig {
         self
     }
 
-    /// Sets the model quality directly (e.g. for hypothetical models).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `(0, 1)`.
-    pub fn with_model_quality(mut self, q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "model quality must be in (0, 1)");
-        self.model_quality = q;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

@@ -5,41 +5,12 @@
 //! `hash(parent_chain_hash, block_tokens)`. Two sequences share a cached
 //! block if and only if they agree on the entire prefix up to it.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use agentsim_simkit::rng::splitmix64;
 
 use crate::tokens::Token;
 
 /// Seed for the first block in a chain (no parent).
 pub const CHAIN_ROOT: u64 = 0x005E_ED0F_C4A1;
-
-/// A map keyed by a chain hash or a sequence id, hashed with [`KeyHasher`].
-pub(crate) type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
-
-/// One-multiply hasher for keys the simulator makes itself. Chain hashes
-/// are already splitmix64 output and sequence ids count up, so a single
-/// odd multiply spreads both over the table; no key comes from outside
-/// the program, so SipHash's collision resistance buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Hashes one full block of tokens given the parent chain hash. Over a
 /// partial block it gives the running state that later tokens of that

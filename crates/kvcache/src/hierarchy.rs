@@ -46,9 +46,9 @@
 
 use std::collections::hash_map::Entry;
 
+use agentsim_simkit::rng::KeyMap;
 use agentsim_simkit::SimTime;
 
-use crate::hash::KeyMap;
 use crate::heap::{EvictionHeap, Key};
 use crate::stats::KvStats;
 

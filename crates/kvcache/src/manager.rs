@@ -8,10 +8,11 @@
 use std::collections::hash_map::Entry;
 use std::fmt;
 
+use agentsim_simkit::rng::KeyMap;
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
-use crate::hash::{chain_start, chain_step, KeyMap, CHAIN_ROOT};
+use crate::hash::{chain_start, chain_step, CHAIN_ROOT};
 use crate::heap::{EvictionHeap, Key};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
 use crate::stats::KvStats;

@@ -118,12 +118,6 @@ impl ReplicaPool {
             agent,
         }
     }
-
-    /// Returns a copy with a different agent configuration.
-    pub fn with_agent(mut self, agent: AgentConfig) -> Self {
-        self.agent = agent;
-        self
-    }
 }
 
 /// Configuration of a fleet run. A one-replica fleet is the paper's

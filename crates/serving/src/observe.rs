@@ -30,6 +30,12 @@
 //! over it: the recorder keeps every span, the writer serializes each
 //! retired span and drops it.
 //!
+//! The book attributes a span only at that request's own events: its
+//! admission, each step it takes part in, a preemption, and its
+//! retirement. A gap since its last own event is charged as stall at
+//! the next one, so a retired span's partition is exact, while an
+//! in-flight span is attributed up to its last own event.
+//!
 //! # Example
 //!
 //! ```
@@ -49,13 +55,12 @@
 //! agentsim_metrics::json::validate(&recorder.chrome_trace()).unwrap();
 //! ```
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use agentsim_llm::{EngineEvent, EngineObserver, RequestId, StepKind};
 use agentsim_metrics::{json, TimeSeries};
+use agentsim_simkit::rng::KeyMap;
 use agentsim_simkit::{SimDuration, SimTime};
 
 /// What a request was doing during a [`Segment`].
@@ -113,7 +118,8 @@ impl Segment {
 enum SpanState {
     /// In the waiting queue since the given time.
     Queued(SimTime),
-    /// In the running set; attributed up to the given time.
+    /// In the running set; attributed up to the given time, its last
+    /// own event.
     Running(SimTime),
     /// Completed (or migrated off this engine).
     Done,
@@ -202,7 +208,9 @@ impl RequestSpan {
     }
 
     /// Sum of all attributed phase durations. For a finished span this
-    /// equals [`RequestSpan::e2e`] exactly.
+    /// equals [`RequestSpan::e2e`] exactly; an in-flight span is
+    /// attributed up to its last own event (submission, admission, a
+    /// step it took part in, or a preemption).
     pub fn attributed(&self) -> SimDuration {
         self.queue_time
             + self.prefill_time
@@ -252,36 +260,13 @@ impl RequestSpan {
     }
 }
 
-/// Hashes a [`RequestId`] with one multiply. Ids are engine-assigned
-/// counters, so SipHash's collision resistance buys nothing here.
-#[derive(Debug, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a RequestId hashes as one u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The phase-attribution state machine of one engine: its live spans,
-/// the index of those in the running set, and the transition each
-/// [`EngineEvent`] drives. Both span sinks fold over it.
+/// The phase-attribution state machine of one engine: its live spans
+/// and the transition each [`EngineEvent`] drives. An event touches only
+/// the spans it names. Both span sinks fold over it.
 #[derive(Debug, Default)]
 pub(crate) struct SpanBook {
-    /// Spans submitted and not yet retired.
-    live: HashMap<RequestId, RequestSpan, BuildHasherDefault<IdHasher>>,
-    /// Ids of the live spans in the running set (admitted and not since
-    /// preempted), in no particular order: the per-step stall sweep
-    /// visits only these.
-    running: Vec<RequestId>,
+    /// Spans submitted and not yet retired, keyed by request id.
+    live: KeyMap<RequestSpan>,
 }
 
 impl SpanBook {
@@ -292,18 +277,8 @@ impl SpanBook {
 
     fn live_mut(&mut self, id: RequestId) -> &mut RequestSpan {
         self.live
-            .get_mut(&id)
+            .get_mut(&id.0)
             .unwrap_or_else(|| panic!("unobserved request {id}"))
-    }
-
-    /// Drops `id` from the running index.
-    fn leave_running(&mut self, id: RequestId) {
-        let i = self
-            .running
-            .iter()
-            .position(|&r| r == id)
-            .unwrap_or_else(|| panic!("{id}: not in the running index"));
-        self.running.swap_remove(i);
     }
 
     /// Removes `id` at `at`, closing its open phase so the partition
@@ -312,13 +287,10 @@ impl SpanBook {
     fn retire(&mut self, id: RequestId, at: SimTime, from_queue: bool) -> RequestSpan {
         let mut span = self
             .live
-            .remove(&id)
+            .remove(&id.0)
             .unwrap_or_else(|| panic!("unobserved request {id}"));
         match span.state {
-            SpanState::Running(mark) => {
-                span.push_segment(Phase::Stall, mark, at);
-                self.leave_running(id);
-            }
+            SpanState::Running(mark) => span.push_segment(Phase::Stall, mark, at),
             SpanState::Queued(since) if from_queue => span.push_segment(Phase::Queue, since, at),
             state => panic!("{id}: retired while {state:?}"),
         }
@@ -338,7 +310,7 @@ impl SpanBook {
                 ..
             } => {
                 let span = RequestSpan::new(id, at, prompt_tokens, out_tokens);
-                let prev = self.live.insert(id, span);
+                let prev = self.live.insert(id.0, span);
                 assert!(prev.is_none(), "{id}: submitted twice");
                 None
             }
@@ -350,7 +322,6 @@ impl SpanBook {
                 span.push_segment(Phase::Queue, since, at);
                 span.first_admitted.get_or_insert(at);
                 span.state = SpanState::Running(at);
-                self.running.push(id);
                 None
             }
             EngineEvent::StepCompleted {
@@ -360,21 +331,13 @@ impl SpanBook {
                 decode,
                 ..
             } => {
+                // A running span the step leaves out is charged the stall
+                // at its own next event.
                 for &(id, _) in prefill {
                     self.live_mut(id).mark_phase(Phase::Prefill, started, ended);
                 }
                 for &id in decode {
                     self.live_mut(id).mark_phase(Phase::Decode, started, ended);
-                }
-                // Everything else still running is stalled for this step.
-                for id in &self.running {
-                    let span = self.live.get_mut(id).expect("running spans are live");
-                    if let SpanState::Running(mark) = span.state {
-                        if mark < ended {
-                            span.push_segment(Phase::Stall, mark, ended);
-                            span.state = SpanState::Running(ended);
-                        }
-                    }
                 }
                 None
             }
@@ -386,7 +349,6 @@ impl SpanBook {
                 span.push_segment(Phase::Stall, mark, at);
                 span.preemptions += 1;
                 span.state = SpanState::Queued(at);
-                self.leave_running(id);
                 None
             }
             EngineEvent::Completed { at, completion } => {
@@ -474,11 +436,12 @@ struct RecorderInner {
 }
 
 impl RecorderInner {
-    /// Every span in id order, in-flight ones included.
+    /// Every span in id order, in-flight ones included (attributed up to
+    /// their last own event).
     fn spans(&self) -> impl Iterator<Item = &RequestSpan> {
         self.retired.iter().enumerate().map(|(id, span)| {
             span.as_ref()
-                .unwrap_or_else(|| &self.book.live[&RequestId(id as u64)])
+                .unwrap_or_else(|| &self.book.live[&(id as u64)])
         })
     }
 
@@ -660,7 +623,9 @@ impl SpanRecorder {
         SpanRecorder::default()
     }
 
-    /// All observed request spans, in request-id order.
+    /// All observed request spans, in request-id order. A span still in
+    /// flight is attributed up to its last own event, so its
+    /// [`RequestSpan::attributed`] can trail the current time.
     pub fn spans(&self) -> Vec<RequestSpan> {
         self.inner.lock().unwrap().spans().cloned().collect()
     }
@@ -855,7 +820,8 @@ pub(crate) mod tests {
         now
     }
 
-    /// The stall sweep before the running index: every live span.
+    /// A stall sweep at a step's end over every live span: the
+    /// reference charges a skipped running span its stall at each step.
     fn full_sweep(book: &mut SpanBook, ended: SimTime) {
         for span in book.live.values_mut() {
             if let SpanState::Running(mark) = span.state {
@@ -871,27 +837,20 @@ pub(crate) mod tests {
     /// also sweeps every live span at each step end, and a streaming
     /// writer.
     struct Sinks {
-        indexed: RecorderInner,
+        recorder: RecorderInner,
         reference: RecorderInner,
         writer: SpanStreamWriter,
     }
 
     impl Sinks {
         fn feed(&mut self, event: EngineEvent<'_>) {
-            self.indexed.apply(&event);
+            self.recorder.apply(&event);
             self.reference.apply(&event);
             if let EngineEvent::StepCompleted { ended, .. } = event {
                 full_sweep(&mut self.reference.book, ended);
-                // A finished span reads the same without any sweep, so
-                // compare the in-flight ones at every step end.
-                for (id, span) in &self.indexed.book.live {
-                    let expected = &self.reference.book.live[id];
-                    assert_eq!(format!("{span:?}"), format!("{expected:?}"));
-                }
             }
             self.writer.on_event(&event);
-            let unfinished = self.reference.spans().filter(|s| !s.is_complete());
-            assert_eq!(self.writer.live(), unfinished.count());
+            assert_eq!(self.writer.live(), self.reference.book.live());
         }
     }
 
@@ -932,15 +891,18 @@ pub(crate) mod tests {
         )
     }
 
-    #[test]
-    fn running_index_matches_a_full_stall_sweep() {
+    /// Feeds a random event script of `events` draws from `seed` to the
+    /// sinks and checks that every span they retire, the JSONL log and
+    /// every streamed line match the full-sweep reference: charging a
+    /// stall only at the request's own next event loses nothing.
+    fn check_retired_spans_against_a_full_sweep(seed: u64, events: usize) {
         let buf = SharedBuf::default();
         let mut sinks = Sinks {
-            indexed: RecorderInner::default(),
+            recorder: RecorderInner::default(),
             reference: RecorderInner::default(),
             writer: SpanStreamWriter::new(Box::new(buf.clone())),
         };
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut state = seed;
         let mut draw = move |n: usize| -> usize {
             state ^= state << 13;
             state ^= state >> 7;
@@ -949,11 +911,11 @@ pub(crate) mod tests {
         };
         let (mut queued, mut running) = (Vec::<RequestId>::new(), Vec::<RequestId>::new());
         let mut now = SimTime::ZERO;
-        for _ in 0..3_000 {
+        for _ in 0..events {
             now += SimDuration::from_micros(draw(3) as u64);
             match draw(8) {
                 0 | 1 => {
-                    let id = RequestId(sinks.indexed.retired.len() as u64);
+                    let id = RequestId(sinks.recorder.retired.len() as u64);
                     queued.push(id);
                     let submit = EngineEvent::Submitted {
                         id,
@@ -1063,23 +1025,16 @@ pub(crate) mod tests {
             }
         }
         let Sinks {
-            indexed,
+            recorder,
             reference,
             writer,
         } = sinks;
+        // In-flight spans are attributed only up to their last own event,
+        // so only retired ones must match the reference.
+        let retired = |sink: &RecorderInner| format!("{:?}", sink.retired);
+        assert_eq!(retired(&recorder), retired(&reference));
+        assert_eq!(recorder.jsonl, reference.jsonl);
         let spans: Vec<&RequestSpan> = reference.spans().collect();
-        assert_eq!(
-            format!("{:?}", indexed.spans().collect::<Vec<_>>()),
-            format!("{spans:?}")
-        );
-        assert_eq!(indexed.jsonl, reference.jsonl);
-        let mut live: Vec<u64> = indexed.book.running.iter().map(|id| id.0).collect();
-        live.sort_unstable();
-        assert_eq!(live, {
-            let mut r: Vec<u64> = running.iter().map(|id| id.0).collect();
-            r.sort_unstable();
-            r
-        });
         // The writer streamed each retired span exactly as the reference
         // holds it.
         let text = buf.text();
@@ -1093,7 +1048,7 @@ pub(crate) mod tests {
             let id = line["{\"id\":".len()..].split(',').next().unwrap();
             assert_eq!(line, expected_line(spans[id.parse::<usize>().unwrap()]));
         }
-        // The script exercised every transition the index tracks.
+        // The script exercised every transition that retires or stalls.
         assert!(spans.iter().any(|s| s.stall_time > SimDuration::ZERO));
         assert!(spans.iter().any(|s| s.preemptions > 0));
         assert!(spans.iter().any(|s| s.migrated));
@@ -1101,6 +1056,24 @@ pub(crate) mod tests {
         assert!(spans
             .iter()
             .any(|s| s.is_complete() && !s.migrated && !s.abandoned));
+    }
+
+    #[test]
+    fn retired_spans_match_a_full_stall_sweep() {
+        check_retired_spans_against_a_full_sweep(0x9E37_79B9_7F4A_7C15, 3_000);
+    }
+
+    /// The deep variant: eight scripts of 25,000 events each. Run with
+    /// `cargo test --release -p agentsim-serving -- --ignored`.
+    #[test]
+    #[ignore]
+    fn retired_spans_match_a_full_stall_sweep_deep() {
+        for seed in 1..=8u64 {
+            check_retired_spans_against_a_full_sweep(
+                agentsim_simkit::rng::splitmix64(seed),
+                25_000,
+            );
+        }
     }
 
     #[test]

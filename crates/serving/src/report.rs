@@ -72,16 +72,31 @@ pub struct FleetReport {
     /// Peak number of simultaneously live sessions (bounded by the
     /// population under a closed-loop client).
     pub max_live_sessions: u64,
-    /// Median time-to-first-token across every finished engine call
-    /// (queueing plus prefill — the latency the KV offload tiers tax).
+    /// Median time-to-first-token across every finished engine call —
+    /// the latency the KV offload tiers tax. A call that finishes where
+    /// it prefilled counts its wait for first admission plus its prefill
+    /// steps' wall time (`LlmCompletion::queue_time() + prefill_time`),
+    /// so stalls and requeues before its first token are left out. A
+    /// call migrated to a decode pool counts arrival to its first
+    /// decode-side schedule ([`agentsim_disagg::CallRecord::ttft`]):
+    /// prefill-side stall, the KV transfer and decode-side queueing
+    /// included.
     pub ttft_p50_s: f64,
-    /// Tail time-to-first-token across every finished engine call.
+    /// Tail time-to-first-token across every finished engine call, under
+    /// the same two definitions as [`FleetReport::ttft_p50_s`].
     pub ttft_p95_s: f64,
     /// Median time-per-output-token across every finished engine call
-    /// with more than one output token (seconds/token).
+    /// with more than one output token (seconds/token). A call that
+    /// finishes where it prefilled counts its decode steps' wall time per
+    /// token after the first (`decode_time / (output_tokens - 1)`), which
+    /// leaves out stalls between its steps. A migrated call counts
+    /// [`agentsim_disagg::CallRecord::tpot`], the inter-token latency
+    /// after its first decode-side schedule, every stall included. On a
+    /// role-split fleet the percentiles mix the two.
     pub tpot_p50_s: f64,
     /// p99 time-per-output-token — the decode-interference tail the
-    /// cascade's premium pool must keep short.
+    /// cascade's premium pool must keep short — under the same two
+    /// definitions as [`FleetReport::tpot_p50_s`].
     pub tpot_p99_s: f64,
     /// Blocks demoted out of HBM into the offload tiers, fleet-wide
     /// (zero without [`agentsim_llm::OffloadConfig`]).

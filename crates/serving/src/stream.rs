@@ -9,6 +9,10 @@
 //! engine, or is purged after its client abandoned it) its finished span
 //! is serialized as one JSON line to the underlying writer and dropped.
 //! Memory is `O(concurrent requests)` instead of `O(total requests)`.
+//! The book charges a span only at that request's own events, so an
+//! event costs time only in the spans it names, and a retired span
+//! carries its exact partition; nothing is written for a span still in
+//! flight.
 //!
 //! Each emitted line carries the full five-phase partition
 //! (`queue/prefill/decode/transfer/stall`, microseconds), how the span

@@ -5,6 +5,9 @@
 //! let independent components (each request, each tool call) draw from
 //! decorrelated sequences without sharing mutable state.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// A seedable random number generator for simulations.
 ///
 /// Wraps an in-tree xoshiro256++ core (no external dependency, so the
@@ -182,6 +185,38 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A map keyed by a `u64` the simulator makes itself (a chain hash, a
+/// sequence or request id), hashed with [`KeyHasher`].
+pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
+/// One-multiply hasher for keys the simulator makes itself. Chain hashes
+/// are already splitmix64 output and ids count up, so a single odd
+/// multiply spreads both over the table; no key comes from outside the
+/// program, so SipHash's collision resistance buys nothing here. Its
+/// methods are `#[inline]` so the maps of other crates keep the one
+/// multiply inline.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Hashes an arbitrary byte string plus an index into a `u64` — used by the

@@ -84,14 +84,6 @@ impl ToolExecutor {
         ToolExecutor::default()
     }
 
-    /// Creates an executor with a custom catalog.
-    pub fn with_catalog(catalog: ToolCatalog) -> Self {
-        ToolExecutor {
-            catalog,
-            failures: FailurePolicy::calibrated(),
-        }
-    }
-
     /// Sets the failure policy, returning `self` for chaining.
     pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.failures = policy;
