@@ -111,7 +111,6 @@ pub fn run(scale: &Scale) -> FigureResult {
             p.tail.share(Phase::Queue),
             p.tail.share(Phase::Prefill),
             p.tail.share(Phase::Decode),
-            p.tail.share(Phase::Transfer),
             p.tail.share(Phase::Stall),
         ];
         (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9
@@ -119,7 +118,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     result.check(
         "phase-shares-partition-tail-time",
         partition_ok,
-        "queue+prefill+decode+transfer+stall shares sum to 1 at every load point".to_string(),
+        "queue+prefill+decode+stall shares sum to 1 at every load point".to_string(),
     );
 
     // The other two workloads need no span attribution: plain sweeps.

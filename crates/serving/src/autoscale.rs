@@ -16,8 +16,8 @@
 //! Controllers are deliberately sans-IO: they see a [`PoolObservation`]
 //! snapshot and answer with an optional [`FlipDirection`]. That keeps
 //! them deterministic and unit-testable, and lets property tests drive
-//! the whole drain machinery from arbitrary [`ScheduleController`] flip
-//! schedules.
+//! the whole drain machinery from arbitrary [`AutoscalePolicy::Schedule`]
+//! flip schedules.
 
 use agentsim_simkit::{SimDuration, SimTime};
 
@@ -100,7 +100,7 @@ pub trait PoolController: std::fmt::Debug {
     fn observe(&mut self, obs: &PoolObservation) -> Option<FlipDirection>;
 }
 
-/// Tuning for the default [`HysteresisController`].
+/// Tuning for the default controller, [`AutoscalePolicy::Hysteresis`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HysteresisConfig {
     /// Flip decode→prefill once the prefill/decode demand ratio has
@@ -139,7 +139,7 @@ impl Default for HysteresisConfig {
 /// the dwell is what prevents ping-ponging when demand sits near the
 /// boundary.
 #[derive(Debug)]
-pub struct HysteresisController {
+pub(crate) struct HysteresisController {
     config: HysteresisConfig,
     above_since: Option<SimTime>,
     below_since: Option<SimTime>,
@@ -217,7 +217,7 @@ impl PoolController for HysteresisController {
 /// reached (in order). Infeasible entries (source pool at its floor) are
 /// dropped by the driver, deterministically.
 #[derive(Debug)]
-pub struct ScheduleController {
+pub(crate) struct ScheduleController {
     schedule: Vec<(SimTime, FlipDirection)>,
     next: usize,
 }
@@ -251,7 +251,7 @@ impl PoolController for ScheduleController {
 /// perturb a run (the pinned report must match the autoscaling-disabled
 /// golden fingerprints bit for bit).
 #[derive(Debug, Default)]
-pub struct PinnedController;
+pub(crate) struct PinnedController;
 
 impl PoolController for PinnedController {
     fn observe(&mut self, _obs: &PoolObservation) -> Option<FlipDirection> {
@@ -264,11 +264,14 @@ impl PoolController for PinnedController {
 pub enum AutoscalePolicy {
     /// No controller at all — the exact static-split code path.
     Disabled,
-    /// A [`PinnedController`]: full controller plumbing, zero flips.
+    /// A controller pinned to the static split: full controller
+    /// plumbing, zero flips.
     Pinned,
-    /// The default [`HysteresisController`].
+    /// The default controller: a hysteresis band on the per-replica
+    /// prefill/decode demand ratio, with a dwell timer.
     Hysteresis(HysteresisConfig),
-    /// A fixed [`ScheduleController`] flip schedule.
+    /// Replays a fixed flip schedule: each entry fires once its time is
+    /// reached, in time order.
     Schedule(Vec<(SimTime, FlipDirection)>),
 }
 

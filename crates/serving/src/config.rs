@@ -3,11 +3,11 @@
 
 use std::ops::Deref;
 
-use agentsim_disagg::AutoscalePolicy;
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_llm::{EngineConfig, EngineRole};
 use agentsim_session::{ClientModel, Workload};
 
+use crate::autoscale::AutoscalePolicy;
 use crate::fleet::{FleetConfig, ReplicaPool, Routing};
 use crate::open_loop::ServingConfig;
 

@@ -43,10 +43,6 @@
 use std::collections::{HashMap, VecDeque};
 
 use agentsim_agents::{AgentConfig, AgentKind, Cognition};
-use agentsim_disagg::{
-    AutoscalePolicy, CallRecord, DisaggReport, FlipDirection, FlipRecord, LinkStats,
-    PoolController, PoolObservation, TransferScheduler,
-};
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_kvcache::{EvictionPolicy, TokenBuf};
 use agentsim_llm::{
@@ -63,7 +59,9 @@ use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
 use agentsim_workloads::{Benchmark, Task, TaskGenerator};
 
-use crate::report::FleetReport;
+use crate::autoscale::{AutoscalePolicy, FlipDirection, PoolController, PoolObservation};
+use crate::report::{CallRecord, DisaggReport, FleetReport, FlipRecord, LinkStats};
+use crate::transfer::TransferScheduler;
 
 /// How the router assigns each LLM call to a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2376,9 +2374,8 @@ mod tests {
         assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
         assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
         // Carried conversations lengthen follow-up prompts.
-        let prompt = |r: &agentsim_disagg::DisaggReport| -> u64 {
-            r.calls.iter().map(|c| u64::from(c.prompt_tokens)).sum()
-        };
+        let prompt =
+            |r: &DisaggReport| -> u64 { r.calls.iter().map(|c| u64::from(c.prompt_tokens)).sum() };
         let plain = crate::DisaggSim::new(cfg(false)).run();
         assert!(prompt(&a) > prompt(&plain), "carry grows prompts");
         // The same fleet also reports through the colocated report.

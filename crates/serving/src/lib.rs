@@ -15,15 +15,15 @@
 //!   balancing) extends its §VI datacenter view. Every run reports a
 //!   [`FleetReport`]. Pools whose engines carry prefill/decode roles
 //!   make it a Splitwise-style disaggregated fleet: KV migration over a
-//!   modeled interconnect, and role-flip autoscaling.
+//!   modeled interconnect ([`transfer`]), and role-flip autoscaling
+//!   ([`autoscale`]).
 //! * [`observe`] — step-level observability: attach a [`SpanRecorder`]
 //!   to any of the above and export per-request lifecycle spans, engine
 //!   time-series, and Chrome-trace / JSONL files.
 //! * [`sim`] / [`config`] — [`DisaggSim`] and [`DisaggConfig`], thin
 //!   constructors over that fleet: a prefill pool and a decode pool (or
 //!   the colocated baseline at iso-GPU count), reporting per-call
-//!   five-phase records ([`DisaggReport`]). The record, transfer and
-//!   autoscale types live in [`disagg`] (re-export of `agentsim-disagg`).
+//!   five-phase records ([`CallRecord`]) in a [`DisaggReport`].
 //!
 //! # Example
 //!
@@ -40,9 +40,9 @@
 //! assert!(outcome.energy_wh > 0.0);
 //! ```
 
-pub use agentsim_disagg as disagg;
 pub use agentsim_session as session;
 
+pub mod autoscale;
 pub mod config;
 pub mod fleet;
 pub mod observe;
@@ -52,22 +52,20 @@ pub mod sim;
 pub mod single;
 pub mod stream;
 pub mod sweep;
+pub mod transfer;
 
 /// Per-request execution traces (now shared driver infrastructure in
 /// [`agentsim_session`]; re-exported here for path stability).
 pub use agentsim_session::trace;
 
+pub use autoscale::{AutoscalePolicy, FlipDirection, HysteresisConfig};
 pub use config::{DisaggConfig, DisaggWorkload};
-pub use disagg::{
-    AutoscalePolicy, CallRecord, CallSpan, DisaggReport, FlipDirection, FlipRecord,
-    HysteresisConfig,
-};
 pub use fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
-pub use observe::{
-    chrome_trace, stitch_disagg_span, Phase, RequestSpan, Segment, SpanRecorder, StepRecord,
-};
+pub use observe::{chrome_trace, Phase, RequestSpan, Segment, SpanRecorder, StepRecord};
 pub use open_loop::{ServingConfig, ServingSim, ServingWorkload};
-pub use report::{FleetReport, ServingReport};
+pub use report::{
+    CallRecord, CallSpan, DisaggReport, FleetReport, FlipRecord, LinkStats, ServingReport,
+};
 pub use session::{
     validate_load, AdmissionPolicy, Arrival, ArrivalProcess, CascadePolicy, ClientModel,
     OverloadPolicy, QueueDiscipline, RetryPolicy, SessionCmd, SessionRunner, Workload,
@@ -79,3 +77,4 @@ pub use sweep::{
     peak_throughput, qps_sweep, qps_sweep_observed, ObservedSweepPoint, PhaseBreakdown, SweepPoint,
 };
 pub use trace::{LlmCallRecord, RequestTrace};
+pub use transfer::TransferScheduler;

@@ -7,13 +7,15 @@
 //!   decode, and stall segments whose durations sum *exactly* to the
 //!   request's end-to-end latency (the invariant the paper's Fig. 5/10
 //!   breakdowns rely on),
-//! * **step records** ([`StepRecord`]) — one per engine step, and from
-//!   them the engine time-series (KV block occupancy, running/waiting
-//!   depth, per-step batch token composition) as
-//!   [`agentsim_metrics::TimeSeries`],
+//! * **step records** ([`StepRecord`]) — one per engine step, carrying
+//!   the batch composition, KV block occupancy and running/waiting depth
+//!   at its end; KV occupancy is also an
+//!   [`agentsim_metrics::TimeSeries`]
+//!   ([`kv_used_blocks`](SpanRecorder::kv_used_blocks)),
 //! * **exporters** — Chrome `trace_event` JSON
 //!   ([`chrome_trace`](SpanRecorder::chrome_trace), loadable in
-//!   `chrome://tracing` or Perfetto) and a JSONL event log
+//!   `chrome://tracing` or Perfetto, with one counter track per step
+//!   series) and a JSONL event log
 //!   ([`events_jsonl`](SpanRecorder::events_jsonl)).
 //!
 //! The recorder is a cheap clonable handle (`Arc<Mutex<..>>`): attach
@@ -72,10 +74,6 @@ pub enum Phase {
     Prefill,
     /// Participating in a decode iteration.
     Decode,
-    /// KV blocks in flight between a prefill and a decode pool
-    /// (disaggregated serving; appears only in stitched spans — see
-    /// [`stitch_disagg_span`]).
-    Transfer,
     /// Admitted but not advancing (mid-prefill stall in chunked mode, or
     /// a decode-ready bystander of a pure prefill step).
     Stall,
@@ -88,7 +86,6 @@ impl Phase {
             Phase::Queue => "queue",
             Phase::Prefill => "prefill",
             Phase::Decode => "decode",
-            Phase::Transfer => "transfer",
             Phase::Stall => "stall",
         }
     }
@@ -151,8 +148,6 @@ pub struct RequestSpan {
     pub prefill_time: SimDuration,
     /// Total wall time in decode steps it participated in.
     pub decode_time: SimDuration,
-    /// KV-migration time (non-zero only in stitched disaggregated spans).
-    pub transfer_time: SimDuration,
     /// Total admitted-but-not-advancing time.
     pub stall_time: SimDuration,
     /// Times the request was preempted.
@@ -185,7 +180,6 @@ impl RequestSpan {
             queue_time: SimDuration::ZERO,
             prefill_time: SimDuration::ZERO,
             decode_time: SimDuration::ZERO,
-            transfer_time: SimDuration::ZERO,
             stall_time: SimDuration::ZERO,
             preemptions: 0,
             cached_tokens: 0,
@@ -212,11 +206,7 @@ impl RequestSpan {
     /// attributed up to its last own event (submission, admission, a
     /// step it took part in, or a preemption).
     pub fn attributed(&self) -> SimDuration {
-        self.queue_time
-            + self.prefill_time
-            + self.decode_time
-            + self.transfer_time
-            + self.stall_time
+        self.queue_time + self.prefill_time + self.decode_time + self.stall_time
     }
 
     /// Queue time from submission to first admission only.
@@ -234,7 +224,6 @@ impl RequestSpan {
             Phase::Queue => self.queue_time += dur,
             Phase::Prefill => self.prefill_time += dur,
             Phase::Decode => self.decode_time += dur,
-            Phase::Transfer => self.transfer_time += dur,
             Phase::Stall => self.stall_time += dur,
         }
         if let Some(last) = self.segments.last_mut() {
@@ -445,17 +434,6 @@ impl RecorderInner {
         })
     }
 
-    /// One of [`STEP_SERIES`] as a time-series.
-    fn series(&self, name: &str) -> TimeSeries {
-        let (_, value) = STEP_SERIES
-            .iter()
-            .find(|(series, _)| *series == name)
-            .expect("a step series");
-        let mut series = TimeSeries::new();
-        series.extend(self.steps.iter().map(|s| (s.ended, value(s))));
-        series
-    }
-
     fn log_line(&mut self, line: std::fmt::Arguments<'_>) {
         let _ = writeln!(self.jsonl, "{line}");
     }
@@ -637,32 +615,20 @@ impl SpanRecorder {
 
     /// KV block occupancy sampled at every step completion.
     pub fn kv_used_blocks(&self) -> TimeSeries {
-        self.inner.lock().unwrap().series("kv_used_blocks")
+        let inner = self.inner.lock().unwrap();
+        let mut series = TimeSeries::new();
+        series.extend(
+            inner
+                .steps
+                .iter()
+                .map(|s| (s.ended, s.kv_used_blocks as f64)),
+        );
+        series
     }
 
     /// Total KV pool size in blocks (0 until the first step completes).
     pub fn kv_total_blocks(&self) -> u64 {
         self.inner.lock().unwrap().kv_total_blocks
-    }
-
-    /// Running-set depth sampled at every step completion.
-    pub fn running_depth(&self) -> TimeSeries {
-        self.inner.lock().unwrap().series("running")
-    }
-
-    /// Waiting-queue depth sampled at every step completion.
-    pub fn waiting_depth(&self) -> TimeSeries {
-        self.inner.lock().unwrap().series("waiting")
-    }
-
-    /// Prefill tokens per step (batch composition).
-    pub fn batch_prefill_tokens(&self) -> TimeSeries {
-        self.inner.lock().unwrap().series("prefill_tokens")
-    }
-
-    /// Decode participants per step (batch composition).
-    pub fn batch_decode_seqs(&self) -> TimeSeries {
-        self.inner.lock().unwrap().series("decode_seqs")
     }
 
     /// The JSONL event log: one JSON object per line, in emission order.
@@ -726,62 +692,6 @@ pub fn chrome_trace(recorders: &[(&str, &SpanRecorder)]) -> String {
         }
     }
     format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
-}
-
-/// Joins a prefill-side span (ended by migration) and the decode-side
-/// span of the same request into one end-to-end span with an explicit
-/// [`Phase::Transfer`] segment covering the KV migration.
-///
-/// `prefill` must have ended in migration and `decode` must have been
-/// submitted at or after the migration instant (the transfer arrival).
-/// The stitched span's phase durations telescope exactly: for a finished
-/// decode span, `attributed() == e2e()` still holds, with the transfer
-/// charged as its own phase.
-pub fn stitch_disagg_span(prefill: &RequestSpan, decode: &RequestSpan) -> RequestSpan {
-    assert!(
-        prefill.migrated,
-        "{}: prefill-side span did not end in migration",
-        prefill.id
-    );
-    let released = prefill
-        .finished
-        .expect("migrated span always has a finish time");
-    assert!(
-        decode.submitted >= released,
-        "{}: decode submission precedes migration",
-        prefill.id
-    );
-    let mut segments = prefill.segments.clone();
-    if decode.submitted > released {
-        segments.push(Segment {
-            phase: Phase::Transfer,
-            start: released,
-            end: decode.submitted,
-        });
-    }
-    segments.extend(decode.segments.iter().copied());
-    RequestSpan {
-        id: prefill.id,
-        submitted: prefill.submitted,
-        prompt_tokens: prefill.prompt_tokens,
-        target_out: decode.target_out.max(prefill.target_out),
-        first_admitted: prefill.first_admitted,
-        finished: decode.finished,
-        queue_time: prefill.queue_time + decode.queue_time,
-        prefill_time: prefill.prefill_time + decode.prefill_time,
-        decode_time: prefill.decode_time + decode.decode_time,
-        transfer_time: decode.submitted.saturating_since(released),
-        stall_time: prefill.stall_time + decode.stall_time,
-        preemptions: prefill.preemptions + decode.preemptions,
-        cached_tokens: prefill.cached_tokens,
-        // The decode-side completion already counts the token produced at
-        // prefill release (generation resumes from it), so it is the total.
-        output_tokens: decode.output_tokens.max(prefill.output_tokens),
-        migrated: false,
-        abandoned: decode.abandoned,
-        segments,
-        state: decode.state,
-    }
 }
 
 #[cfg(test)]
@@ -871,7 +781,7 @@ pub(crate) mod tests {
         format!(
             "{{\"id\":{},\"migrated\":{},\"submitted_us\":{},\"finished_us\":{},\
              \"prompt_tokens\":{},\"cached_tokens\":{},\"output_tokens\":{},\
-             \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\"transfer_us\":{},\
+             \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\
              \"stall_us\":{},\"preemptions\":{},\"abandoned\":{},\"segments\":[{}]}}",
             span.id.0,
             span.migrated,
@@ -883,7 +793,6 @@ pub(crate) mod tests {
             span.queue_time.as_micros(),
             span.prefill_time.as_micros(),
             span.decode_time.as_micros(),
-            span.transfer_time.as_micros(),
             span.stall_time.as_micros(),
             span.preemptions,
             span.abandoned,
@@ -1120,8 +1029,6 @@ pub(crate) mod tests {
         for s in &spans {
             assert_eq!(s.attributed(), s.e2e().unwrap(), "{}", s.id);
         }
-        // Time series were sampled at every step.
-        assert_eq!(recorder.steps().len(), recorder.running_depth().len());
         assert!(recorder.kv_used_blocks().max() > 0.0);
         assert!(recorder.kv_total_blocks() > 0);
     }
@@ -1197,7 +1104,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn migrated_span_stitches_into_exact_five_phase_partition() {
+    fn migrated_call_partitions_exactly_on_both_sides() {
         use agentsim_llm::EngineRole;
         use agentsim_simkit::SimDuration;
 
@@ -1212,7 +1119,6 @@ pub(crate) mod tests {
         let p_span = &p_rec.spans()[0];
         assert!(p_span.migrated);
         assert_eq!(p_span.attributed(), p_span.e2e().unwrap());
-        assert_eq!(p_span.transfer_time, SimDuration::ZERO);
 
         // KV transfer takes 100µs, then the decode pool takes over.
         let migration = migrations.pop().expect("one migration");
@@ -1226,17 +1132,10 @@ pub(crate) mod tests {
         let d_span = &d_rec.spans()[0];
         assert!(d_span.is_complete() && !d_span.migrated);
         assert_eq!(d_span.prefill_time, SimDuration::ZERO);
-
-        let stitched = stitch_disagg_span(p_span, d_span);
-        assert_eq!(stitched.output_tokens, 8);
-        assert_eq!(stitched.transfer_time, SimDuration::from_micros(100));
-        assert_eq!(stitched.attributed(), stitched.e2e().unwrap());
-        assert!(
-            stitched.segments.iter().any(
-                |s| s.phase == Phase::Transfer && s.duration() == SimDuration::from_micros(100)
-            ),
-            "stitched timeline must carry an explicit transfer segment"
-        );
+        assert_eq!(d_span.attributed(), d_span.e2e().unwrap());
+        // The decode side's completion counts the token produced at the
+        // prefill release, so it carries the call's total.
+        assert_eq!(d_span.output_tokens, 8);
         // The migrate event reached the prefill-side JSONL log.
         assert!(p_rec.events_jsonl().contains("\"migrate\""));
     }

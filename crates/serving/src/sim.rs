@@ -1,15 +1,15 @@
 //! The disaggregated-serving driver: a [`FleetSim`] that keeps every
-//! call's cross-pool [`agentsim_disagg::CallRecord`] and reports a
+//! call's cross-pool [`CallRecord`](crate::CallRecord) and reports a
 //! [`DisaggReport`].
 //!
 //! It runs the fleet's one event loop, so a disaggregated run and a
 //! colocated run at the same seed differ *only* in serving topology —
 //! the what-if experiments compare nothing else.
 
-use agentsim_disagg::DisaggReport;
 use agentsim_llm::EngineObserver;
 
 use crate::fleet::{FleetConfig, FleetSim};
+use crate::report::DisaggReport;
 
 /// The disaggregated serving simulator. Build with [`DisaggSim::new`],
 /// consume with [`DisaggSim::run`].
@@ -54,8 +54,8 @@ impl DisaggSim {
 mod tests {
     use super::*;
     use crate::config::DisaggConfig;
+    use crate::{AutoscalePolicy, FlipDirection, HysteresisConfig};
     use agentsim_agents::{AgentConfig, AgentKind};
-    use agentsim_disagg::{AutoscalePolicy, FlipDirection, HysteresisConfig};
     use agentsim_gpu::{FlipCostModel, LinkSpec};
     use agentsim_session::{
         AdmissionPolicy, ClientModel, OverloadPolicy, QueueDiscipline, Workload,

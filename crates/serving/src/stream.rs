@@ -14,8 +14,8 @@
 //! carries its exact partition; nothing is written for a span still in
 //! flight.
 //!
-//! Each emitted line carries the full five-phase partition
-//! (`queue/prefill/decode/transfer/stall`, microseconds), how the span
+//! Each emitted line carries the full four-phase partition
+//! (`queue/prefill/decode/stall`, microseconds), how the span
 //! ended (`migrated`, `abandoned`), and the merged segment timeline, so
 //! downstream tooling can rebuild tail breakdowns without replaying the
 //! run.
@@ -62,7 +62,7 @@ impl StreamInner {
             self.line,
             "{{\"id\":{},\"migrated\":{},\"submitted_us\":{},\"finished_us\":{},\
              \"prompt_tokens\":{},\"cached_tokens\":{},\"output_tokens\":{},\
-             \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\"transfer_us\":{},\
+             \"queue_us\":{},\"prefill_us\":{},\"decode_us\":{},\
              \"stall_us\":{},\"preemptions\":{},\"abandoned\":{},\"segments\":[",
             span.id.0,
             span.migrated,
@@ -74,7 +74,6 @@ impl StreamInner {
             span.queue_time.as_micros(),
             span.prefill_time.as_micros(),
             span.decode_time.as_micros(),
-            span.transfer_time.as_micros(),
             span.stall_time.as_micros(),
             span.preemptions,
             span.abandoned,
@@ -252,7 +251,6 @@ mod tests {
         assert_eq!(writer.live(), 0);
         let text = buf.text();
         assert!(text.contains("\"migrated\":true"));
-        assert!(text.contains("\"transfer_us\":0"));
         json::validate(text.trim()).unwrap();
     }
 

@@ -73,7 +73,7 @@ pub fn qps_sweep(
     })
 }
 
-/// Where request time went, summed over a span population: the five
+/// Where request time went, summed over a span population: the four
 /// span phases, normalized against total end-to-end time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseBreakdown {
@@ -85,8 +85,6 @@ pub struct PhaseBreakdown {
     pub prefill_s: f64,
     /// Seconds in decode steps.
     pub decode_s: f64,
-    /// Seconds in KV migration (disaggregated serving only).
-    pub transfer_s: f64,
     /// Seconds admitted but not advancing.
     pub stall_s: f64,
 }
@@ -103,7 +101,6 @@ impl PhaseBreakdown {
             b.queue_s += span.queue_time.as_secs_f64();
             b.prefill_s += span.prefill_time.as_secs_f64();
             b.decode_s += span.decode_time.as_secs_f64();
-            b.transfer_s += span.transfer_time.as_secs_f64();
             b.stall_s += span.stall_time.as_secs_f64();
         }
         b
@@ -125,7 +122,7 @@ impl PhaseBreakdown {
 
     /// Total attributed seconds (equals summed end-to-end time).
     pub fn total_s(&self) -> f64 {
-        self.queue_s + self.prefill_s + self.decode_s + self.transfer_s + self.stall_s
+        self.queue_s + self.prefill_s + self.decode_s + self.stall_s
     }
 
     /// Fraction of total time in `phase`, in `[0, 1]` (0 if empty).
@@ -138,7 +135,6 @@ impl PhaseBreakdown {
             Phase::Queue => self.queue_s,
             Phase::Prefill => self.prefill_s,
             Phase::Decode => self.decode_s,
-            Phase::Transfer => self.transfer_s,
             Phase::Stall => self.stall_s,
         };
         part / total
@@ -297,18 +293,11 @@ mod tests {
             assert!(o.overall.requests >= o.report.completed);
             assert!(o.tail.requests >= 1);
             assert!(o.tail.requests <= o.overall.requests);
-            let shares: f64 = [
-                Phase::Queue,
-                Phase::Prefill,
-                Phase::Decode,
-                Phase::Transfer,
-                Phase::Stall,
-            ]
-            .iter()
-            .map(|&ph| o.overall.share(ph))
-            .sum();
+            let shares: f64 = [Phase::Queue, Phase::Prefill, Phase::Decode, Phase::Stall]
+                .iter()
+                .map(|&ph| o.overall.share(ph))
+                .sum();
             assert!((shares - 1.0).abs() < 1e-9, "shares sum to {shares}");
-            assert_eq!(o.overall.share(Phase::Transfer), 0.0);
         }
         // Under overload the tail becomes queue-dominated: that is the
         // Fig. 14 "where did the tail go" signature.

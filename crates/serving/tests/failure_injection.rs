@@ -13,11 +13,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use agentsim_disagg::TransferScheduler;
 use agentsim_gpu::LinkSpec;
 use agentsim_kvcache::TokenBuf;
 use agentsim_llm::{Engine, EngineConfig, EngineEvent, EngineObserver, EngineRole};
-use agentsim_serving::{AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, Workload};
+use agentsim_serving::{
+    AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, TransferScheduler, Workload,
+};
 use agentsim_simkit::{SimDuration, SimTime};
 
 /// Runs `engine` until it goes idle, collecting completions.

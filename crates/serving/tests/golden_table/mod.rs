@@ -22,12 +22,12 @@ use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::{EngineConfig, LlmCompletion, OffloadConfig, RequestId, SchedulerPolicy};
 use agentsim_metrics::Samples;
-use agentsim_serving::disagg::LinkStats;
 use agentsim_serving::{
     qps_sweep, AdmissionPolicy, AutoscalePolicy, CallRecord, CascadePolicy, ClientModel,
     DisaggConfig, DisaggReport, DisaggSim, FleetConfig, FleetReport, FleetSim, FlipDirection,
-    FlipRecord, LlmCallRecord, OverloadPolicy, QueueDiscipline, ReplicaPool, RequestTrace,
-    RetryPolicy, Routing, ServingConfig, SingleOutcome, SingleRequest, SweepPoint, Workload,
+    FlipRecord, LinkStats, LlmCallRecord, OverloadPolicy, QueueDiscipline, ReplicaPool,
+    RequestTrace, RetryPolicy, Routing, ServingConfig, SingleOutcome, SingleRequest, SweepPoint,
+    Workload,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 use agentsim_tools::{ToolKind, ToolResult};

@@ -18,10 +18,10 @@
 //! 4. `transfer_chunks(k)` arrival ≤ serial arrival, per migration, for
 //!    every k ≥ 1 — pipelining may only help.
 
-use agentsim_disagg::TransferScheduler;
 use agentsim_gpu::LinkSpec;
 use agentsim_kvcache::TokenBuf;
 use agentsim_llm::{MigratedRequest, RequestId};
+use agentsim_serving::TransferScheduler;
 use agentsim_simkit::{SimDuration, SimTime};
 use proptest::prelude::*;
 
