@@ -139,10 +139,6 @@ pub struct Transfer {
 pub struct ChunkedTransfer {
     chunks: Vec<Transfer>,
     bytes: u64,
-    /// The link's `busy_until` before this train was scheduled — where the
-    /// reservation rolls back to if the transfer is reclaimed while still
-    /// the newest thing on the link.
-    reserved_from: SimTime,
 }
 
 impl ChunkedTransfer {
@@ -256,7 +252,6 @@ impl Link {
     /// compute. Ready times must be nondecreasing.
     pub fn schedule_chunked(&mut self, plan: &[(SimTime, u64)]) -> ChunkedTransfer {
         assert!(!plan.is_empty(), "a chunked transfer needs >= 1 chunk");
-        let reserved_from = self.busy_until;
         let mut chunks = Vec::with_capacity(plan.len());
         let mut bytes = 0u64;
         let mut wired = SimDuration::ZERO;
@@ -293,34 +288,7 @@ impl Link {
         self.transfers += 1;
         self.chunks += plan.len() as u64;
         self.bytes_moved += bytes;
-        ChunkedTransfer {
-            chunks,
-            bytes,
-            reserved_from,
-        }
-    }
-
-    /// Rolls back a previously scheduled chunked transfer whose payload
-    /// was cancelled before it mattered: the counters stop claiming its
-    /// bytes and wire time as useful work, and — if the train is still
-    /// the newest reservation on the link — the link's availability
-    /// horizon rolls back so later traffic no longer queues behind KV
-    /// that will never ship. Returns `true` when the reservation itself
-    /// was recovered; `false` when later transfers already queued behind
-    /// it (their schedules are committed, so the hole in the timeline
-    /// stays, but it is no longer accounted as busy time).
-    pub fn reclaim(&mut self, transfer: &ChunkedTransfer) -> bool {
-        self.transfers -= 1;
-        self.chunks -= transfer.chunks.len() as u64;
-        self.bytes_moved -= transfer.bytes;
-        self.busy_time = self.busy_time.saturating_sub(transfer.duration());
-        self.wait_time = self.wait_time.saturating_sub(transfer.wait());
-        if self.busy_until == transfer.end() {
-            self.busy_until = transfer.reserved_from;
-            true
-        } else {
-            false
-        }
+        ChunkedTransfer { chunks, bytes }
     }
 
     /// Number of transfers scheduled so far.
@@ -525,36 +493,5 @@ mod tests {
         assert_eq!(t.end(), SimTime::from_micros(11_000));
         // Serial would have been 10ms + 4ms = 14ms.
         assert_eq!(t.wait(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn reclaim_rolls_back_the_tail_reservation() {
-        let mut link = Link::new(test_spec());
-        let a = link.schedule(SimTime::ZERO, 1_000_000);
-        let b = link.schedule_chunked(&[(SimTime::ZERO, 400_000), (SimTime::ZERO, 600_000)]);
-        assert_eq!(link.transfers(), 2);
-        assert_eq!(link.chunks(), 3);
-        assert!(link.reclaim(&b));
-        assert_eq!(link.transfers(), 1);
-        assert_eq!(link.chunks(), 1);
-        assert_eq!(link.bytes_moved(), 1_000_000);
-        assert_eq!(link.busy_time(), a.duration);
-        // The wire is free again right after `a`: a new transfer starts
-        // where the cancelled train would have.
-        let c = link.schedule(SimTime::ZERO, 1_000);
-        assert_eq!(c.start, a.end);
-    }
-
-    #[test]
-    fn reclaim_behind_later_traffic_keeps_the_hole_but_fixes_counters() {
-        let mut link = Link::new(test_spec());
-        let a = link.schedule_chunked(&[(SimTime::ZERO, 1_000_000)]);
-        let b = link.schedule(SimTime::ZERO, 1_000_000);
-        assert!(!link.reclaim(&a));
-        assert_eq!(link.transfers(), 1);
-        assert_eq!(link.bytes_moved(), 1_000_000);
-        // `b`'s committed schedule still stands.
-        let c = link.schedule(SimTime::ZERO, 1_000);
-        assert_eq!(c.start, b.end);
     }
 }

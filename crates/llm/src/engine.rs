@@ -287,11 +287,6 @@ impl Engine {
         self.draining = true;
     }
 
-    /// Whether the engine is mid-drain for a role flip.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
     /// Whether the engine accepts fresh submissions (not draining).
     pub fn admits_new_work(&self) -> bool {
         !self.draining
@@ -719,9 +714,9 @@ impl Engine {
     /// transfers queued behind them) but gate nothing.
     ///
     /// `overlap` is the wall time of the prefill compute the promotions
-    /// gate. With [`OffloadConfig`]`::transfer_chunks` above 1 each
-    /// promote ships as a train of layer chunks and chunk `k` of `n` is
-    /// only needed once the prefill reaches layer `k` — at
+    /// gate. With [`transfer_chunks`](crate::OffloadConfig::transfer_chunks)
+    /// above 1 each promote ships as a train of layer chunks and chunk `k`
+    /// of `n` is only needed once the prefill reaches layer `k` — at
     /// `now + overlap * k / n` — so the stall covers just the residual
     /// the wire fails to hide behind compute. With a single chunk (the
     /// default) `overlap` is ignored and the promote gates end to end,
@@ -1945,13 +1940,12 @@ mod edge_tests {
         e.submit(SimTime::ZERO, TokenBuf::from_segment(1, 512), 64, 7);
         assert!(e.admits_new_work());
         e.begin_drain();
-        assert!(e.is_draining());
         assert!(!e.admits_new_work());
         // In-flight work still runs: the request migrates out as usual.
         let (_, t) = drain(&mut e, SimTime::ZERO);
         assert_eq!(e.take_migrations().len(), 1);
         e.finish_drain(t, EngineRole::Decode);
-        assert!(!e.is_draining());
+        assert!(e.admits_new_work());
         assert_eq!(e.config().role, EngineRole::Decode);
         e_kv_clean(&e);
     }

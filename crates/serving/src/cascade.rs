@@ -2,9 +2,8 @@
 //! failed turn escalates to a more capable (and more expensive) pool.
 //!
 //! The policy itself is pure configuration — the fleet driver owns the
-//! mechanics (re-routing, conversation carry, KV hints). Keeping it in
-//! the session crate lets both the serving fleet and experiment code
-//! share one vocabulary for cascade behaviour.
+//! mechanics (re-routing, conversation carry, KV hints); experiment code
+//! shares the same vocabulary for cascade behaviour.
 //!
 //! Two knobs decide the *initial* tier of a turn:
 //!

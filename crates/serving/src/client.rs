@@ -8,7 +8,7 @@
 //! the **same session**, so affinity routing and prefix caching carry
 //! state across turns.
 //!
-//! Every serving driver consumes these through the [`ArrivalProcess`]
+//! The fleet driver consumes these through the [`ArrivalProcess`]
 //! trait: a lazy generator that is asked for the next arrival when the
 //! previous one fires ([`ArrivalProcess::after_arrival`]) or when a turn
 //! completes ([`ArrivalProcess::after_finish`]), instead of pre-loading
@@ -19,7 +19,7 @@ use agentsim_simkit::{SimDuration, SimRng, SimTime};
 
 /// One client submission, produced by an [`ArrivalProcess`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// When the request enters the system.
     pub at: SimTime,
     /// Stable session identity (drives routing affinity and the slot a
@@ -33,12 +33,12 @@ pub struct Arrival {
     /// Which delivery attempt of this logical turn this is. Client
     /// processes always issue attempt 0; drivers re-issue the same turn
     /// with `attempt + 1` when a deadline expires under a retry policy
-    /// (see `agentsim_session::overload::RetryPolicy`).
+    /// (see [`RetryPolicy`](crate::RetryPolicy)).
     pub attempt: u32,
 }
 
 /// Declarative description of the client population. Cheap to clone;
-/// drivers call [`ClientModel::build`] to obtain the stateful process.
+/// the driver builds the stateful arrival process from it.
 #[derive(Debug, Clone, Default)]
 pub enum ClientModel {
     /// Poisson arrivals at the configured QPS, one single-turn session
@@ -94,7 +94,12 @@ impl ClientModel {
     /// arrival stream (`root.fork(seeds::ARRIVALS)`); open-loop draws
     /// from it directly, which keeps gap sequences bit-identical to the
     /// historical pre-scheduled loop.
-    pub fn build(&self, qps: f64, num_requests: u64, rng: SimRng) -> Box<dyn ArrivalProcess> {
+    pub(crate) fn build(
+        &self,
+        qps: f64,
+        num_requests: u64,
+        rng: SimRng,
+    ) -> Box<dyn ArrivalProcess> {
         match self {
             ClientModel::OpenLoopPoisson => Box::new(OpenLoopPoisson {
                 gaps: Exponential::with_rate(qps),
@@ -128,7 +133,7 @@ impl ClientModel {
 }
 
 /// The stateful arrival generator a driver steps its run with.
-pub trait ArrivalProcess: std::fmt::Debug {
+pub(crate) trait ArrivalProcess: std::fmt::Debug {
     /// Arrivals to seed the event queue with at t = 0 (one for open
     /// loop / replay; the whole population's first turns for closed
     /// loop).

@@ -5,11 +5,12 @@ use std::ops::Deref;
 
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_llm::{EngineConfig, EngineRole};
-use agentsim_session::{ClientModel, Workload};
 
 use crate::autoscale::AutoscalePolicy;
+use crate::client::ClientModel;
 use crate::fleet::{FleetConfig, ReplicaPool, Routing};
 use crate::open_loop::ServingConfig;
+use crate::workload::Workload;
 
 /// The disaggregated driver's traffic description: the workload enum
 /// every driver shares. Kept as an alias for existing callers; new code
@@ -18,7 +19,7 @@ pub type DisaggWorkload = Workload;
 
 /// One disaggregated (or colocated-baseline) run: a [`FleetConfig`] with
 /// a prefill pool and a decode pool, or one colocated pool, on the
-/// single-replica root stream ([`agentsim_session::seeds::SERVING_ROOT`]), so every
+/// single-replica root stream (the one [`ServingConfig`] uses), so every
 /// topology at one seed sees identical arrivals and task draws. Reads go
 /// through to the [`FleetConfig`]; run it with [`crate::DisaggSim`].
 #[derive(Debug, Clone)]
@@ -122,7 +123,7 @@ impl From<DisaggConfig> for FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agentsim_session::{AdmissionPolicy, OverloadPolicy, QueueDiscipline};
+    use crate::{AdmissionPolicy, OverloadPolicy, QueueDiscipline};
 
     #[test]
     fn defaults_split_one_one_over_nvlink() {

@@ -50,18 +50,21 @@ use agentsim_llm::{
     RequestId,
 };
 use agentsim_metrics::Samples;
-use agentsim_session::{
-    seeds, validate_load, AdmissionController, AdmissionPolicy, Arrival, ArrivalProcess, CallDone,
-    CascadePolicy, ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd,
-    SessionRunner, Workload,
-};
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
 use agentsim_workloads::{Benchmark, Task, TaskGenerator};
 
 use crate::autoscale::{AutoscalePolicy, FlipDirection, PoolController, PoolObservation};
+use crate::cascade::CascadePolicy;
+use crate::client::{Arrival, ArrivalProcess, ClientModel};
+use crate::overload::{
+    validate_load, AdmissionController, AdmissionPolicy, OverloadPolicy, QueueDiscipline,
+};
 use crate::report::{CallRecord, DisaggReport, FleetReport, FlipRecord, LinkStats};
+use crate::runner::{CallDone, LlmSubmit, SessionCmd, SessionRunner};
+use crate::seeds;
 use crate::transfer::TransferScheduler;
+use crate::workload::Workload;
 
 /// How the router assigns each LLM call to a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1826,7 +1829,7 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agentsim_session::RetryPolicy;
+    use crate::RetryPolicy;
 
     fn run(routing: Routing, replicas: u32) -> FleetReport {
         FleetSim::new(FleetConfig::react_hotpotqa(replicas, routing, 2.0, 40).seed(3)).run()

@@ -1,7 +1,25 @@
 //! Serving drivers: execute agent sessions against the simulated engine
-//! and tools. All of them step the shared [`SessionRunner`] core and
-//! take their traffic from a pluggable [`ClientModel`] (open-loop
-//! Poisson, closed-loop think-time populations, trace replay).
+//! and tools.
+//!
+//! Both drivers, [`single`] and [`fleet`], step agent sessions issuing
+//! iterative LLM calls and tool batches through one crate-private state
+//! machine, the session runner. It holds the per-session pending and
+//! completed LLM calls, tool execution, LLMCompiler overlap accounting
+//! and trace accumulation; a driver keeps only where LLM calls are
+//! submitted and how events are scheduled. Around it:
+//!
+//! * [`Workload`] — the traffic description (chatbot, agent, or a
+//!   per-turn mix) and the one place a turn opens its session.
+//! * [`ClientModel`] — who submits work and when: open-loop Poisson (the
+//!   paper's methodology), closed-loop with think times and multi-turn
+//!   session reuse, and recorded-trace replay.
+//! * [`OverloadPolicy`] — per-request deadlines, [`RetryPolicy`] backoff,
+//!   [`AdmissionPolicy`] and [`QueueDiscipline`].
+//! * [`CascadePolicy`] — cognition-driven routing across model tiers.
+//! * [`RequestTrace`] — the per-request execution record every driver
+//!   produces, one [`LlmCallRecord`] per call.
+//!
+//! The drivers:
 //!
 //! * [`single`] — one request on a dedicated replica, producing a fully
 //!   attributed [`RequestTrace`] (the paper's §IV-A/B per-request
@@ -40,35 +58,35 @@
 //! assert!(outcome.energy_wh > 0.0);
 //! ```
 
-pub use agentsim_session as session;
-
 pub mod autoscale;
+mod cascade;
+mod client;
 pub mod config;
 pub mod fleet;
 pub mod observe;
 pub mod open_loop;
+mod overload;
 pub mod report;
+mod runner;
+mod seeds;
 pub mod sim;
 pub mod single;
 pub mod stream;
 pub mod sweep;
+mod trace;
 pub mod transfer;
-
-/// Per-request execution traces (now shared driver infrastructure in
-/// [`agentsim_session`]; re-exported here for path stability).
-pub use agentsim_session::trace;
+mod workload;
 
 pub use autoscale::{AutoscalePolicy, FlipDirection, HysteresisConfig};
+pub use cascade::CascadePolicy;
+pub use client::ClientModel;
 pub use config::{DisaggConfig, DisaggWorkload};
 pub use fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
 pub use observe::{chrome_trace, Phase, RequestSpan, Segment, SpanRecorder, StepRecord};
 pub use open_loop::{ServingConfig, ServingSim, ServingWorkload};
+pub use overload::{AdmissionPolicy, OverloadPolicy, QueueDiscipline, RetryPolicy};
 pub use report::{
     CallRecord, CallSpan, DisaggReport, FleetReport, FlipRecord, LinkStats, ServingReport,
-};
-pub use session::{
-    validate_load, AdmissionPolicy, Arrival, ArrivalProcess, CascadePolicy, ClientModel,
-    OverloadPolicy, QueueDiscipline, RetryPolicy, SessionCmd, SessionRunner, Workload,
 };
 pub use sim::DisaggSim;
 pub use single::{SingleOutcome, SingleRequest};
@@ -78,3 +96,4 @@ pub use sweep::{
 };
 pub use trace::{LlmCallRecord, RequestTrace};
 pub use transfer::TransferScheduler;
+pub use workload::Workload;

@@ -9,9 +9,11 @@
 //! runs it on the same event loop as any fleet.
 
 use agentsim_llm::EngineConfig;
-use agentsim_session::{seeds, ClientModel, Workload};
 
+use crate::client::ClientModel;
 use crate::fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
+use crate::seeds;
+use crate::workload::Workload;
 
 /// The single-replica driver: a one-replica [`FleetSim`]. Kept as an
 /// alias for existing callers; new code names [`FleetSim`].
@@ -30,9 +32,10 @@ pub struct ServingConfig(FleetConfig);
 impl ServingConfig {
     /// One A100/Llama-3.1-8B replica serving `workload` under an
     /// open-loop Poisson client at `qps`; its pool runs the workload's
-    /// agent. The root stream is [`seeds::SERVING_ROOT`], the key
-    /// `DisaggConfig` shares, so a single-replica run and a disaggregated
-    /// run at the same seed see identical arrivals and sessions.
+    /// agent. Its root stream is the one `DisaggConfig` shares (distinct
+    /// from a directly built fleet's), so a single-replica run and a
+    /// disaggregated run at the same seed see identical arrivals and
+    /// sessions.
     pub fn new(workload: Workload, qps: f64, num_requests: u64) -> Self {
         let mut pool = ReplicaPool::new(EngineConfig::a100_llama8b(), 1);
         if let Some((_, _, agent)) = workload.agent() {

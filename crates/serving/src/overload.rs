@@ -5,10 +5,9 @@
 //! completion, but real agent services shed load: clients give up after
 //! a deadline, front-ends retry with backoff, and serving layers bound
 //! concurrency to avoid congestion collapse. This module holds the
-//! *policy* vocabulary shared by the fleet and disaggregated drivers —
-//! the drivers own the mechanics (cancellation, dispatch queues, retry
-//! scheduling) and make every decision in event order, so runs replay
-//! bit-identically.
+//! *policy* vocabulary — the fleet driver owns the mechanics
+//! (cancellation, dispatch queues, retry scheduling) and makes every
+//! decision in event order, so runs replay bit-identically.
 //!
 //! An [`OverloadPolicy`] combines four knobs:
 //!
@@ -33,15 +32,15 @@ use crate::client::ClientModel;
 
 /// Validates the offered-load parameters every serving driver shares.
 ///
-/// Every config constructor routes its `qps`/`num_requests` arguments
-/// through here so the checks — and the panic messages — cannot drift
-/// apart again.
+/// `FleetConfig::pooled` and `FleetSim::new` route their
+/// `qps`/`num_requests` through here, so the checks — and the panic
+/// messages — cannot drift apart.
 ///
 /// # Panics
 ///
 /// Panics if `qps` is not a positive finite number or `num_requests` is
 /// zero.
-pub fn validate_load(qps: f64, num_requests: u64) {
+pub(crate) fn validate_load(qps: f64, num_requests: u64) {
     assert!(
         qps.is_finite() && qps > 0.0,
         "offered load must be a positive finite qps, got {qps}"
@@ -129,7 +128,7 @@ impl RetryPolicy {
 /// Implementations must be deterministic pure functions of their call
 /// sequence — drivers invoke them in event order, which is what keeps
 /// runs bit-identical across replays.
-pub trait AdmissionController: std::fmt::Debug + Send {
+pub(crate) trait AdmissionController: std::fmt::Debug + Send {
     /// Maximum engine calls this replica may have in flight right now.
     fn limit(&self) -> usize;
     /// A call completed and was delivered to a live client.
@@ -141,7 +140,7 @@ pub trait AdmissionController: std::fmt::Debug + Send {
 /// The naive baseline: no limit, every arrival is admitted immediately.
 /// This reproduces the historical driver behaviour bit-for-bit.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AcceptAll;
+pub(crate) struct AcceptAll;
 
 impl AdmissionController for AcceptAll {
     fn limit(&self) -> usize {
@@ -156,7 +155,7 @@ impl AdmissionController for AcceptAll {
 /// `squeeze` crate): grow the limit slowly while work succeeds, cut it
 /// sharply when deadlines expire.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AimdLimiter {
+pub(crate) struct AimdLimiter {
     limit: f64,
     min: f64,
     max: f64,
@@ -200,7 +199,8 @@ impl AimdLimiter {
     }
 
     /// The current fractional limit (floored by [`AdmissionController::limit`]).
-    pub fn current(&self) -> f64 {
+    #[cfg(test)]
+    fn current(&self) -> f64 {
         self.limit
     }
 }
@@ -222,14 +222,16 @@ impl AdmissionController for AimdLimiter {
 }
 
 /// Declarative admission-control choice, carried by [`OverloadPolicy`].
-/// Cheap to clone; drivers call [`AdmissionPolicy::build`] once per
-/// replica.
+/// Cheap to clone; the driver builds one controller per replica.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum AdmissionPolicy {
     /// No limit (the naive baseline).
     #[default]
     AcceptAll,
-    /// An [`AimdLimiter`] per replica.
+    /// An additive-increase / multiplicative-decrease limiter per
+    /// replica: the limit grows by `increase` per window of `limit`
+    /// successes and is multiplied by `decrease` on each timeout,
+    /// staying within `[min, max]`.
     Aimd {
         /// Starting concurrency limit.
         initial: f64,
@@ -258,7 +260,7 @@ impl AdmissionPolicy {
     }
 
     /// Instantiates the controller for one replica.
-    pub fn build(&self) -> Box<dyn AdmissionController> {
+    pub(crate) fn build(&self) -> Box<dyn AdmissionController> {
         match *self {
             AdmissionPolicy::AcceptAll => Box::new(AcceptAll),
             AdmissionPolicy::Aimd {

@@ -1,4 +1,4 @@
-//! The session state machine shared by every serving driver.
+//! The session state machine every serving driver steps.
 //!
 //! A [`SessionRunner`] steps one agent (or chatbot) session: it asks the
 //! [`AgentPolicy`] for its next op, executes tool batches, accumulates
@@ -21,9 +21,8 @@
 //! 4. [`SessionCmd::Finish`] — the turn is over; take the trace and
 //!    retire (or, under a closed-loop client, re-submit) the session.
 //!
-//! Timing, RNG forks, and trace arithmetic here are bit-identical to the
-//! four driver-private state machines this module replaced; the golden
-//! `FleetReport`/`DisaggReport` fingerprints pin that.
+//! The golden `FleetReport`/`DisaggReport` fingerprints pin its timing,
+//! RNG forks and trace arithmetic.
 
 use agentsim_agents::{
     build_agent, AgentConfig, AgentKind, AgentOp, AgentPolicy, LlmCallSpec, LlmOutput, OpResult,
@@ -40,7 +39,7 @@ use crate::trace::{LlmCallRecord, RequestTrace};
 
 /// One LLM call the driver must submit to an engine.
 #[derive(Debug)]
-pub struct LlmSubmit {
+pub(crate) struct LlmSubmit {
     /// The full input prompt (moved, so memoized block hashes carry into
     /// the engine instead of being recomputed from a copy).
     pub prompt: TokenBuf,
@@ -53,7 +52,7 @@ pub struct LlmSubmit {
 /// A batch of LLM calls forming one agent op. Calls are identified by
 /// their index (`seq`) in [`LlmOp::calls`] when reporting completion.
 #[derive(Debug)]
-pub struct LlmOp {
+pub(crate) struct LlmOp {
     /// The calls, in submission order.
     pub calls: Vec<LlmSubmit>,
     /// Scheduling priority: the session's LLM-call count so far, so
@@ -64,7 +63,7 @@ pub struct LlmOp {
 
 /// What the driver must do next for a session.
 #[derive(Debug)]
-pub enum SessionCmd {
+pub(crate) enum SessionCmd {
     /// Submit these LLM calls; resume via [`SessionRunner::on_call_done`].
     Llm(LlmOp),
     /// Tools are running; wake the session at `wake` and call
@@ -79,7 +78,7 @@ pub enum SessionCmd {
 
 /// A completed LLM call, as reported back by the driver.
 #[derive(Debug)]
-pub struct CallDone {
+pub(crate) struct CallDone {
     /// Output tokens generated.
     pub tokens: u32,
     /// The full engine completion record, when the driver has it in hand
@@ -141,7 +140,7 @@ impl Carry {
 
 /// How the runner derives randomness for tool execution.
 #[derive(Debug)]
-pub enum ToolRng {
+pub(crate) enum ToolRng {
     /// Fork a fresh stream off the session RNG keyed by the current
     /// simulation time (the event-driven drivers' scheme: tool draws stay
     /// independent of how many sessions interleave).
@@ -154,7 +153,7 @@ pub enum ToolRng {
 /// The per-session state machine. See the [module docs](self) for the
 /// driver protocol.
 #[derive(Debug)]
-pub struct SessionRunner {
+pub(crate) struct SessionRunner {
     /// `None` for chatbot sessions (single call, no policy).
     policy: Option<Box<dyn AgentPolicy>>,
     trace: RequestTrace,

@@ -54,12 +54,12 @@ impl DisaggSim {
 mod tests {
     use super::*;
     use crate::config::DisaggConfig;
-    use crate::{AutoscalePolicy, FlipDirection, HysteresisConfig};
+    use crate::{
+        AdmissionPolicy, AutoscalePolicy, ClientModel, FlipDirection, HysteresisConfig,
+        OverloadPolicy, QueueDiscipline, Workload,
+    };
     use agentsim_agents::{AgentConfig, AgentKind};
     use agentsim_gpu::{FlipCostModel, LinkSpec};
-    use agentsim_session::{
-        AdmissionPolicy, ClientModel, OverloadPolicy, QueueDiscipline, Workload,
-    };
     use agentsim_simkit::{SimDuration, SimTime};
 
     fn react(qps: f64, n: u64) -> DisaggReport {

@@ -2,11 +2,12 @@
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{Engine, EngineConfig, RequestId};
-use agentsim_session::{seeds, CallDone, SessionCmd, SessionRunner, ToolRng};
 use agentsim_simkit::{SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
 use agentsim_workloads::{Benchmark, TaskGenerator};
 
+use crate::runner::{CallDone, SessionCmd, SessionRunner, ToolRng};
+use crate::seeds;
 use crate::trace::RequestTrace;
 
 /// Builder for a single-request experiment.

@@ -2,13 +2,13 @@
 //! phase breakdowns ("where did the tail go").
 
 use agentsim_llm::EngineConfig;
-use agentsim_session::Workload;
 use agentsim_simkit::rng::splitmix64;
 
 use crate::fleet::FleetSim;
 use crate::observe::{Phase, RequestSpan};
 use crate::open_loop::ServingConfig;
 use crate::report::FleetReport;
+use crate::workload::Workload;
 
 /// One point of a QPS sweep.
 #[derive(Debug, Clone)]

@@ -60,7 +60,6 @@ pub struct TransferScheduler {
     next_id: u64,
     total_bytes: u64,
     completed: u64,
-    cancelled: u64,
 }
 
 impl TransferScheduler {
@@ -76,7 +75,6 @@ impl TransferScheduler {
             next_id: 0,
             total_bytes: 0,
             completed: 0,
-            cancelled: 0,
         }
     }
 
@@ -171,27 +169,6 @@ impl TransferScheduler {
         pt
     }
 
-    /// Cancels a scheduled-but-unfinished transfer: releases its
-    /// in-flight slot, rolls its bytes out of the conservation total,
-    /// and reclaims the link reservation so later traffic stops queueing
-    /// behind KV that will never ship ([`Link::reclaim`]). Returns the
-    /// abandoned transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown or already-completed id.
-    pub fn cancel(&mut self, id: u64) -> PendingTransfer {
-        let pt = self
-            .pending
-            .remove(&id)
-            .unwrap_or_else(|| panic!("unknown transfer {id}"));
-        self.in_flight[pt.dst] -= 1;
-        self.total_bytes -= pt.migration.kv_bytes;
-        self.cancelled += 1;
-        self.links[pt.dst].reclaim(&pt.transfer);
-        pt
-    }
-
     /// Transfers currently in the air toward replica `dst` (decode-side
     /// least-loaded routing counts these as imminent work, and a
     /// draining replica may not flip until this reaches zero).
@@ -205,8 +182,7 @@ impl TransferScheduler {
         &self.links
     }
 
-    /// Total KV bytes accepted for transfer so far (cancelled bytes are
-    /// rolled back out).
+    /// Total KV bytes accepted for transfer so far.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
@@ -214,11 +190,6 @@ impl TransferScheduler {
     /// Transfers completed so far.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Transfers cancelled before arrival.
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled
     }
 
     /// Transfers scheduled but not yet completed.
@@ -350,32 +321,5 @@ mod tests {
         let plan = sched.chunk_plan(SimTime::ZERO, &migration_with_prefill(2 << 20, 1_000));
         assert!(plan.len() < 8, "coalescing must reduce the chunk count");
         assert_eq!(plan.iter().map(|&(_, b)| b).sum::<u64>(), 2 << 20);
-    }
-
-    #[test]
-    fn cancel_reclaims_the_link_reservation() {
-        let mut sched = TransferScheduler::new(test_spec(), 1).with_chunks(4);
-        let (a, end_a) = sched.schedule(SimTime::ZERO, 0, migration(1_000_000));
-        let (b, _) = sched.schedule(SimTime::ZERO, 0, migration(4_000_000));
-        assert_eq!(sched.in_flight(0), 2);
-        sched.cancel(b);
-        assert_eq!(sched.in_flight(0), 1);
-        assert_eq!(sched.cancelled(), 1);
-        assert_eq!(sched.total_bytes(), 1_000_000);
-        assert_eq!(sched.outstanding(), 1);
-        // The reclaimed reservation frees the wire: a new transfer now
-        // queues behind `a` alone, not behind the cancelled 4 MB.
-        let (_, end_c) = sched.schedule(SimTime::ZERO, 0, migration(1_000));
-        assert!(end_c < end_a + SimDuration::from_micros(10));
-        sched.complete(a);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown transfer")]
-    fn cancel_after_completion_rejected() {
-        let mut sched = TransferScheduler::new(LinkSpec::zero_cost(), 1);
-        let (id, _) = sched.schedule(SimTime::ZERO, 0, migration(100));
-        sched.complete(id);
-        sched.cancel(id);
     }
 }

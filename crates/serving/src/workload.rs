@@ -122,7 +122,7 @@ impl Workload {
     /// model); `history` prefixes an agent turn's prompts with a carried
     /// conversation.
     #[allow(clippy::too_many_arguments)]
-    pub fn start_session(
+    pub(crate) fn start_session(
         &self,
         turn: u64,
         seed: u64,
