@@ -11,7 +11,8 @@
 //! `target/results-quick/`. A subset run rewrites only its own rows of
 //! the directory's `INDEX.md`.
 //!
-//! Exit code is non-zero if any shape check fails.
+//! Exit code is non-zero if any shape check fails, and 2 for an unknown
+//! flag or experiment id.
 
 use std::time::Instant;
 
@@ -19,7 +20,10 @@ use agentsim::experiments::all_experiments;
 use agentsim_bench::{index_row, merge_index, parse_args, results_dir, write_result};
 
 fn main() {
-    let (ids, scale) = parse_args(std::env::args().skip(1));
+    let (ids, scale) = parse_args(std::env::args().skip(1)).unwrap_or_else(|flag| {
+        eprintln!("unknown flag {flag}; use --quick");
+        std::process::exit(2);
+    });
     let dir = results_dir(&scale);
     let experiments: Vec<_> = all_experiments()
         .into_iter()

@@ -14,6 +14,12 @@
 //!   cargo run -p agentsim-bench --release --bin figures -- --quick # smaller samples
 //!   ```
 //!
+//!   Experiments may also return artifact files, written next to their
+//!   tables: `figures ext_spans` writes the Chrome traces and event log
+//!   `results/TRACE_*`, and `figures ext_disagg` the disaggregated
+//!   report and streamed span logs `results/DISAGG_*`. They are
+//!   untracked; each experiment's last table pins their bytes.
+//!
 //! * **Simulator wall clock** — `perfstat` times the fleet driver and
 //!   gates the CI smoke against the baseline in `BENCH_fleet.json`:
 //!
@@ -89,8 +95,8 @@ pub fn merge_index(existing: &str, order: &[&str], rows: &[String]) -> String {
     index
 }
 
-/// Runs one experiment and writes `<results>/<id>.txt` (and `.csv` files
-/// for each table).
+/// Writes one experiment's `<results>/<id>.txt`, a `.csv` file for each
+/// table, and its artifacts under their own names.
 ///
 /// # Errors
 ///
@@ -110,12 +116,20 @@ pub fn write_result(dir: &Path, result: &FigureResult) -> std::io::Result<()> {
             table.to_csv(),
         )?;
     }
+    for (name, contents) in &result.artifacts {
+        fs::write(dir.join(name), contents)?;
+    }
     Ok(())
 }
 
 /// Parses the `figures` binary's CLI: experiment ids (default all) and a
 /// `--quick` flag.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> (Vec<String>, Scale) {
+///
+/// # Errors
+///
+/// Returns the first unknown flag, so a typo never falls through to a
+/// paper-scale run that rewrites `results/`.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<(Vec<String>, Scale), String> {
     let mut ids = Vec::new();
     let mut scale = Scale::paper();
     for arg in args {
@@ -123,10 +137,10 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> (Vec<String>, Scal
             "--quick" => scale = Scale::quick(),
             "all" => {}
             other if !other.starts_with('-') => ids.push(other.to_string()),
-            other => eprintln!("ignoring unknown flag {other}"),
+            _ => return Err(arg),
         }
     }
-    (ids, scale)
+    Ok((ids, scale))
 }
 
 #[cfg(test)]
@@ -135,20 +149,18 @@ mod tests {
 
     #[test]
     fn parse_args_defaults_to_paper_scale_all() {
-        let (ids, scale) = parse_args(Vec::new());
+        let (ids, scale) = parse_args(Vec::new()).unwrap();
         assert!(ids.is_empty());
         assert_eq!(scale, Scale::paper());
     }
 
     #[test]
     fn parse_args_reads_ids_and_quick() {
-        let (ids, scale) = parse_args(
-            ["fig04", "--quick", "table3", "all"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let args = |list: &[&str]| parse_args(list.iter().map(|s| s.to_string()));
+        let (ids, scale) = args(&["fig04", "--quick", "table3", "all"]).unwrap();
         assert_eq!(ids, vec!["fig04".to_string(), "table3".to_string()]);
         assert_eq!(scale, Scale::quick());
+        assert_eq!(args(&["fig04", "--quik"]), Err("--quik".to_string()));
     }
 
     #[test]
@@ -205,9 +217,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut r = FigureResult::new("figXX", "demo");
         r.table("t", agentsim_metrics::Table::with_columns(&["a"]));
+        r.attach_artifacts(vec![("figXX_spans.jsonl", "{}\n".to_string())]);
         write_result(&dir, &r).unwrap();
         assert!(dir.join("figXX.txt").exists());
-        assert!(dir.join("figXX.csv").exists());
+        assert!(dir.join("figXX_1.csv").exists());
+        assert!(dir.join("figXX_2.csv").exists(), "the artifact table");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("figXX_spans.jsonl")).unwrap(),
+            "{}\n"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

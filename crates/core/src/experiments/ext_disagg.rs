@@ -11,12 +11,14 @@
 //! paper's workload: decode-side TPOT p99 improves (prefill
 //! interference is gone by construction), TTFT pays a KV-transfer toll
 //! that grows as the link slows, and the transfer is an explicit phase
-//! that sums exactly into end-to-end latency.
+//! that sums exactly into end-to-end latency. A fixed-size pair of runs
+//! exports its report and span streams as the checked `DISAGG_*` artifacts.
 
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::EngineConfig;
-use agentsim_metrics::Table;
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
+use agentsim_metrics::{json, Table};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, SpanStreamWriter, Workload};
+use agentsim_simkit::SimDuration;
 
 use crate::figure::{FigureResult, Scale};
 
@@ -37,6 +39,130 @@ fn row(table: &mut Table, topo: &str, qps: f64, report: &DisaggReport) {
         format!("{:.2}", report.goodput(TTFT_SLO_S, TPOT_SLO_S)),
         format!("{:.1}", report.p95_s),
         format!("{}", report.migrated_calls),
+    ]);
+}
+
+/// The span-stream artifacts, fixed-size at every scale: the colocated
+/// 2x and 1P+1D cells at 1 QPS (`DISAGG_report.json`, both run
+/// summaries), with each pool of the split streaming its spans as they
+/// retire (`DISAGG_prefill_spans.jsonl`, `DISAGG_decode_spans.jsonl`).
+fn disagg_artifacts(result: &mut FigureResult, seed: u64) {
+    let (qps, requests) = (1.0, 40);
+    let colocated = DisaggSim::new(
+        DisaggConfig::colocated(Workload::react_hotpotqa(), 2, qps, requests).seed(seed),
+    )
+    .run();
+    let mut sim =
+        DisaggSim::new(DisaggConfig::new(Workload::react_hotpotqa(), qps, requests).seed(seed));
+    // Replica 0 is the prefill pool, replica 1 the decode pool.
+    let streams = [SpanStreamWriter::in_memory(), SpanStreamWriter::in_memory()];
+    for (replica, (writer, _)) in streams.iter().enumerate() {
+        sim.set_replica_observer(replica, Box::new(writer.clone()));
+    }
+    let disagg = sim.run();
+    let reports = [&colocated, &disagg];
+
+    let calls = || reports.iter().flat_map(|r| &r.calls);
+    let off_e2e = calls().filter(|c| c.span().total() != c.e2e()).count();
+    result.check(
+        "artifact-calls-partition-e2e",
+        colocated.completed > 0 && disagg.completed > 0 && off_e2e == 0,
+        format!(
+            "{off_e2e} of {} calls whose queue+prefill+transfer+decode+stall \
+             misses e2e; {} + {} sessions completed",
+            calls().count(),
+            colocated.completed,
+            disagg.completed
+        ),
+    );
+    let mismatched = calls()
+        .filter(|c| c.migrated() != (c.span().transfer > SimDuration::ZERO))
+        .count();
+    result.check(
+        "artifact-transfer-iff-migrated",
+        mismatched == 0,
+        format!(
+            "{mismatched} of {} calls whose migrated flag disagrees with a \
+             nonzero transfer phase",
+            calls().count()
+        ),
+    );
+    let residuals: Vec<f64> = reports
+        .iter()
+        .map(|r| {
+            let phases: f64 = r.phase_totals().iter().map(|(_, s)| s).sum();
+            let e2e: f64 = r.calls.iter().map(|c| c.e2e().as_secs_f64()).sum();
+            (phases - e2e).abs()
+        })
+        .collect();
+    result.check(
+        "artifact-phase-totals-match-e2e",
+        residuals.iter().all(|r| *r < 1e-9),
+        format!(
+            "phase totals minus summed e2e: colocated {:.1e} s, disagg {:.1e} s",
+            residuals[0], residuals[1]
+        ),
+    );
+    result.check(
+        "artifact-only-disagg-migrates",
+        colocated.migrated_calls == 0 && disagg.migrated_calls > 0,
+        format!(
+            "migrations: colocated {}, disagg {} ({:.1} MB over {})",
+            colocated.migrated_calls,
+            disagg.migrated_calls,
+            disagg.transferred_bytes as f64 / 1e6,
+            LinkSpec::nvlink4().name
+        ),
+    );
+    let texts = [streams[0].1.text(), streams[1].1.text()];
+    let drained = streams.iter().zip(&texts).all(|((writer, _), text)| {
+        writer.io_error().is_none()
+            && writer.live() == 0
+            && text.lines().count() as u64 == writer.written()
+    });
+    result.check(
+        "artifact-streams-drained",
+        drained,
+        format!(
+            "prefill / decode streams: {} / {} lines, {} / {} spans written, \
+             {} / {} left live",
+            texts[0].lines().count(),
+            texts[1].lines().count(),
+            streams[0].0.written(),
+            streams[1].0.written(),
+            streams[0].0.live(),
+            streams[1].0.live()
+        ),
+    );
+    let summaries = [colocated.to_json(), disagg.to_json()];
+    let combined = format!(
+        "{{\"colocated\":{},\"disagg\":{}}}",
+        summaries[0], summaries[1]
+    );
+    let documents: Vec<&str> = summaries
+        .iter()
+        .chain([&combined])
+        .map(String::as_str)
+        .chain(texts.iter().flat_map(|text| text.lines()))
+        .collect();
+    let invalid = documents
+        .iter()
+        .filter(|d| json::validate(d).is_err())
+        .count();
+    result.check(
+        "artifact-json-valid",
+        invalid == 0,
+        format!(
+            "{invalid} of {} documents fail to parse: both run summaries, the \
+             combined report and every streamed span line",
+            documents.len()
+        ),
+    );
+    let [prefill, decode] = texts;
+    result.attach_artifacts(vec![
+        ("DISAGG_report.json", combined),
+        ("DISAGG_prefill_spans.jsonl", prefill),
+        ("DISAGG_decode_spans.jsonl", decode),
     ]);
 }
 
@@ -335,6 +461,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         ttft_p95("pcie_gen4"),
         ttft_p95("zero_cost"),
     ));
+    disagg_artifacts(&mut result, scale.seed);
     result
 }
 

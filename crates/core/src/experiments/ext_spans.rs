@@ -4,10 +4,14 @@
 //! observability (the `SpanRecorder`): every engine request's life is
 //! partitioned into queue / prefill / decode / stall segments that sum
 //! *exactly* to its end-to-end latency, so the shares below are measured,
-//! not modeled.
+//! not modeled. It also exports fixed-size trace runs as the `TRACE_*`
+//! artifacts and checks that their spans partition and they parse.
 
-use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, RequestSpan, ServingConfig, SpanRecorder, Workload};
+use agentsim_metrics::{json, Table};
+use agentsim_serving::{
+    chrome_trace, FleetConfig, FleetSim, RequestSpan, Routing, ServingConfig, SpanRecorder,
+    Workload,
+};
 use agentsim_simkit::SimDuration;
 
 use crate::figure::{FigureResult, Scale};
@@ -48,11 +52,80 @@ fn breakdown(spans: &[RequestSpan]) -> Breakdown {
     }
 }
 
-fn record(workload: Workload, qps: f64, requests: u64, seed: u64) -> SpanRecorder {
-    let mut sim = FleetSim::new(ServingConfig::new(workload, qps, requests).seed(seed));
-    let recorder = sim.attach_recorder();
+/// Runs `config` with one recorder per replica attached.
+fn record(config: impl Into<FleetConfig>) -> Vec<SpanRecorder> {
+    let mut sim = FleetSim::new(config);
+    let recorders = sim.attach_recorders();
     sim.run();
-    recorder
+    recorders
+}
+
+/// The trace artifacts, fixed-size at every scale: an open-loop
+/// ReAct/HotpotQA run on one replica (`TRACE_serving.json`, a Chrome
+/// `trace_event` file for `chrome://tracing` or Perfetto, and its raw
+/// engine event log `TRACE_events.jsonl`) and a 3-replica round-robin
+/// fleet (`TRACE_fleet.json`, one process track per replica).
+fn trace_artifacts(result: &mut FigureResult, seed: u64) {
+    let serving =
+        record(ServingConfig::new(Workload::react_hotpotqa(), 2.0, 40).seed(seed)).remove(0);
+    let fleet = record(FleetConfig::react_hotpotqa(3, Routing::RoundRobin, 3.0, 30).seed(seed));
+    let labels: Vec<String> = (0..fleet.len()).map(|i| format!("replica{i}")).collect();
+    let pairs: Vec<(&str, &SpanRecorder)> = labels.iter().map(String::as_str).zip(&fleet).collect();
+    let fleet_trace = chrome_trace(&pairs);
+    let recorders: Vec<&SpanRecorder> = std::iter::once(&serving).chain(&fleet).collect();
+
+    let spans: Vec<RequestSpan> = recorders.iter().flat_map(|r| r.spans()).collect();
+    let unfinished = spans.iter().filter(|s| !s.is_complete()).count();
+    result.check(
+        "trace-spans-complete",
+        !spans.is_empty() && unfinished == 0,
+        format!(
+            "{unfinished} of {} spans unfinished over the serving run and {} fleet replicas",
+            spans.len(),
+            fleet.len()
+        ),
+    );
+    let unattributed = spans
+        .iter()
+        .filter(|s| s.e2e() != Some(s.attributed()))
+        .count();
+    result.check(
+        "trace-spans-partition-e2e",
+        unattributed == 0,
+        format!(
+            "{unattributed} of {} spans whose phases do not sum exactly to e2e",
+            spans.len()
+        ),
+    );
+
+    let mut traces: Vec<String> = recorders.iter().map(|r| r.chrome_trace()).collect();
+    let mut logs: Vec<String> = recorders.iter().map(|r| r.events_jsonl()).collect();
+    let documents: Vec<&str> = traces
+        .iter()
+        .chain([&fleet_trace])
+        .map(String::as_str)
+        .chain(logs.iter().flat_map(|log| log.lines()))
+        .collect();
+    let invalid = documents
+        .iter()
+        .filter(|d| json::validate(d).is_err())
+        .count();
+    result.check(
+        "trace-exports-valid-json",
+        invalid == 0,
+        format!(
+            "{invalid} of {} documents fail to parse: {} Chrome traces (one per \
+             recorder plus the combined fleet trace) and {} JSONL event lines",
+            documents.len(),
+            traces.len() + 1,
+            documents.len() - traces.len() - 1
+        ),
+    );
+    result.attach_artifacts(vec![
+        ("TRACE_serving.json", traces.swap_remove(0)),
+        ("TRACE_fleet.json", fleet_trace),
+        ("TRACE_events.jsonl", logs.swap_remove(0)),
+    ]);
 }
 
 /// Measures phase shares per workload and the effect of load on queueing.
@@ -80,7 +153,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         ("react", Workload::react_hotpotqa(), 0.5),
         ("react (loaded)", Workload::react_hotpotqa(), 4.0),
     ] {
-        let recorder = record(workload, qps, n, scale.seed);
+        let recorder = record(ServingConfig::new(workload, qps, n).seed(scale.seed)).remove(0);
         let spans = recorder.spans();
         let b = breakdown(&spans);
         table.row(vec![
@@ -155,6 +228,7 @@ pub fn run(scale: &Scale) -> FigureResult {
          request's life, so scheduler-induced waiting (queue, stall) is visible and \
          exactly separated from compute (prefill, decode).",
     );
+    trace_artifacts(&mut result, scale.seed);
     result
 }
 

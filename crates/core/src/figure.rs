@@ -85,6 +85,8 @@ pub struct FigureResult {
     pub notes: Vec<String>,
     /// Shape checks.
     pub checks: Vec<Check>,
+    /// Files written next to the result, as `(file name, contents)`.
+    pub artifacts: Vec<(String, String)>,
 }
 
 impl FigureResult {
@@ -113,6 +115,26 @@ impl FigureResult {
     pub fn check(&mut self, name: &str, passed: bool, details: String) -> &mut Self {
         self.checks.push(Check::new(name, passed, details));
         self
+    }
+
+    /// Adds files to write next to the result, and a last table listing
+    /// each with its size and FNV-1a digest, so the committed table pins
+    /// their bytes without committing the files.
+    pub fn attach_artifacts(&mut self, files: Vec<(&str, String)>) -> &mut Self {
+        let mut table = Table::with_columns(&["artifact", "bytes", "lines", "fnv1a"]);
+        for (name, contents) in files {
+            let fnv1a = contents.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            table.row(vec![
+                name.to_string(),
+                contents.len().to_string(),
+                contents.lines().count().to_string(),
+                format!("{fnv1a:016x}"),
+            ]);
+            self.artifacts.push((name.to_string(), contents));
+        }
+        self.table("Artifacts written next to this result", table)
     }
 
     /// Whether every shape check passed.
@@ -170,11 +192,18 @@ mod tests {
         r.note("observation");
         r.check("claim-1", true, "1 > 0".into());
         r.check("claim-2", false, "2 < 1".into());
+        r.attach_artifacts(vec![("a.jsonl", "{}\n{}\n".to_string())]);
         assert!(!r.all_checks_pass());
         assert_eq!(r.failing_checks(), vec!["claim-2"]);
         let s = r.to_string();
         assert!(s.contains("figXX"));
         assert!(s.contains("[FAIL] claim-2"));
         assert!(s.contains("caption"));
+        assert!(
+            s.contains("a.jsonl") && !s.contains("{}"),
+            "listed, not inlined"
+        );
+        assert!(s.contains("fee028cbd2c91d95"), "FNV-1a 64 of the contents");
+        assert_eq!(r.artifacts, vec![("a.jsonl".into(), "{}\n{}\n".into())]);
     }
 }

@@ -90,7 +90,7 @@ pub use report::{
 };
 pub use sim::DisaggSim;
 pub use single::{SingleOutcome, SingleRequest};
-pub use stream::SpanStreamWriter;
+pub use stream::{SharedBuf, SpanStreamWriter};
 pub use sweep::{
     peak_throughput, qps_sweep, qps_sweep_observed, ObservedSweepPoint, PhaseBreakdown, SweepPoint,
 };

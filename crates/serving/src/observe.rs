@@ -695,32 +695,11 @@ pub fn chrome_trace(recorders: &[(&str, &SpanRecorder)]) -> String {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::{FleetSim, ServingConfig, SpanStreamWriter, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig};
-
-    /// A `Write` target a test can inspect after a writer is boxed.
-    #[derive(Clone, Default)]
-    pub(crate) struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl SharedBuf {
-        /// Everything written so far.
-        pub(crate) fn text(&self) -> String {
-            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-        }
-    }
 
     fn drain(engine: &mut Engine, mut now: SimTime) -> SimTime {
         while let Some(end) = engine.start_step_if_idle(now) {
@@ -805,11 +784,11 @@ pub(crate) mod tests {
     /// every streamed line match the full-sweep reference: charging a
     /// stall only at the request's own next event loses nothing.
     fn check_retired_spans_against_a_full_sweep(seed: u64, events: usize) {
-        let buf = SharedBuf::default();
+        let (writer, buf) = SpanStreamWriter::in_memory();
         let mut sinks = Sinks {
             recorder: RecorderInner::default(),
             reference: RecorderInner::default(),
-            writer: SpanStreamWriter::new(Box::new(buf.clone())),
+            writer,
         };
         let mut state = seed;
         let mut draw = move |n: usize| -> usize {

@@ -123,10 +123,11 @@ impl SpanStreamWriter {
         }
     }
 
-    /// Streams to a newly created (truncated) file, buffered.
-    pub fn to_file(path: &std::path::Path) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(SpanStreamWriter::new(Box::new(io::BufWriter::new(file))))
+    /// Streams into memory; the returned [`SharedBuf`] reads back what
+    /// the writer wrote.
+    pub fn in_memory() -> (Self, SharedBuf) {
+        let buf = SharedBuf::default();
+        (SpanStreamWriter::new(Box::new(buf.clone())), buf)
     }
 
     /// Spans retired (lines successfully written) so far.
@@ -163,6 +164,28 @@ impl SpanStreamWriter {
     }
 }
 
+/// An in-memory byte sink whose clones share one buffer, so a caller can
+/// read what a boxed writer wrote.
+#[derive(Debug, Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl SharedBuf {
+    /// Everything written so far.
+    pub fn text(&self) -> String {
+        String::from_utf8_lossy(&self.0.lock().unwrap()).into_owned()
+    }
+}
+
 impl EngineObserver for SpanStreamWriter {
     fn on_event(&mut self, event: &EngineEvent<'_>) {
         let mut inner = self.inner.lock().unwrap();
@@ -176,7 +199,6 @@ impl EngineObserver for SpanStreamWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::tests::SharedBuf;
     use crate::observe::SpanRecorder;
     use crate::{FleetSim, ServingConfig, Workload};
     use agentsim_kvcache::TokenBuf;
@@ -193,8 +215,7 @@ mod tests {
 
     #[test]
     fn streams_one_valid_line_per_retired_span_and_matches_recorder() {
-        let buf = SharedBuf::default();
-        let writer = SpanStreamWriter::new(Box::new(buf.clone()));
+        let (writer, buf) = SpanStreamWriter::in_memory();
         let recorder = SpanRecorder::new();
 
         let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 4).seed(7);
@@ -240,8 +261,7 @@ mod tests {
 
     #[test]
     fn migrated_spans_retire_with_the_migrated_flag() {
-        let buf = SharedBuf::default();
-        let writer = SpanStreamWriter::new(Box::new(buf.clone()));
+        let (writer, buf) = SpanStreamWriter::in_memory();
         let mut e = Engine::new(EngineConfig::a100_llama8b().with_role(EngineRole::Prefill));
         e.set_observer(Box::new(writer.clone()));
         e.submit(SimTime::ZERO, TokenBuf::from_segment(1, 513), 8, 0);
@@ -256,8 +276,7 @@ mod tests {
 
     #[test]
     fn cancelled_spans_retire_with_the_abandoned_flag() {
-        let buf = SharedBuf::default();
-        let writer = SpanStreamWriter::new(Box::new(buf.clone()));
+        let (writer, buf) = SpanStreamWriter::in_memory();
         let mut e = Engine::new(EngineConfig::a100_llama8b());
         e.set_observer(Box::new(writer.clone()));
         let id = e.submit(SimTime::ZERO, TokenBuf::from_segment(1, 1000), 400, 0);
