@@ -6,7 +6,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, ServingConfig, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
@@ -22,7 +22,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let mut p95 = Vec::new();
     for (name, chunked) in [("classic", false), ("chunked", true)] {
         for qps in [2.0, 5.0] {
-            let cfg = ServingConfig::new(Workload::Chatbot, qps, scale.serving_requests)
+            let cfg = FleetConfig::new(Workload::Chatbot, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_chunked_prefill(chunked));
             let report = FleetSim::new(cfg).run();

@@ -3,7 +3,7 @@
 
 use agentsim_agents::AgentKind;
 use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, ServingConfig, SingleRequest, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, SingleRequest, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -43,10 +43,9 @@ pub fn run(scale: &Scale) -> FigureResult {
             benchmark,
             config: agentsim_agents::AgentConfig::default_8b(),
         };
-        let report = FleetSim::new(
-            ServingConfig::new(workload, 4.0, scale.serving_requests).seed(scale.seed),
-        )
-        .run();
+        let report =
+            FleetSim::new(FleetConfig::new(workload, 4.0, scale.serving_requests).seed(scale.seed))
+                .run();
         let conc_qps = report.throughput;
         let gain = conc_qps / seq_qps;
         gains.push((benchmark, gain));

@@ -18,7 +18,7 @@
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
 use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, HysteresisConfig, Workload,
+    AutoscalePolicy, DisaggReport, DisaggSim, FleetConfig, HysteresisConfig, Workload,
 };
 use agentsim_simkit::SimDuration;
 
@@ -54,7 +54,7 @@ fn run_split(
     // thrashes its KV pool, and the preemption stalls land on TPOT.
     let engine = EngineConfig::a100_llama8b().with_kv_fraction(0.04);
     DisaggSim::new(
-        DisaggConfig::new(workload, qps, n)
+        FleetConfig::new(workload, qps, n)
             .seed(seed)
             .engine(engine)
             .pools(split.0, split.1)

@@ -17,7 +17,7 @@
 use agentsim_gpu::LinkSpec;
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::{json, Table};
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, SpanStreamWriter, Workload};
+use agentsim_serving::{DisaggReport, DisaggSim, FleetConfig, SpanStreamWriter, Workload};
 use agentsim_simkit::SimDuration;
 
 use crate::figure::{FigureResult, Scale};
@@ -49,11 +49,16 @@ fn row(table: &mut Table, topo: &str, qps: f64, report: &DisaggReport) {
 fn disagg_artifacts(result: &mut FigureResult, seed: u64) {
     let (qps, requests) = (1.0, 40);
     let colocated = DisaggSim::new(
-        DisaggConfig::colocated(Workload::react_hotpotqa(), 2, qps, requests).seed(seed),
+        FleetConfig::new(Workload::react_hotpotqa(), qps, requests)
+            .pools(2, 0)
+            .seed(seed),
     )
     .run();
-    let mut sim =
-        DisaggSim::new(DisaggConfig::new(Workload::react_hotpotqa(), qps, requests).seed(seed));
+    let mut sim = DisaggSim::new(
+        FleetConfig::new(Workload::react_hotpotqa(), qps, requests)
+            .pools(1, 1)
+            .seed(seed),
+    );
     // Replica 0 is the prefill pool, replica 1 the decode pool.
     let streams = [SpanStreamWriter::in_memory(), SpanStreamWriter::in_memory()];
     for (replica, (writer, _)) in streams.iter().enumerate() {
@@ -190,9 +195,18 @@ pub fn run(scale: &Scale) -> FigureResult {
     ]);
     let mut sweep = Vec::new();
     for &qps in &qps_points {
-        let colocated =
-            DisaggSim::new(DisaggConfig::colocated(workload(), 2, qps, n).seed(scale.seed)).run();
-        let disagg = DisaggSim::new(DisaggConfig::new(workload(), qps, n).seed(scale.seed)).run();
+        let colocated = DisaggSim::new(
+            FleetConfig::new(workload(), qps, n)
+                .pools(2, 0)
+                .seed(scale.seed),
+        )
+        .run();
+        let disagg = DisaggSim::new(
+            FleetConfig::new(workload(), qps, n)
+                .pools(1, 1)
+                .seed(scale.seed),
+        )
+        .run();
         row(&mut table, "colocated 2x", qps, &colocated);
         row(&mut table, "disagg 1P+1D", qps, &disagg);
         sweep.push((qps, colocated, disagg));
@@ -260,7 +274,8 @@ pub fn run(scale: &Scale) -> FigureResult {
     ] {
         let name = link.name;
         let report = DisaggSim::new(
-            DisaggConfig::new(workload(), link_qps, n)
+            FleetConfig::new(workload(), link_qps, n)
+                .pools(1, 1)
                 .seed(scale.seed)
                 .link(link),
         )
@@ -320,7 +335,8 @@ pub fn run(scale: &Scale) -> FigureResult {
     // visible): whole-footprint serial transfers vs 32-chunk trains.
     let pipe_chunks = 32;
     let pcie_cell = || {
-        DisaggConfig::new(workload(), *hi_qps, n)
+        FleetConfig::new(workload(), *hi_qps, n)
+            .pools(1, 1)
             .seed(scale.seed)
             .link(LinkSpec::pcie_gen4())
     };
@@ -405,13 +421,15 @@ pub fn run(scale: &Scale) -> FigureResult {
     let qps70 = 0.2;
     let engine70 = EngineConfig::a100x8_llama70b();
     let colocated70 = DisaggSim::new(
-        DisaggConfig::colocated(workload(), 2, qps70, n70)
+        FleetConfig::new(workload(), qps70, n70)
+            .pools(2, 0)
             .seed(scale.seed)
             .engine(engine70.clone()),
     )
     .run();
     let disagg70 = DisaggSim::new(
-        DisaggConfig::new(workload(), qps70, n70)
+        FleetConfig::new(workload(), qps70, n70)
+            .pools(1, 1)
             .seed(scale.seed)
             .engine(engine70),
     )

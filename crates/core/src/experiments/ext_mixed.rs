@@ -4,7 +4,7 @@
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, ServingConfig, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -37,10 +37,9 @@ pub fn run(scale: &Scale) -> FigureResult {
                 config: AgentConfig::default_8b(),
             }
         };
-        let mut report = FleetSim::new(
-            ServingConfig::new(workload, qps, scale.serving_requests).seed(scale.seed),
-        )
-        .run();
+        let mut report =
+            FleetSim::new(FleetConfig::new(workload, qps, scale.serving_requests).seed(scale.seed))
+                .run();
         let (chat_p50, chat_p95) = if agent_fraction == 0.0 {
             (report.p50_s, report.p95_s)
         } else {

@@ -15,7 +15,7 @@
 
 use agentsim_gpu::LinkSpec;
 use agentsim_metrics::Table;
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
+use agentsim_serving::{DisaggReport, DisaggSim, FleetConfig, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
@@ -52,7 +52,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     // Panel 1: chunk-count sweep on the contended cell — 1P+1D over
     // PCIe, where serial migrations queue behind each other.
     let cell = |chunks: u32| {
-        DisaggConfig::new(workload(), 1.0, n)
+        FleetConfig::new(workload(), 1.0, n)
             .seed(scale.seed)
             .pools(1, 1)
             .link(LinkSpec::pcie_gen4())
@@ -167,7 +167,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     ] {
         let name = link.name;
         let base = |chunks: u32| {
-            DisaggConfig::new(workload(), 1.0, n)
+            FleetConfig::new(workload(), 1.0, n)
                 .seed(scale.seed)
                 .pools(1, 1)
                 .link(link.clone())

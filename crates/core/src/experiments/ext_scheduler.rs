@@ -7,7 +7,7 @@
 
 use agentsim_llm::{EngineConfig, SchedulerPolicy};
 use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, ServingConfig, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -38,7 +38,7 @@ pub fn run(scale: &Scale) -> FigureResult {
                 benchmark: Benchmark::HotpotQa,
                 config: agentsim_agents::AgentConfig::default_8b(),
             };
-            let cfg = ServingConfig::new(workload, qps, scale.serving_requests)
+            let cfg = FleetConfig::new(workload, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_scheduler(policy));
             let report = FleetSim::new(cfg).run();

@@ -9,8 +9,7 @@
 
 use agentsim_metrics::{json, Table};
 use agentsim_serving::{
-    chrome_trace, FleetConfig, FleetSim, RequestSpan, Routing, ServingConfig, SpanRecorder,
-    Workload,
+    chrome_trace, FleetConfig, FleetSim, RequestSpan, Routing, SpanRecorder, Workload,
 };
 use agentsim_simkit::SimDuration;
 
@@ -53,7 +52,7 @@ fn breakdown(spans: &[RequestSpan]) -> Breakdown {
 }
 
 /// Runs `config` with one recorder per replica attached.
-fn record(config: impl Into<FleetConfig>) -> Vec<SpanRecorder> {
+fn record(config: FleetConfig) -> Vec<SpanRecorder> {
     let mut sim = FleetSim::new(config);
     let recorders = sim.attach_recorders();
     sim.run();
@@ -67,7 +66,7 @@ fn record(config: impl Into<FleetConfig>) -> Vec<SpanRecorder> {
 /// fleet (`TRACE_fleet.json`, one process track per replica).
 fn trace_artifacts(result: &mut FigureResult, seed: u64) {
     let serving =
-        record(ServingConfig::new(Workload::react_hotpotqa(), 2.0, 40).seed(seed)).remove(0);
+        record(FleetConfig::new(Workload::react_hotpotqa(), 2.0, 40).seed(seed)).remove(0);
     let fleet = record(FleetConfig::react_hotpotqa(3, Routing::RoundRobin, 3.0, 30).seed(seed));
     let labels: Vec<String> = (0..fleet.len()).map(|i| format!("replica{i}")).collect();
     let pairs: Vec<(&str, &SpanRecorder)> = labels.iter().map(String::as_str).zip(&fleet).collect();
@@ -153,7 +152,7 @@ pub fn run(scale: &Scale) -> FigureResult {
         ("react", Workload::react_hotpotqa(), 0.5),
         ("react (loaded)", Workload::react_hotpotqa(), 4.0),
     ] {
-        let recorder = record(ServingConfig::new(workload, qps, n).seed(scale.seed)).remove(0);
+        let recorder = record(FleetConfig::new(workload, qps, n).seed(scale.seed)).remove(0);
         let spans = recorder.spans();
         let b = breakdown(&spans);
         table.row(vec![

@@ -2,17 +2,15 @@
 //! ReAct agent, processing one request at a time with prefix caching.
 
 use agentsim_metrics::{Histogram, Table};
-use agentsim_serving::{FleetSim, ServingConfig, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, Workload};
 
 use crate::figure::{FigureResult, Scale};
 
 const TRICKLE_QPS: f64 = 0.02; // one request at a time
 
 fn trickle(workload: Workload, scale: &Scale) -> agentsim_serving::FleetReport {
-    FleetSim::new(
-        ServingConfig::new(workload, TRICKLE_QPS, scale.serving_requests).seed(scale.seed),
-    )
-    .run()
+    FleetSim::new(FleetConfig::new(workload, TRICKLE_QPS, scale.serving_requests).seed(scale.seed))
+        .run()
 }
 
 /// Measures both latency distributions.

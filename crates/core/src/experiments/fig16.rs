@@ -3,7 +3,7 @@
 
 use agentsim_llm::EngineConfig;
 use agentsim_metrics::Table;
-use agentsim_serving::{FleetSim, ServingConfig, Workload};
+use agentsim_serving::{FleetConfig, FleetSim, Workload};
 use agentsim_workloads::Benchmark;
 
 use crate::figure::{FigureResult, Scale};
@@ -34,7 +34,7 @@ pub fn run(scale: &Scale) -> FigureResult {
                 benchmark,
                 config: agentsim_agents::AgentConfig::default_8b(),
             };
-            let cfg = ServingConfig::new(workload, qps, scale.serving_requests)
+            let cfg = FleetConfig::new(workload, qps, scale.serving_requests)
                 .seed(scale.seed)
                 .engine(EngineConfig::a100_llama8b().with_prefix_caching(caching));
             FleetSim::new(cfg).run()

@@ -98,11 +98,6 @@ pub fn sharegpt_single(scale: &Scale, engine_config: &EngineConfig) -> (f64, f64
     (latency_sum / n, energy_sum / n)
 }
 
-/// Formats a float with three significant decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Formats a float with one decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
@@ -143,7 +138,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f1(1.26), "1.3");
         assert_eq!(ratio(12.34), "12.3x");
     }

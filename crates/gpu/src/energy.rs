@@ -137,11 +137,6 @@ impl EnergyMeter {
         self.durations[Self::slot(phase)]
     }
 
-    /// Total time recorded across all phases.
-    pub fn total_duration(&self) -> SimDuration {
-        self.durations.iter().copied().sum()
-    }
-
     /// The underlying energy model.
     pub fn model(&self) -> &EnergyModel {
         &self.model
@@ -228,7 +223,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.duration(Phase::Decode), SimDuration::from_secs(1));
         assert_eq!(a.duration(Phase::Idle), SimDuration::from_secs(2));
-        assert_eq!(a.total_duration(), SimDuration::from_secs(3));
         let expected = model_8b().power_w(Phase::Decode) + 2.0 * model_8b().power_w(Phase::Idle);
         assert!((a.joules() - expected).abs() < 1e-9);
     }

@@ -29,13 +29,6 @@ pub struct StepCost {
     pub memory_time_s: f64,
 }
 
-impl StepCost {
-    /// Whether the step is limited by memory bandwidth rather than compute.
-    pub fn is_memory_bound(&self) -> bool {
-        self.memory_time_s >= self.compute_time_s
-    }
-}
-
 /// A batch element entering prefill: `new_tokens` to be processed on top of
 /// `cached_tokens` already present in the KV cache (prefix-cache hits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +186,7 @@ mod tests {
     fn single_decode_token_is_weight_read_bound() {
         // 16 GB weights over ~1.24 TB/s effective ≈ 13 ms, plus overhead.
         let step = perf_8b().decode_step(&[1000]);
-        assert!(step.is_memory_bound());
+        assert!(step.memory_time_s >= step.compute_time_s);
         let s = step.duration.as_secs_f64();
         assert!((0.010..0.025).contains(&s), "decode step {s} s");
     }
@@ -213,7 +206,7 @@ mod tests {
             new_tokens: 4096,
             cached_tokens: 0,
         }]);
-        assert!(!step.is_memory_bound());
+        assert!(step.compute_time_s > step.memory_time_s);
         // 4096 tokens x 16 GFLOPs/token ≈ 66 TFLOP at ~172 TFLOPS ≈ 0.38 s.
         let s = step.duration.as_secs_f64();
         assert!((0.2..0.8).contains(&s), "prefill {s} s");

@@ -211,16 +211,6 @@ impl Engine {
         self.observer = Some(observer);
     }
 
-    /// Detaches and returns the current observer, if any.
-    pub fn clear_observer(&mut self) -> Option<Box<dyn EngineObserver>> {
-        self.observer.take()
-    }
-
-    /// Whether an observer is attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -1551,9 +1541,6 @@ mod tests {
             lines.iter().filter(|l| *l == "step decode").count() as u64,
             e.metrics().decode_steps
         );
-        assert!(e.has_observer());
-        assert!(e.clear_observer().is_some());
-        assert!(!e.has_observer());
     }
 
     #[test]

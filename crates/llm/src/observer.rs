@@ -40,7 +40,6 @@
 //!     now = end;
 //!     engine.complete_step(now);
 //! }
-//! assert!(engine.has_observer());
 //! ```
 
 use agentsim_simkit::SimTime;

@@ -53,11 +53,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable cells.
-    pub fn row_of<T: fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -127,8 +122,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::with_columns(&["name", "value"]);
-        t.row_of(&["a", "1"]);
-        t.row_of(&["long-name", "2"]);
+        t.row(vec!["a".into(), "1".into()]);
+        t.row(vec!["long-name".into(), "2".into()]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn csv_round_trip_structure() {
         let mut t = Table::with_columns(&["x", "y"]);
-        t.row_of(&[1, 2]);
+        t.row(vec![1.to_string(), 2.to_string()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());

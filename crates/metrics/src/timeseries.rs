@@ -19,10 +19,9 @@ use agentsim_simkit::SimTime;
 /// let mut ts = TimeSeries::new();
 /// ts.record(SimTime::from_micros(0), 2.0);
 /// ts.record(SimTime::from_micros(1_000_000), 6.0);
-/// // 2.0 for 1 s, then 6.0 for 1 s.
-/// let mean = ts.time_weighted_mean(SimTime::from_micros(2_000_000));
-/// assert!((mean - 4.0).abs() < 1e-9);
+/// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.max(), 6.0);
+/// assert_eq!(ts.last(), 6.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
@@ -73,66 +72,6 @@ impl TimeSeries {
     pub fn last(&self) -> f64 {
         self.points.last().map_or(0.0, |&(_, v)| v)
     }
-
-    /// Time-weighted mean over `[first observation, end]`.
-    ///
-    /// Returns 0 for an empty series or a zero-length window.
-    pub fn time_weighted_mean(&self, end: SimTime) -> f64 {
-        let Some(&(start, _)) = self.points.first() else {
-            return 0.0;
-        };
-        let window = end.saturating_since(start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        let mut area = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v) = pair[0];
-            let (t1, _) = pair[1];
-            area += v * t1.saturating_since(t0).as_secs_f64();
-        }
-        let (t_last, v_last) = *self.points.last().expect("non-empty");
-        area += v_last * end.saturating_since(t_last).as_secs_f64();
-        area / window
-    }
-
-    /// Fraction of the window during which the value was at least
-    /// `threshold`.
-    pub fn fraction_at_least(&self, threshold: f64, end: SimTime) -> f64 {
-        let Some(&(start, _)) = self.points.first() else {
-            return 0.0;
-        };
-        let window = end.saturating_since(start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        let mut above = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v) = pair[0];
-            let (t1, _) = pair[1];
-            if v >= threshold {
-                above += t1.saturating_since(t0).as_secs_f64();
-            }
-        }
-        let (t_last, v_last) = *self.points.last().expect("non-empty");
-        if v_last >= threshold {
-            above += end.saturating_since(t_last).as_secs_f64();
-        }
-        above / window
-    }
-
-    /// Downsamples to at most `max_points` evenly spaced observations
-    /// (for compact reporting). The first and last points are kept.
-    pub fn downsample(&self, max_points: usize) -> TimeSeries {
-        if self.points.len() <= max_points || max_points < 2 {
-            return self.clone();
-        }
-        let stride = (self.points.len() - 1) as f64 / (max_points - 1) as f64;
-        let points = (0..max_points)
-            .map(|i| self.points[(i as f64 * stride).round() as usize])
-            .collect();
-        TimeSeries { points }
-    }
 }
 
 impl Extend<(SimTime, f64)> for TimeSeries {
@@ -152,45 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_accounts_durations() {
-        let mut ts = TimeSeries::new();
-        ts.record(t(0.0), 10.0);
-        ts.record(t(3.0), 0.0);
-        // 10 for 3 s, 0 for 1 s => 30/4.
-        assert!((ts.time_weighted_mean(t(4.0)) - 7.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_series_is_zeroes() {
         let ts = TimeSeries::new();
-        assert_eq!(ts.time_weighted_mean(t(5.0)), 0.0);
         assert_eq!(ts.max(), 0.0);
         assert_eq!(ts.last(), 0.0);
         assert!(ts.is_empty());
-    }
-
-    #[test]
-    fn fraction_at_least_measures_busy_time() {
-        let mut ts = TimeSeries::new();
-        ts.record(t(0.0), 1.0);
-        ts.record(t(2.0), 5.0);
-        ts.record(t(3.0), 0.0);
-        // >= 2.0 only during [2, 3): 1 s of 4.
-        assert!((ts.fraction_at_least(2.0, t(4.0)) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let mut ts = TimeSeries::new();
-        for i in 0..100 {
-            ts.record(t(i as f64), i as f64);
-        }
-        let d = ts.downsample(10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d.points()[0], (t(0.0), 0.0));
-        assert_eq!(d.points()[9], (t(99.0), 99.0));
-        // Small series pass through untouched.
-        assert_eq!(d.downsample(50), d);
     }
 
     #[test]

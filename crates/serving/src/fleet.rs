@@ -121,8 +121,10 @@ impl ReplicaPool {
     }
 }
 
-/// Configuration of a fleet run. A one-replica fleet is the paper's
-/// §IV-C shared-replica server ([`crate::ServingConfig`] builds one).
+/// Configuration of a fleet run. [`FleetConfig::new`] builds the paper's
+/// §IV-C shared-replica server, a one-replica fleet;
+/// [`FleetConfig::pools`] splits it into a prefill pool and a decode pool
+/// (or widens it into a colocated pool).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Replica pools, ordered cheap-to-premium. Replicas are numbered
@@ -173,12 +175,70 @@ pub struct FleetConfig {
     /// The reconfiguration gap a replica pays per role flip.
     pub flip_cost: FlipCostModel,
     /// Root-stream key: [`seeds::FLEET_ROOT`], or [`seeds::SERVING_ROOT`]
-    /// for a [`crate::ServingConfig`] or [`crate::DisaggConfig`], whose
-    /// runs share their streams.
+    /// for a config built by [`FleetConfig::new`], so every topology
+    /// derived from it shares its streams.
     pub(crate) root: u64,
 }
 
 impl FleetConfig {
+    /// One A100/Llama-3.1-8B replica serving `workload` under an
+    /// open-loop Poisson client at `qps`; its pool runs the workload's
+    /// agent. Its root stream (`SERVING_ROOT`) differs from a
+    /// [`FleetConfig::pooled`] fleet's, and [`FleetConfig::pools`] keeps
+    /// it, so a single-replica run and a role-split run at the same seed
+    /// see identical arrivals and sessions. Routing is round-robin, which
+    /// is what a split's prefill pool uses; a one-member pool gets the
+    /// same replica under every policy.
+    pub fn new(workload: Workload, qps: f64, num_requests: u64) -> Self {
+        let mut pool = ReplicaPool::new(EngineConfig::a100_llama8b(), 1);
+        if let Some((_, _, agent)) = workload.agent() {
+            pool.agent = agent;
+        }
+        let mut fleet =
+            Self::pooled(vec![pool], Routing::RoundRobin, qps, num_requests).workload(workload);
+        fleet.root = seeds::SERVING_ROOT;
+        fleet
+    }
+
+    /// Splits the one pool into `prefill` Prefill-role + `decode`
+    /// Decode-role replicas of its engine (over [`FleetConfig::link`]),
+    /// or with `decode == 0` widens it into `prefill` colocated replicas:
+    /// the baseline at iso-GPU count, with no transfers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero prefill replicas, and on a config with more than
+    /// one pool (a cascade's premium pool would be silently dropped).
+    pub fn pools(mut self, prefill: u32, decode: u32) -> Self {
+        assert!(prefill > 0, "need at least one prefill replica");
+        assert!(
+            self.pools.len() == 1,
+            "pools() splits a one-pool fleet, not {} pools",
+            self.pools.len()
+        );
+        let first = self.pools.pop().expect("one pool");
+        let pool = |role, replicas| ReplicaPool {
+            engine: first.engine.clone().with_role(role),
+            replicas,
+            agent: first.agent,
+        };
+        self.pools = if decode == 0 {
+            vec![pool(EngineRole::Colocated, prefill)]
+        } else {
+            vec![
+                pool(EngineRole::Prefill, prefill),
+                pool(EngineRole::Decode, decode),
+            ]
+        };
+        self
+    }
+
+    /// Replaces every pool's engine configuration with `engine`; each
+    /// pool keeps its role.
+    pub fn engine(self, engine: EngineConfig) -> Self {
+        self.map_engines(|old| engine.clone().with_role(old.role))
+    }
+
     /// ReAct/HotpotQA on `replicas` default 8B replicas — single-pool
     /// sugar over [`FleetConfig::pooled`].
     pub fn react_hotpotqa(replicas: u32, routing: Routing, qps: f64, num_requests: u64) -> Self {
@@ -216,11 +276,6 @@ impl FleetConfig {
             flip_cost: FlipCostModel::warm(),
             root: seeds::FLEET_ROOT,
         }
-    }
-
-    /// Total replicas across all pools.
-    pub fn total_replicas(&self) -> u32 {
-        self.pools.iter().map(|p| p.replicas).sum()
     }
 
     /// Applies `f` to every pool's engine configuration (e.g. to shrink
@@ -619,8 +674,7 @@ impl FleetSim {
     /// with `pools[0].agent`, and on a role-split fleet that lacks a role,
     /// mixes in a colocated pool, or cancels, retries, cascades or limits
     /// admission under autoscaling (undefined across a KV migration).
-    pub fn new(config: impl Into<FleetConfig>) -> Self {
-        let config = config.into();
+    pub fn new(config: FleetConfig) -> Self {
         validate_load(config.qps, config.num_requests);
         config.overload.validate(&config.client);
         assert!(!config.pools.is_empty(), "fleet needs at least one pool");

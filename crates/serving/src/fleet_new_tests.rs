@@ -1,89 +1,19 @@
-//! The shared-replica server of the paper's §IV-C as a one-replica
-//! fleet.
-//!
-//! Requests arrive following the configured [`ClientModel`] (open-loop
-//! Poisson by default), each served by an asynchronous worker that walks
-//! the agent workflow; all workers' LLM calls are batched by the shared
-//! engine (continuous batching with FCFS admission). [`ServingConfig`]
-//! describes that setup as a one-pool [`FleetConfig`], so [`FleetSim`]
-//! runs it on the same event loop as any fleet.
+//! Tests of [`FleetConfig::new`](crate::FleetConfig::new): the paper's
+//! §IV-C shared replica, a one-replica fleet.
 
-use agentsim_llm::EngineConfig;
-
-use crate::client::ClientModel;
-use crate::fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
-use crate::seeds;
-use crate::workload::Workload;
-
-/// The single-replica driver: a one-replica [`FleetSim`]. Kept as an
-/// alias for existing callers; new code names [`FleetSim`].
-pub type ServingSim = FleetSim;
-
-/// The single-replica workload: the workload enum every driver shares.
-/// Kept as an alias for existing callers; new code names [`Workload`].
-pub type ServingWorkload = Workload;
-
-/// Configuration of one shared-replica serving run: a one-pool
-/// [`FleetConfig`] on the single-replica root stream. Build the
-/// simulator with `FleetSim::new(config)`.
-#[derive(Debug, Clone)]
-pub struct ServingConfig(FleetConfig);
-
-impl ServingConfig {
-    /// One A100/Llama-3.1-8B replica serving `workload` under an
-    /// open-loop Poisson client at `qps`; its pool runs the workload's
-    /// agent. Its root stream is the one `DisaggConfig` shares (distinct
-    /// from a directly built fleet's), so a single-replica run and a
-    /// disaggregated run at the same seed see identical arrivals and
-    /// sessions.
-    pub fn new(workload: Workload, qps: f64, num_requests: u64) -> Self {
-        let mut pool = ReplicaPool::new(EngineConfig::a100_llama8b(), 1);
-        if let Some((_, _, agent)) = workload.agent() {
-            pool.agent = agent;
-        }
-        let mut fleet =
-            FleetConfig::pooled(vec![pool], Routing::SessionAffinity, qps, num_requests)
-                .workload(workload);
-        fleet.root = seeds::SERVING_ROOT;
-        ServingConfig(fleet)
-    }
-
-    /// Sets the root seed.
-    pub fn seed(self, seed: u64) -> Self {
-        ServingConfig(self.0.seed(seed))
-    }
-
-    /// Replaces the engine configuration.
-    pub fn engine(self, engine: EngineConfig) -> Self {
-        ServingConfig(self.0.map_engines(|_| engine.clone()))
-    }
-
-    /// Replaces the client model.
-    pub fn client(self, client: ClientModel) -> Self {
-        ServingConfig(self.0.client(client))
-    }
-}
-
-impl From<ServingConfig> for FleetConfig {
-    fn from(config: ServingConfig) -> Self {
-        config.0
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::report::FleetReport;
+    use crate::{ClientModel, FleetConfig, FleetReport, FleetSim, Routing, Workload};
     use agentsim_agents::{AgentConfig, AgentKind};
+    use agentsim_llm::EngineConfig;
     use agentsim_simkit::SimDuration;
     use agentsim_workloads::Benchmark;
 
     fn chatbot(qps: f64, n: u64) -> FleetReport {
-        FleetSim::new(ServingConfig::new(Workload::Chatbot, qps, n).seed(1)).run()
+        FleetSim::new(FleetConfig::new(Workload::Chatbot, qps, n).seed(1)).run()
     }
 
     fn react(qps: f64, n: u64) -> FleetReport {
-        FleetSim::new(ServingConfig::new(Workload::react_hotpotqa(), qps, n).seed(1)).run()
+        FleetSim::new(FleetConfig::new(Workload::react_hotpotqa(), qps, n).seed(1)).run()
     }
 
     #[test]
@@ -190,7 +120,7 @@ mod tests {
             benchmark: Benchmark::HotpotQa,
             config: AgentConfig::default_8b(),
         };
-        let r = FleetSim::new(ServingConfig::new(workload, 0.5, 30).seed(2)).run();
+        let r = FleetSim::new(FleetConfig::new(workload, 0.5, 30).seed(2)).run();
         assert_eq!(r.completed, 30);
         assert!(!r.agent_latencies.is_empty(), "some agents arrived");
         assert!(
@@ -214,7 +144,7 @@ mod tests {
     #[test]
     fn prefix_caching_raises_hit_rate_in_serving() {
         let with = react(0.5, 15);
-        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 0.5, 15)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 0.5, 15)
             .seed(1)
             .engine(EngineConfig::a100_llama8b().with_prefix_caching(false));
         let without = FleetSim::new(cfg).run();
@@ -224,7 +154,7 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_exact_turn_budget() {
-        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 24)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 24)
             .seed(3)
             .client(ClientModel::ClosedLoop {
                 concurrency: 4,
@@ -238,7 +168,7 @@ mod tests {
     #[test]
     fn closed_loop_deterministic_given_seed() {
         let run = || {
-            let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 16)
+            let cfg = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 16)
                 .seed(5)
                 .client(ClientModel::ClosedLoop {
                     concurrency: 3,
@@ -256,10 +186,28 @@ mod tests {
     #[test]
     fn trace_replay_follows_recorded_gaps() {
         let gaps: Vec<SimDuration> = (0..12).map(|_| SimDuration::from_millis(500)).collect();
-        let cfg = ServingConfig::new(Workload::Chatbot, 1.0, 1)
+        let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 1)
             .seed(1)
             .client(ClientModel::TraceReplay { gaps });
         let r = FleetSim::new(cfg).run();
         assert_eq!(r.completed, 12, "trace length overrides num_requests");
+    }
+
+    /// `new` fixes one routing policy: a one-member routing tier gets the
+    /// same replica under every policy, so the report cannot tell them
+    /// apart.
+    #[test]
+    fn one_replica_report_is_the_same_under_every_routing() {
+        let run = |routing| {
+            let mut cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 12).seed(4);
+            cfg.routing = routing;
+            FleetSim::new(cfg).run()
+        };
+        // Every field, floats in shortest round-trip form.
+        let base = format!("{:?}", run(Routing::RoundRobin));
+        assert!(base.contains("completed: 12"), "{base}");
+        for routing in [Routing::SessionAffinity, Routing::LeastLoaded] {
+            assert_eq!(format!("{:?}", run(routing)), base, "{routing}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Serving drivers: execute agent sessions against the simulated engine
 //! and tools.
 //!
-//! Both drivers, [`single`] and [`fleet`], step agent sessions issuing
+//! Both drivers, [`SingleRequest`] and [`FleetSim`], step agent sessions issuing
 //! iterative LLM calls and tool batches through one crate-private state
 //! machine, the session runner. It holds the per-session pending and
 //! completed LLM calls, tool execution, LLMCompiler overlap accounting
@@ -21,27 +21,27 @@
 //!
 //! The drivers:
 //!
-//! * [`single`] — one request on a dedicated replica, producing a fully
-//!   attributed [`RequestTrace`] (the paper's §IV-A/B per-request
+//! * [`SingleRequest`] — one request on a dedicated replica, producing a
+//!   fully attributed [`RequestTrace`] (the paper's §IV-A/B per-request
 //!   analysis: call counts, latency breakdown, GPU phase breakdown,
 //!   token growth, KV footprint, prefix-caching effects).
-//! * [`fleet`] — the cluster driver: one event loop for one shared
-//!   replica or many behind a router. A one-replica fleet is the paper's
-//!   §IV-C serving analysis (throughput, tail latency vs QPS, KV
-//!   pressure, cache thrashing; [`open_loop::ServingConfig`] builds it),
-//!   and routing across replicas (session affinity vs stateless
-//!   balancing) extends its §VI datacenter view. Every run reports a
-//!   [`FleetReport`]. Pools whose engines carry prefill/decode roles
-//!   make it a Splitwise-style disaggregated fleet: KV migration over a
-//!   modeled interconnect ([`transfer`]), and role-flip autoscaling
-//!   ([`autoscale`]).
-//! * [`observe`] — step-level observability: attach a [`SpanRecorder`]
-//!   to any of the above and export per-request lifecycle spans, engine
-//!   time-series, and Chrome-trace / JSONL files.
-//! * [`sim`] / [`config`] — [`DisaggSim`] and [`DisaggConfig`], thin
-//!   constructors over that fleet: a prefill pool and a decode pool (or
-//!   the colocated baseline at iso-GPU count), reporting per-call
-//!   five-phase records ([`CallRecord`]) in a [`DisaggReport`].
+//! * [`FleetSim`] — the cluster driver: one event loop for one shared
+//!   replica or many behind a router, configured by one [`FleetConfig`].
+//!   [`FleetConfig::new`] builds the paper's §IV-C one-replica server
+//!   (throughput, tail latency vs QPS, KV pressure, cache thrashing), and
+//!   routing across replicas (session affinity vs stateless balancing)
+//!   extends its §VI datacenter view. Every run reports a
+//!   [`FleetReport`]. [`FleetConfig::pools`] splits the replica into
+//!   engines with prefill/decode roles, a Splitwise-style disaggregated
+//!   fleet: KV migration over a modeled interconnect
+//!   ([`TransferScheduler`]), and role-flip autoscaling
+//!   ([`AutoscalePolicy`]).
+//! * [`SpanRecorder`] — step-level observability: attach one to any
+//!   fleet and export per-request lifecycle spans, engine time-series,
+//!   and Chrome-trace / JSONL files.
+//! * [`DisaggSim`] — that fleet keeping every call's five-phase record
+//!   ([`CallRecord`]) and reporting a [`DisaggReport`], so a split and
+//!   its colocated baseline at iso-GPU count compare call by call.
 //!
 //! # Example
 //!
@@ -58,36 +58,39 @@
 //! assert!(outcome.energy_wh > 0.0);
 //! ```
 
-pub mod autoscale;
+mod autoscale;
 mod cascade;
 mod client;
-pub mod config;
-pub mod fleet;
-pub mod observe;
-pub mod open_loop;
+mod fleet;
+mod observe;
 mod overload;
-pub mod report;
+mod report;
 mod runner;
 mod seeds;
-pub mod sim;
-pub mod single;
-pub mod stream;
-pub mod sweep;
+mod sim;
+mod single;
+mod stream;
+mod sweep;
 mod trace;
-pub mod transfer;
+mod transfer;
 mod workload;
+
+// Tests of `FleetConfig::new` and `FleetConfig::pools`. The module names
+// keep the tests' ids stable.
+#[cfg(test)]
+#[path = "fleet_pools_tests.rs"]
+mod config;
+#[cfg(test)]
+#[path = "fleet_new_tests.rs"]
+mod open_loop;
 
 pub use autoscale::{AutoscalePolicy, FlipDirection, HysteresisConfig};
 pub use cascade::CascadePolicy;
 pub use client::ClientModel;
-pub use config::{DisaggConfig, DisaggWorkload};
 pub use fleet::{FleetConfig, FleetSim, ReplicaPool, Routing};
 pub use observe::{chrome_trace, Phase, RequestSpan, Segment, SpanRecorder, StepRecord};
-pub use open_loop::{ServingConfig, ServingSim, ServingWorkload};
 pub use overload::{AdmissionPolicy, OverloadPolicy, QueueDiscipline, RetryPolicy};
-pub use report::{
-    CallRecord, CallSpan, DisaggReport, FleetReport, FlipRecord, LinkStats, ServingReport,
-};
+pub use report::{CallRecord, CallSpan, DisaggReport, FleetReport, FlipRecord, LinkStats};
 pub use sim::DisaggSim;
 pub use single::{SingleOutcome, SingleRequest};
 pub use stream::{SharedBuf, SpanStreamWriter};
@@ -97,3 +100,20 @@ pub use sweep::{
 pub use trace::{LlmCallRecord, RequestTrace};
 pub use transfer::TransferScheduler;
 pub use workload::Workload;
+
+// Older names of the items above, kept only until the simulator
+// benchmark (`simbench/`) is re-pointed at them. Nothing else may name
+// them; a CI step checks that.
+/// Old name of [`FleetConfig`].
+pub type ServingConfig = FleetConfig;
+/// Old name of [`FleetConfig`]; its `new` is [`FleetConfig::new`], one
+/// replica, so split it with [`FleetConfig::pools`].
+pub type DisaggConfig = FleetConfig;
+/// Old name of [`FleetSim`].
+pub type ServingSim = FleetSim;
+/// Old name of [`Workload`].
+pub type ServingWorkload = Workload;
+/// Old name of [`Workload`].
+pub type DisaggWorkload = Workload;
+/// Old name of [`FleetReport`].
+pub type ServingReport = FleetReport;

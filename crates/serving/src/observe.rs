@@ -41,9 +41,9 @@
 //! # Example
 //!
 //! ```
-//! use agentsim_serving::{ServingConfig, FleetSim, Workload};
+//! use agentsim_serving::{FleetConfig, FleetSim, Workload};
 //!
-//! let cfg = ServingConfig::new(Workload::Chatbot, 1.0, 5).seed(1);
+//! let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 5).seed(1);
 //! let mut sim = FleetSim::new(cfg);
 //! let recorder = sim.attach_recorder();
 //! let report = sim.run();
@@ -588,8 +588,13 @@ impl RecorderInner {
     }
 }
 
-/// A clonable [`EngineObserver`] that records request spans, step
-/// records, and engine time-series. See the [module docs](self).
+/// A clonable [`EngineObserver`] that records request spans
+/// ([`RequestSpan`], whose segments partition each request's e2e latency
+/// exactly), step records ([`StepRecord`]), and engine time-series, and
+/// exports them as a Chrome trace or a JSONL event log. Attach one clone
+/// to an engine and read the results from another after the run;
+/// [`FleetSim::attach_recorders`](crate::FleetSim::attach_recorders)
+/// does both for every replica.
 #[derive(Debug, Clone, Default)]
 pub struct SpanRecorder {
     inner: Arc<Mutex<RecorderInner>>,
@@ -697,7 +702,7 @@ pub fn chrome_trace(recorders: &[(&str, &SpanRecorder)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FleetSim, ServingConfig, SpanStreamWriter, Workload};
+    use crate::{FleetConfig, FleetSim, SpanStreamWriter, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig};
 
@@ -1054,7 +1059,7 @@ mod tests {
 
     #[test]
     fn exporters_emit_valid_json() {
-        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 6).seed(3);
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 6).seed(3);
         let mut sim = FleetSim::new(cfg);
         let recorder = sim.attach_recorder();
         let report = sim.run();

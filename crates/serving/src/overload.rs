@@ -323,11 +323,6 @@ impl OverloadPolicy {
         OverloadPolicy::default()
     }
 
-    /// Whether any overload mechanism is active.
-    pub fn is_active(&self) -> bool {
-        self != &OverloadPolicy::none()
-    }
-
     /// Builder: sets the per-turn deadline.
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = Some(deadline);
@@ -516,7 +511,6 @@ mod tests {
     #[test]
     fn default_policy_is_inactive_and_valid_for_every_client() {
         let p = OverloadPolicy::none();
-        assert!(!p.is_active());
         p.validate(&ClientModel::OpenLoopPoisson);
         p.validate(&ClientModel::ClosedLoop {
             concurrency: 4,
@@ -533,7 +527,7 @@ mod tests {
             .retry(RetryPolicy::standard())
             .admission(AdmissionPolicy::aimd_default())
             .discipline(QueueDiscipline::DeadlineDrop);
-        assert!(p.is_active());
+        assert_ne!(p, OverloadPolicy::none());
         p.validate(&ClientModel::OpenLoopPoisson);
     }
 

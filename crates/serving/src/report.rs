@@ -148,11 +148,6 @@ impl FleetReport {
     }
 }
 
-/// The single-replica report: a one-replica fleet reports like any
-/// other. Kept as an alias for existing callers; new code names
-/// [`FleetReport`].
-pub type ServingReport = FleetReport;
-
 /// Everything the driver knows about one finished LLM call, across both
 /// pools. Timestamps telescope: [`CallRecord::span`] partitions the
 /// end-to-end latency exactly into queue / prefill / transfer / decode /

@@ -9,10 +9,10 @@
 //!
 //! Changing any value is a breaking change to every golden fingerprint.
 
-/// Root-stream key of single-replica runs and of `DisaggConfig` runs:
-/// `SimRng::seed_from(config.seed ^ SERVING_ROOT)`. A `ServingConfig`
-/// or `DisaggConfig` sets it when it converts into its `FleetConfig`;
-/// fleets built directly use [`FLEET_ROOT`]. Single-replica runs and
+/// Root-stream key of every fleet built by `FleetConfig::new`, one
+/// replica or split by `FleetConfig::pools`:
+/// `SimRng::seed_from(config.seed ^ SERVING_ROOT)`. Fleets built with
+/// `FleetConfig::pooled` use [`FLEET_ROOT`]. Single-replica runs and
 /// disaggregated runs deliberately share one root so, at the same seed,
 /// they see identical arrivals and sessions.
 pub const SERVING_ROOT: u64 = 0x5E61;

@@ -17,14 +17,14 @@ use crate::report::DisaggReport;
 pub struct DisaggSim(FleetSim);
 
 impl DisaggSim {
-    /// Builds the simulator from a [`crate::DisaggConfig`] (or any
-    /// [`FleetConfig`]: its Prefill-role replicas count as the prefill
-    /// pool, and a colocated fleet reports every replica there).
+    /// Builds the simulator from any [`FleetConfig`], typically one split
+    /// by [`FleetConfig::pools`]: its Prefill-role replicas count as the
+    /// prefill pool, and a colocated fleet reports every replica there.
     ///
     /// # Panics
     ///
     /// Panics where [`FleetSim::new`] does.
-    pub fn new(config: impl Into<FleetConfig>) -> Self {
+    pub fn new(config: FleetConfig) -> Self {
         let mut sim = FleetSim::new(config);
         sim.record_calls();
         DisaggSim(sim)
@@ -53,7 +53,6 @@ impl DisaggSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DisaggConfig;
     use crate::{
         AdmissionPolicy, AutoscalePolicy, ClientModel, FlipDirection, HysteresisConfig,
         OverloadPolicy, QueueDiscipline, Workload,
@@ -63,7 +62,12 @@ mod tests {
     use agentsim_simkit::{SimDuration, SimTime};
 
     fn react(qps: f64, n: u64) -> DisaggReport {
-        DisaggSim::new(DisaggConfig::new(Workload::react_hotpotqa(), qps, n).seed(1)).run()
+        DisaggSim::new(
+            FleetConfig::new(Workload::react_hotpotqa(), qps, n)
+                .pools(1, 1)
+                .seed(1),
+        )
+        .run()
     }
 
     #[test]
@@ -88,7 +92,9 @@ mod tests {
 
     #[test]
     fn colocated_mode_never_transfers() {
-        let cfg = DisaggConfig::colocated(Workload::react_hotpotqa(), 2, 0.5, 10).seed(1);
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 0.5, 10)
+            .pools(2, 0)
+            .seed(1);
         let r = DisaggSim::new(cfg).run();
         assert_eq!(r.completed, 10);
         assert_eq!(r.migrated_calls, 0);
@@ -112,7 +118,9 @@ mod tests {
 
     #[test]
     fn slower_links_lengthen_ttft() {
-        let base = DisaggConfig::new(Workload::react_hotpotqa(), 0.5, 10).seed(2);
+        let base = FleetConfig::new(Workload::react_hotpotqa(), 0.5, 10)
+            .pools(1, 1)
+            .seed(2);
         let fast = DisaggSim::new(base.clone().link(LinkSpec::nvlink4())).run();
         let slow_spec = LinkSpec {
             name: "slow",
@@ -134,7 +142,9 @@ mod tests {
 
     #[test]
     fn chatbot_traffic_is_served_too() {
-        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 12).seed(3);
+        let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 12)
+            .pools(1, 1)
+            .seed(3);
         let r = DisaggSim::new(cfg).run();
         assert_eq!(r.completed, 12);
         assert_eq!(r.calls.len(), 12, "one call per chatbot request");
@@ -142,7 +152,8 @@ mod tests {
 
     #[test]
     fn closed_loop_runs_through_the_disagg_topology() {
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 12)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 12)
+            .pools(1, 1)
             .seed(4)
             .client(ClientModel::ClosedLoop {
                 concurrency: 3,
@@ -157,7 +168,7 @@ mod tests {
 
     #[test]
     fn pinned_controller_matches_disabled_bit_for_bit() {
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 10)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 0.8, 10)
             .seed(9)
             .pools(2, 2);
         let disabled = DisaggSim::new(cfg.clone()).run();
@@ -170,7 +181,7 @@ mod tests {
 
     #[test]
     fn scheduled_flip_moves_a_replica_and_telescopes() {
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 12)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 0.8, 12)
             .seed(6)
             .pools(2, 2)
             .flip_cost(FlipCostModel::warm())
@@ -205,7 +216,8 @@ mod tests {
     fn infeasible_schedule_entries_are_dropped() {
         // 1P+1D: both pools are at the one-replica floor, so neither
         // direction is feasible; the run must not stall or panic.
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 0.8, 8)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 0.8, 8)
+            .pools(1, 1)
             .seed(7)
             .autoscale(AutoscalePolicy::Schedule(vec![
                 (SimTime::from_secs_f64(1.0), FlipDirection::PrefillToDecode),
@@ -219,7 +231,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a decode pool")]
     fn autoscaling_the_colocated_baseline_panics() {
-        let cfg = DisaggConfig::colocated(Workload::Chatbot, 2, 1.0, 4)
+        let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 4)
+            .pools(2, 0)
             .autoscale(AutoscalePolicy::Pinned);
         let _ = DisaggSim::new(cfg);
     }
@@ -237,14 +250,15 @@ mod tests {
 
     /// `cfg` under an overload policy: the fleet's one overload API,
     /// with admission applied at the prefill replicas.
-    fn gated(cfg: DisaggConfig, policy: OverloadPolicy) -> DisaggReport {
-        let fleet: crate::FleetConfig = cfg.into();
-        DisaggSim::new(fleet.overload(policy)).run()
+    fn gated(cfg: FleetConfig, policy: OverloadPolicy) -> DisaggReport {
+        DisaggSim::new(cfg.overload(policy)).run()
     }
 
     #[test]
     fn wide_gate_changes_nothing_observable() {
-        let base = DisaggConfig::new(Workload::react_hotpotqa(), 1.0, 10).seed(5);
+        let base = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 10)
+            .pools(1, 1)
+            .seed(5);
         let open = DisaggSim::new(base.clone()).run();
         let wide = gated(base, OverloadPolicy::none().admission(gate(1_000.0)));
         assert_eq!(wide.completed, 10);
@@ -256,7 +270,9 @@ mod tests {
 
     #[test]
     fn tight_gate_still_completes_every_turn() {
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 12).seed(5);
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 12)
+            .pools(1, 1)
+            .seed(5);
         let r = gated(cfg, OverloadPolicy::none().admission(gate(1.0)));
         assert_eq!(r.completed, 12);
         assert_eq!(r.abandoned, 0);
@@ -274,7 +290,7 @@ mod tests {
             benchmark: agentsim_workloads::Benchmark::HotpotQa,
             config: AgentConfig::default(),
         };
-        let cfg = DisaggConfig::new(workload, 1.0, 6).seed(3);
+        let cfg = FleetConfig::new(workload, 1.0, 6).pools(1, 1).seed(3);
         let r = gated(cfg, OverloadPolicy::none().admission(gate(1.0)));
         assert_eq!(r.completed, 6);
         assert!(
@@ -298,7 +314,8 @@ mod tests {
         let burst = ClientModel::TraceReplay {
             gaps: vec![SimDuration::ZERO; 300],
         };
-        let cfg = DisaggConfig::new(Workload::Chatbot, 1.0, 1)
+        let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 1)
+            .pools(1, 1)
             .seed(5)
             .client(burst);
         let r = gated(cfg, shedding());
@@ -315,7 +332,7 @@ mod tests {
 
     #[test]
     fn gated_run_is_deterministic_across_reruns() {
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 4.0, 20)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 4.0, 20)
             .seed(6)
             .pools(2, 2);
         let a = gated(cfg.clone(), shedding());
@@ -330,7 +347,7 @@ mod tests {
     fn hysteresis_flips_under_sustained_prefill_pressure() {
         // ReAct traffic is prefill-heavy; with a hair-trigger band the
         // controller should pull a decode replica over.
-        let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 24)
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 24)
             .seed(8)
             .pools(1, 3)
             .flip_cost(FlipCostModel::zero())
@@ -360,6 +377,6 @@ mod tests {
             benchmark: agentsim_workloads::Benchmark::HotpotQa,
             config: AgentConfig::default(),
         };
-        DisaggSim::new(DisaggConfig::new(workload, 1.0, 4));
+        DisaggSim::new(FleetConfig::new(workload, 1.0, 4).pools(1, 1));
     }
 }

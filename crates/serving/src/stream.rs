@@ -100,8 +100,10 @@ impl StreamInner {
 }
 
 /// A clonable [`EngineObserver`] that streams each retired request span
-/// as one JSON line and keeps only live spans in memory. See the
-/// [module docs](self).
+/// as one JSON line (its four-phase partition, how it ended, and its
+/// segments) and keeps only live spans in memory, so memory grows with
+/// concurrent requests rather than total ones. I/O errors never panic
+/// the run; [`SpanStreamWriter::io_error`] reports the first.
 #[derive(Clone)]
 pub struct SpanStreamWriter {
     inner: Arc<Mutex<StreamInner>>,
@@ -200,7 +202,7 @@ impl EngineObserver for SpanStreamWriter {
 mod tests {
     use super::*;
     use crate::observe::SpanRecorder;
-    use crate::{FleetSim, ServingConfig, Workload};
+    use crate::{FleetConfig, FleetSim, Workload};
     use agentsim_kvcache::TokenBuf;
     use agentsim_llm::{Engine, EngineConfig, EngineRole, FanoutObserver};
     use agentsim_metrics::json;
@@ -218,7 +220,7 @@ mod tests {
         let (writer, buf) = SpanStreamWriter::in_memory();
         let recorder = SpanRecorder::new();
 
-        let cfg = ServingConfig::new(Workload::react_hotpotqa(), 1.0, 4).seed(7);
+        let cfg = FleetConfig::new(Workload::react_hotpotqa(), 1.0, 4).seed(7);
         let mut sim = FleetSim::new(cfg);
         sim.set_observer(Box::new(
             FanoutObserver::new()

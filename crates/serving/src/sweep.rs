@@ -4,9 +4,9 @@
 use agentsim_llm::EngineConfig;
 use agentsim_simkit::rng::splitmix64;
 
+use crate::fleet::FleetConfig;
 use crate::fleet::FleetSim;
 use crate::observe::{Phase, RequestSpan};
-use crate::open_loop::ServingConfig;
 use crate::report::FleetReport;
 use crate::workload::Workload;
 
@@ -63,7 +63,7 @@ pub fn qps_sweep(
     assert!(num_requests > 0, "sweep needs requests");
     par_map(qps_points.len(), |i| {
         let qps = qps_points[i];
-        let cfg = ServingConfig::new(workload.clone(), qps, num_requests)
+        let cfg = FleetConfig::new(workload.clone(), qps, num_requests)
             .seed(splitmix64(seed ^ qps.to_bits()))
             .engine(engine.clone());
         SweepPoint {
@@ -174,7 +174,7 @@ pub fn qps_sweep_observed(
     assert!(num_requests > 0, "sweep needs requests");
     par_map(qps_points.len(), |i| {
         let qps = qps_points[i];
-        let cfg = ServingConfig::new(workload.clone(), qps, num_requests)
+        let cfg = FleetConfig::new(workload.clone(), qps, num_requests)
             .seed(splitmix64(seed ^ qps.to_bits()))
             .engine(engine.clone());
         let mut sim = FleetSim::new(cfg);
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn tail_breakdown_keeps_slowest_spans_only() {
-        let cfg = ServingConfig::new(Workload::Chatbot, 10.0, 40).seed(9);
+        let cfg = FleetConfig::new(Workload::Chatbot, 10.0, 40).seed(9);
         let mut sim = FleetSim::new(cfg);
         let recorder = sim.attach_recorder();
         sim.run();

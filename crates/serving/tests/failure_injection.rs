@@ -17,7 +17,7 @@ use agentsim_gpu::LinkSpec;
 use agentsim_kvcache::TokenBuf;
 use agentsim_llm::{Engine, EngineConfig, EngineEvent, EngineObserver, EngineRole};
 use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, TransferScheduler, Workload,
+    AutoscalePolicy, DisaggSim, FleetConfig, FlipDirection, TransferScheduler, Workload,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 
@@ -122,7 +122,7 @@ fn flip_scheduled_into_a_migration_storm_completes_cleanly() {
         bandwidth_bytes_per_s: 5e8,
         latency: SimDuration::from_millis(2),
     };
-    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 16)
+    let cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 16)
         .seed(0xF11)
         .pools(1, 2)
         .link(slow)
@@ -170,7 +170,7 @@ fn flip_into_partially_shipped_chunked_migrations_lands_every_chunk() {
         bandwidth_bytes_per_s: 5e8,
         latency: SimDuration::from_millis(2),
     };
-    let cfg = DisaggConfig::new(Workload::react_hotpotqa(), 2.0, 16)
+    let cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 16)
         .seed(0xF11)
         .pools(1, 2)
         .link(slow)

@@ -13,7 +13,7 @@ use agentsim_gpu::FlipCostModel;
 use agentsim_llm::OffloadConfig;
 use agentsim_metrics::Samples;
 use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, FleetReport, FlipDirection,
+    AutoscalePolicy, DisaggReport, DisaggSim, FleetConfig, FleetReport, FlipDirection,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 use golden_table::{
@@ -128,7 +128,7 @@ fn one_ulp_in_one_float_changes_the_digest() {
 
 #[test]
 fn swapping_two_call_records_changes_the_digest() {
-    let mut r = DisaggSim::new(DisaggConfig::new(react(), 1.0, 2).seed(1)).run();
+    let mut r = DisaggSim::new(FleetConfig::new(react(), 1.0, 2).pools(1, 1).seed(1)).run();
     let before = digest(&r);
     assert_ne!(r.calls[0], r.calls[1]);
     r.calls.swap(0, 1);

@@ -24,10 +24,9 @@ use agentsim_llm::{EngineConfig, LlmCompletion, OffloadConfig, RequestId, Schedu
 use agentsim_metrics::Samples;
 use agentsim_serving::{
     qps_sweep, AdmissionPolicy, AutoscalePolicy, CallRecord, CascadePolicy, ClientModel,
-    DisaggConfig, DisaggReport, DisaggSim, FleetConfig, FleetReport, FleetSim, FlipDirection,
-    FlipRecord, LinkStats, LlmCallRecord, OverloadPolicy, QueueDiscipline, ReplicaPool,
-    RequestTrace, RetryPolicy, Routing, ServingConfig, SingleOutcome, SingleRequest, SweepPoint,
-    Workload,
+    DisaggReport, DisaggSim, FleetConfig, FleetReport, FleetSim, FlipDirection, FlipRecord,
+    LinkStats, LlmCallRecord, OverloadPolicy, QueueDiscipline, ReplicaPool, RequestTrace,
+    RetryPolicy, Routing, SingleOutcome, SingleRequest, SweepPoint, Workload,
 };
 use agentsim_simkit::{SimDuration, SimTime};
 use agentsim_tools::{ToolKind, ToolResult};
@@ -98,14 +97,14 @@ pub const CELLS: &[(&str, Builder)] = &[
     ("fleet/cascade", || digest(&cascade())),
     ("disagg/1p1d", || disagg(split_1p1d())),
     ("disagg/colocated", || {
-        disagg(DisaggConfig::colocated(react(), 2, 1.0, 16).seed(0xD15A))
+        disagg(FleetConfig::new(react(), 1.0, 16).pools(2, 0).seed(0xD15A))
     }),
     ("disagg/flip-2p2d", || disagg(flip_2p2d())),
     ("disagg/routing-rr-ll", || disagg(routing_2p2d(RR))),
     ("disagg/routing-ll-ll", || disagg(routing_2p2d(LL))),
     ("disagg/chatbot-open", || {
         disagg(
-            DisaggConfig::new(chatbot(), 2.0, 24)
+            FleetConfig::new(chatbot(), 2.0, 24)
                 .seed(0xD1A6)
                 .pools(2, 2),
         )
@@ -117,7 +116,7 @@ pub const CELLS: &[(&str, Builder)] = &[
             think_time,
         };
         disagg(
-            DisaggConfig::new(react(), 1.2, 20)
+            FleetConfig::new(react(), 1.2, 20)
                 .seed(0xC11E)
                 .pools(2, 2)
                 .client(client),
@@ -238,7 +237,7 @@ pub fn small_kv_engine(scheduler: SchedulerPolicy) -> EngineConfig {
 /// One replica at high offered load, so a real queue forms (schedulers
 /// diverge).
 pub fn serving(workload: Workload, scheduler: SchedulerPolicy) -> FleetReport {
-    let cfg = ServingConfig::new(workload, 8.0, 40)
+    let cfg = FleetConfig::new(workload, 8.0, 40)
         .seed(0xD5EED)
         .engine(small_kv_engine(scheduler));
     FleetSim::new(cfg).run()
@@ -247,7 +246,8 @@ pub fn serving(workload: Workload, scheduler: SchedulerPolicy) -> FleetReport {
 /// The same serving cell through the disagg driver's degenerate path:
 /// one colocated replica, zero-cost link, no autoscaling.
 pub fn serving_as_disagg(workload: Workload, scheduler: SchedulerPolicy) -> DisaggReport {
-    let cfg = DisaggConfig::colocated(workload, 1, 8.0, 40)
+    let cfg = FleetConfig::new(workload, 8.0, 40)
+        .pools(1, 0)
         .seed(0xD5EED)
         .engine(small_kv_engine(scheduler))
         .link(LinkSpec::zero_cost());
@@ -298,19 +298,20 @@ pub fn cascade() -> FleetReport {
     FleetSim::new(cfg).run()
 }
 
-pub fn disagg(cfg: impl Into<FleetConfig>) -> u64 {
+pub fn disagg(cfg: FleetConfig) -> u64 {
     digest(&DisaggSim::new(cfg).run())
 }
 
-pub fn split_1p1d() -> DisaggConfig {
-    DisaggConfig::new(react(), 1.0, 16).seed(0xD15A)
+pub fn split_1p1d() -> FleetConfig {
+    FleetConfig::new(react(), 1.0, 16).seed(0xD15A).pools(1, 1)
 }
 
 /// A one-flip schedule over a 2P+2D split: at t=8s a prefill replica
 /// drains and joins the decode pool.
-pub fn flip_2p2d() -> DisaggConfig {
+pub fn flip_2p2d() -> FleetConfig {
     let at = SimTime::from_secs_f64(8.0);
-    split_1p1d()
+    FleetConfig::new(react(), 1.0, 16)
+        .seed(0xD15A)
         .pools(2, 2)
         .flip_cost(FlipCostModel::warm())
         .autoscale(AutoscalePolicy::Schedule(vec![(
@@ -322,18 +323,15 @@ pub fn flip_2p2d() -> DisaggConfig {
 /// A 2P+2D split with `prefill` routing; decode placement stays
 /// least-loaded.
 pub fn routing_2p2d(prefill: Routing) -> FleetConfig {
-    let mut cfg: FleetConfig = DisaggConfig::new(react(), 1.5, 24)
-        .seed(0xD1A6)
-        .pools(2, 2)
-        .into();
+    let mut cfg = FleetConfig::new(react(), 1.5, 24).seed(0xD1A6).pools(2, 2);
     cfg.routing = prefill;
     cfg
 }
 
 /// The one cell with real head-of-line link waiting: 1P+1D over PCIe,
 /// each migration shipped as up to `chunks` layer chunks.
-pub fn pcie_1p1d(chunks: u32) -> DisaggConfig {
-    DisaggConfig::new(react(), 1.0, 20)
+pub fn pcie_1p1d(chunks: u32) -> FleetConfig {
+    FleetConfig::new(react(), 1.0, 20)
         .seed(0x9C1E)
         .pools(1, 1)
         .link(LinkSpec::pcie_gen4())
@@ -391,7 +389,7 @@ pub fn overload(policy: OverloadPolicy) -> FleetReport {
 /// One replica at 40 qps: a deep waiting queue and a full running set.
 pub fn perf_serving() -> FleetReport {
     let engine = EngineConfig::a100_llama8b();
-    FleetSim::new(ServingConfig::new(react(), 40.0, 10).seed(7).engine(engine)).run()
+    FleetSim::new(FleetConfig::new(react(), 40.0, 10).seed(7).engine(engine)).run()
 }
 
 // ---- The digest ----------------------------------------------------------

@@ -6,9 +6,7 @@
 use agentsim_kvcache::TokenBuf;
 use agentsim_llm::{Engine, EngineConfig, LlmCompletion};
 use agentsim_metrics::json;
-use agentsim_serving::{
-    chrome_trace, FleetConfig, FleetSim, Routing, ServingConfig, SpanRecorder, Workload,
-};
+use agentsim_serving::{chrome_trace, FleetConfig, FleetSim, Routing, SpanRecorder, Workload};
 use agentsim_simkit::{SimDuration, SimTime};
 
 fn drain(engine: &mut Engine, mut now: SimTime) -> (Vec<LlmCompletion>, SimTime) {
@@ -58,7 +56,7 @@ fn spans_match_engine_attribution_exactly() {
 /// request's end-to-end latency.
 #[test]
 fn serving_trace_spans_reconstruct_e2e_latency() {
-    let cfg = ServingConfig::new(Workload::react_hotpotqa(), 2.0, 12).seed(11);
+    let cfg = FleetConfig::new(Workload::react_hotpotqa(), 2.0, 12).seed(11);
     let mut sim = FleetSim::new(cfg);
     let recorder = sim.attach_recorder();
     let report = sim.run();
@@ -97,7 +95,7 @@ fn serving_trace_spans_reconstruct_e2e_latency() {
 /// Attaching an observer must not perturb simulation results.
 #[test]
 fn observer_does_not_change_serving_results() {
-    let cfg = || ServingConfig::new(Workload::react_hotpotqa(), 2.0, 10).seed(5);
+    let cfg = || FleetConfig::new(Workload::react_hotpotqa(), 2.0, 10).seed(5);
     let plain = FleetSim::new(cfg()).run();
     let mut observed_sim = FleetSim::new(cfg());
     let _recorder = observed_sim.attach_recorder();
@@ -151,13 +149,13 @@ fn fleet_recorders_cover_every_replica() {
 #[test]
 fn phase_split_reflects_load() {
     let light = {
-        let mut sim = FleetSim::new(ServingConfig::new(Workload::Chatbot, 0.05, 6).seed(2));
+        let mut sim = FleetSim::new(FleetConfig::new(Workload::Chatbot, 0.05, 6).seed(2));
         let r = sim.attach_recorder();
         sim.run();
         r
     };
     let heavy = {
-        let mut sim = FleetSim::new(ServingConfig::new(Workload::Chatbot, 20.0, 6).seed(2));
+        let mut sim = FleetSim::new(FleetConfig::new(Workload::Chatbot, 20.0, 6).seed(2));
         let r = sim.attach_recorder();
         sim.run();
         r

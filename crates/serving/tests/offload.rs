@@ -1,12 +1,12 @@
 //! KV offload pass-through for the disaggregated driver: the tiers
-//! configured on `DisaggConfig::engine` must reach every replica engine,
+//! configured on `FleetConfig::engine` must reach every replica engine,
 //! surface in the aggregated report, stay bit-deterministic across
 //! reruns, and vanish completely at zero capacity.
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::{EngineConfig, OffloadConfig};
-use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, Workload};
+use agentsim_serving::{DisaggReport, DisaggSim, FleetConfig, Workload};
 use agentsim_workloads::Benchmark;
 
 #[derive(Debug, PartialEq, Eq)]
@@ -44,12 +44,12 @@ impl Fingerprint {
 
 /// A KV-constrained 1P+1D split under an agentic workload: enough
 /// eviction pressure that the tiers see real traffic.
-fn config(offload: Option<OffloadConfig>) -> DisaggConfig {
+fn config(offload: Option<OffloadConfig>) -> FleetConfig {
     let mut engine = EngineConfig::a100_llama8b().with_kv_fraction(0.05);
     if let Some(off) = offload {
         engine = engine.with_offload(off);
     }
-    DisaggConfig::new(
+    FleetConfig::new(
         Workload::Agent {
             kind: AgentKind::React,
             benchmark: Benchmark::HotpotQa,
@@ -58,6 +58,7 @@ fn config(offload: Option<OffloadConfig>) -> DisaggConfig {
         6.0,
         32,
     )
+    .pools(1, 1)
     .seed(0xD15C)
     .engine(engine)
 }

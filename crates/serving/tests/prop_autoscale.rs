@@ -18,7 +18,7 @@
 //! 5. the same configuration replays bit-identically.
 
 use agentsim_gpu::FlipCostModel;
-use agentsim_serving::{AutoscalePolicy, DisaggConfig, DisaggSim, FlipDirection, Workload};
+use agentsim_serving::{AutoscalePolicy, DisaggSim, FleetConfig, FlipDirection, Workload};
 use agentsim_simkit::SimTime;
 use proptest::prelude::*;
 
@@ -81,7 +81,7 @@ fn run(s: &Scenario) -> agentsim_serving::DisaggReport {
             )
         })
         .collect();
-    let cfg = DisaggConfig::new(workload, s.qps, s.requests)
+    let cfg = FleetConfig::new(workload, s.qps, s.requests)
         .seed(s.seed)
         .pools(s.prefill, s.decode)
         .flip_cost(if s.warm_flip {

@@ -80,11 +80,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.event))
     }
 
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -149,18 +144,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(3), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -80,16 +80,6 @@ impl SimRng {
         lo + (hi - lo) * self.f64()
     }
 
-    /// Uniform integer draw in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "invalid range [{lo}, {hi})");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform `usize` draw in `[0, n)`.
     ///
     /// # Panics
@@ -306,8 +296,6 @@ mod tests {
         for _ in 0..1000 {
             let x = rng.range_f64(2.0, 3.0);
             assert!((2.0..3.0).contains(&x));
-            let n = rng.range_u64(10, 20);
-            assert!((10..20).contains(&n));
         }
     }
 

@@ -42,16 +42,6 @@ impl ToolCatalog {
     pub fn iter(&self) -> std::slice::Iter<'_, ToolSpec> {
         self.specs.iter()
     }
-
-    /// Replaces the spec for one tool (used by what-if experiments).
-    pub fn set_spec(&mut self, spec: ToolSpec) {
-        let slot = self
-            .specs
-            .iter_mut()
-            .find(|s| s.kind == spec.kind)
-            .expect("catalog covers every ToolKind");
-        *slot = spec;
-    }
 }
 
 impl Default for ToolCatalog {
@@ -79,12 +69,5 @@ mod tests {
         let wiki = c.spec(ToolKind::WikipediaSearch).mean_latency_s();
         let shop = c.spec(ToolKind::WebshopSearch).mean_latency_s();
         assert!(wiki / shop > 30.0, "wiki {wiki} s vs shop {shop} s");
-    }
-
-    #[test]
-    fn set_spec_replaces() {
-        let mut c = ToolCatalog::new();
-        c.set_spec(ToolSpec::new(ToolKind::PythonCalc, 0.5, 0.1, 10.0, 0.0));
-        assert!((c.spec(ToolKind::PythonCalc).mean_latency_s() - 0.5).abs() < 1e-9);
     }
 }

@@ -33,16 +33,6 @@ impl ToolKind {
         ToolKind::PythonCalc,
         ToolKind::PythonExec,
     ];
-
-    /// Whether the tool leaves the machine (network API) rather than
-    /// running on the local host. Remote tools dominate agent latency in
-    /// HotpotQA; local ones are nearly free (WebShop).
-    pub fn is_remote(self) -> bool {
-        matches!(
-            self,
-            ToolKind::WikipediaSearch | ToolKind::WikipediaLookup | ToolKind::WolframQuery
-        )
-    }
 }
 
 impl fmt::Display for ToolKind {
@@ -69,13 +59,5 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 7);
-    }
-
-    #[test]
-    fn remoteness_classification() {
-        assert!(ToolKind::WikipediaSearch.is_remote());
-        assert!(ToolKind::WolframQuery.is_remote());
-        assert!(!ToolKind::WebshopClick.is_remote());
-        assert!(!ToolKind::PythonExec.is_remote());
     }
 }

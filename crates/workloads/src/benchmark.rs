@@ -81,12 +81,6 @@ impl Benchmark {
             Benchmark::ShareGpt => 0.10,
         }
     }
-
-    /// Whether tool observations are large (web/page content) rather than
-    /// short answers — drives the paper's Fig. 8 tool-history split.
-    pub fn tools_return_large_observations(self) -> bool {
-        matches!(self, Benchmark::HotpotQa | Benchmark::WebShop)
-    }
 }
 
 impl fmt::Display for Benchmark {
@@ -111,12 +105,6 @@ mod tests {
             assert!(!b.tools().is_empty(), "{b} must expose tools");
         }
         assert!(Benchmark::ShareGpt.tools().is_empty());
-    }
-
-    #[test]
-    fn knowledge_tasks_have_large_observations() {
-        assert!(Benchmark::HotpotQa.tools_return_large_observations());
-        assert!(!Benchmark::Math.tools_return_large_observations());
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn serving_and_single_agree_on_workload_character() {
         benchmark: Benchmark::WebShop,
         config: AgentConfig::default_8b(),
     };
-    let report = FleetSim::new(ServingConfig::new(workload, 0.02, 10).seed(3)).run();
+    let report = FleetSim::new(FleetConfig::new(workload, 0.02, 10).seed(3)).run();
     let mean_serving = report.latencies.summary().mean();
     let ratio = mean_serving / mean_single;
     assert!(
