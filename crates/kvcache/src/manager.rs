@@ -40,10 +40,6 @@ impl KvConfig {
     }
 }
 
-/// Handle to a live sequence's block table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SeqHandle(u64);
-
 /// Why an allocation could not be satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
@@ -54,8 +50,6 @@ pub enum AllocError {
         /// Free + evictable blocks available.
         available: usize,
     },
-    /// The sequence handle is unknown (already freed?).
-    UnknownSequence,
 }
 
 impl fmt::Display for AllocError {
@@ -65,22 +59,46 @@ impl fmt::Display for AllocError {
                 f,
                 "insufficient KV blocks: needed {needed}, available {available}"
             ),
-            AllocError::UnknownSequence => write!(f, "unknown sequence handle"),
         }
     }
 }
 
 impl std::error::Error for AllocError {}
 
+/// A live sequence's block table, owned by the caller from
+/// [`KvBlockManager::allocate`] (or [`KvBlockManager::import`]) until it
+/// is handed back to [`KvBlockManager::free`] (or
+/// [`KvBlockManager::export`]). Dropping it instead leaks its blocks,
+/// and [`KvBlockManager::live_sequences`] keeps counting it. It is
+/// neither `Clone` nor `Copy`, so a released sequence cannot be read or
+/// released again:
+///
+/// ```compile_fail,E0382
+/// use agentsim_kvcache::{KvBlockManager, KvConfig, TokenBuf};
+/// use agentsim_simkit::SimTime;
+///
+/// let mut mgr = KvBlockManager::new(KvConfig { num_blocks: 4, block_size: 16, prefix_caching: true });
+/// let seq = mgr.allocate(&TokenBuf::from_segment(1, 16), SimTime::ZERO).unwrap();
+/// mgr.free(seq, SimTime::ZERO);
+/// let _ = seq.cached_tokens(); // error[E0382]: borrow of moved value: `seq`
+/// ```
 #[derive(Debug)]
-struct SeqState {
+pub struct Seq {
     blocks: Vec<BlockId>,
-    len_tokens: usize,
+    len: usize,
     cached_tokens: usize,
     /// Running chain-hash state of the trailing block: [`chain_start`] of
     /// the last full block's hash, folded with the tail's tokens so far.
     /// When the tail fills, this *is* its chain hash.
     tail_state: u64,
+}
+
+impl Seq {
+    /// Prompt tokens that were served from the prefix cache (or promoted
+    /// from an offload tier).
+    pub fn cached_tokens(&self) -> usize {
+        self.cached_tokens
+    }
 }
 
 /// The paged KV-cache block manager. See the [crate docs](crate) for an
@@ -101,8 +119,8 @@ pub struct KvBlockManager {
     /// under its LRU baseline), making the order exactly LRU. A key is
     /// live while its block is `Cached` under that rank and tick.
     evictable: EvictionHeap<BlockId>,
-    seqs: KeyMap<SeqState>,
-    next_seq: u64,
+    /// Sequences admitted and not yet freed or exported.
+    live: usize,
     tick: u64,
     /// Blocks currently in [`BlockState::Active`], maintained at every
     /// state transition so usage tracking never scans the pool.
@@ -128,8 +146,7 @@ impl KvBlockManager {
             free: (0..config.num_blocks).rev().map(BlockId).collect(),
             cache: KeyMap::default(),
             evictable: EvictionHeap::default(),
-            seqs: KeyMap::default(),
-            next_seq: 0,
+            live: 0,
             tick: 0,
             active: 0,
             hierarchy: None,
@@ -151,7 +168,7 @@ impl KvBlockManager {
     /// Panics if sequences were already admitted or prefix caching is off.
     pub fn enable_offload(&mut self, spec: OffloadSpec) {
         assert!(
-            self.stats.sequences == 0 && self.seqs.is_empty(),
+            self.stats.sequences == 0,
             "offload tiers must be configured before any traffic"
         );
         assert!(
@@ -193,7 +210,7 @@ impl KvBlockManager {
     /// # Panics
     ///
     /// Panics if `tokens` is empty.
-    pub fn allocate(&mut self, tokens: &TokenBuf, now: SimTime) -> Result<SeqHandle, AllocError> {
+    pub fn allocate(&mut self, tokens: &TokenBuf, now: SimTime) -> Result<Seq, AllocError> {
         self.admit(tokens, now, false)
     }
 
@@ -211,7 +228,7 @@ impl KvBlockManager {
     /// # Panics
     ///
     /// Panics if `tokens` is empty.
-    pub fn import(&mut self, tokens: &TokenBuf, now: SimTime) -> Result<SeqHandle, AllocError> {
+    pub fn import(&mut self, tokens: &TokenBuf, now: SimTime) -> Result<Seq, AllocError> {
         self.admit(tokens, now, true)
     }
 
@@ -219,16 +236,8 @@ impl KvBlockManager {
     /// its tokens as exported. Returns the sequence length in tokens (the
     /// KV footprint being shipped). Block disposal is identical to
     /// [`Self::free`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was already freed.
-    pub fn export(&mut self, seq: SeqHandle, now: SimTime) -> usize {
-        let len = self
-            .seqs
-            .get(&seq.0)
-            .expect("exporting an unknown sequence handle")
-            .len_tokens;
+    pub fn export(&mut self, seq: Seq, now: SimTime) -> usize {
+        let len = seq.len;
         self.stats.exported_tokens += len as u64;
         self.free(seq, now);
         len
@@ -239,7 +248,7 @@ impl KvBlockManager {
         tokens: &TokenBuf,
         now: SimTime,
         imported: bool,
-    ) -> Result<SeqHandle, AllocError> {
+    ) -> Result<Seq, AllocError> {
         assert!(!tokens.is_empty(), "cannot allocate an empty sequence");
         let bs = self.config.block_size as usize;
         let hashes = tokens.chain_hashes_cached(bs);
@@ -372,19 +381,14 @@ impl KvBlockManager {
             chain_start(hashes.last().copied().unwrap_or(CHAIN_ROOT)),
             chain_step,
         );
-        let handle = SeqHandle(self.next_seq);
-        self.next_seq += 1;
-        self.seqs.insert(
-            handle.0,
-            SeqState {
-                blocks,
-                len_tokens: tokens.len(),
-                cached_tokens,
-                tail_state,
-            },
-        );
+        self.live += 1;
         self.note_usage(now);
-        Ok(handle)
+        Ok(Seq {
+            blocks,
+            len: tokens.len(),
+            cached_tokens,
+            tail_state,
+        })
     }
 
     /// Appends one generated token to a live sequence, growing its block
@@ -393,41 +397,30 @@ impl KvBlockManager {
     /// # Errors
     ///
     /// Returns [`AllocError::Insufficient`] if a new block is needed and
-    /// none can be freed (the caller should preempt the sequence), or
-    /// [`AllocError::UnknownSequence`] for a stale handle.
+    /// none can be freed (the caller should preempt the sequence).
     pub fn append_token(
         &mut self,
-        seq: SeqHandle,
+        seq: &mut Seq,
         token: Token,
         now: SimTime,
     ) -> Result<(), AllocError> {
         let bs = self.config.block_size as usize;
-        let state = self
-            .seqs
-            .get_mut(&seq.0)
-            .ok_or(AllocError::UnknownSequence)?;
-        // One lookup per token; only a block boundary, which must take a
-        // block from the pool, looks the sequence up again.
-        let state = if state.len_tokens.is_multiple_of(bs) {
+        if seq.len.is_multiple_of(bs) {
             let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
             meta.state = BlockState::Active;
             meta.ref_count = 1;
             self.active += 1;
-            let state = self.seqs.get_mut(&seq.0).expect("looked up above");
-            state.blocks.push(id);
-            state
-        } else {
-            state
-        };
-        state.tail_state = chain_step(state.tail_state, token);
-        state.len_tokens += 1;
+            seq.blocks.push(id);
+        }
+        seq.tail_state = chain_step(seq.tail_state, token);
+        seq.len += 1;
 
         // Did the tail block just fill? Then register its chain hash.
-        if state.len_tokens.is_multiple_of(bs) {
-            let h = state.tail_state;
-            state.tail_state = chain_start(h);
-            let id = *state.blocks.last().expect("tail block exists");
+        if seq.len.is_multiple_of(bs) {
+            let h = seq.tail_state;
+            seq.tail_state = chain_start(h);
+            let id = *seq.blocks.last().expect("tail block exists");
             if self.config.prefix_caching {
                 let meta = &mut self.metas[id.0 as usize];
                 meta.chain_hash = Some(h);
@@ -450,16 +443,9 @@ impl KvBlockManager {
 
     /// Releases a sequence. Hashed blocks stay resident (evictable) when
     /// prefix caching is on; everything else returns to the free list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was already freed.
-    pub fn free(&mut self, seq: SeqHandle, now: SimTime) {
-        let state = self
-            .seqs
-            .remove(&seq.0)
-            .expect("freeing an unknown sequence handle");
-        for id in state.blocks {
+    pub fn free(&mut self, seq: Seq, now: SimTime) {
+        self.live -= 1;
+        for id in seq.blocks {
             let meta = &mut self.metas[id.0 as usize];
             assert!(meta.ref_count > 0, "double free of {id}");
             meta.ref_count -= 1;
@@ -485,40 +471,6 @@ impl KvBlockManager {
             }
         }
         self.note_usage(now);
-    }
-
-    /// Prompt tokens of `seq` that were served from the prefix cache (or
-    /// promoted from an offload tier).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stale handle — a freed sequence has no block table, and
-    /// a silent zero here once masked accounting bugs. Use
-    /// [`Self::try_cached_tokens`] when staleness is expected.
-    pub fn cached_tokens(&self, seq: &SeqHandle) -> usize {
-        self.try_cached_tokens(seq)
-            .expect("stale SeqHandle: sequence already freed or never allocated")
-    }
-
-    /// Like [`Self::cached_tokens`], but `None` on a stale handle.
-    pub fn try_cached_tokens(&self, seq: &SeqHandle) -> Option<usize> {
-        self.seqs.get(&seq.0).map(|s| s.cached_tokens)
-    }
-
-    /// Current length (tokens) of a live sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stale handle, like [`Self::cached_tokens`]. Use
-    /// [`Self::try_seq_len`] when staleness is expected.
-    pub fn seq_len(&self, seq: &SeqHandle) -> usize {
-        self.try_seq_len(seq)
-            .expect("stale SeqHandle: sequence already freed or never allocated")
-    }
-
-    /// Like [`Self::seq_len`], but `None` on a stale handle.
-    pub fn try_seq_len(&self, seq: &SeqHandle) -> Option<usize> {
-        self.seqs.get(&seq.0).map(|s| s.len_tokens)
     }
 
     /// Feeds the session layer's next-invocation prediction for a token
@@ -566,9 +518,10 @@ impl KvBlockManager {
         self.evictable.len()
     }
 
-    /// Live sequences.
+    /// Sequences admitted and not yet freed or exported. A [`Seq`]
+    /// dropped without either still counts, so a leak shows here.
     pub fn live_sequences(&self) -> usize {
-        self.seqs.len()
+        self.live
     }
 
     /// Aggregate statistics.
@@ -613,11 +566,7 @@ impl KvBlockManager {
     }
 
     fn note_usage(&mut self, now: SimTime) {
-        let used = self.used_blocks() as u64;
-        self.stats.used_blocks.set(now, used);
-        self.stats
-            .resident_blocks
-            .set(now, used + self.evictable.len() as u64);
+        self.stats.used_blocks.set(now, self.active as u64);
     }
 
     /// Internal-consistency check used by tests: every block is in exactly
@@ -742,7 +691,7 @@ mod tests {
         let mut m = mgr(16, true);
         let p = TokenBuf::from_segment(1, 48);
         let s = m.allocate(&p, t(0)).unwrap();
-        assert_eq!(m.cached_tokens(&s), 0);
+        assert_eq!(s.cached_tokens(), 0);
         assert_eq!(m.used_blocks(), 3);
         m.check_invariants().unwrap();
     }
@@ -756,7 +705,7 @@ mod tests {
         assert_eq!(m.evictable_blocks(), 4);
         let s2 = m.allocate(&p, t(2)).unwrap();
         // 64 tokens = 4 full blocks, all cached; final token recomputed.
-        assert_eq!(m.cached_tokens(&s2), 63);
+        assert_eq!(s2.cached_tokens(), 63);
         assert_eq!(m.free_blocks(), 12); // the same 4 blocks are revived
         m.check_invariants().unwrap();
     }
@@ -772,7 +721,7 @@ mod tests {
         let s2 = m.allocate(&p2, t(1)).unwrap();
         // 2 shared prefix blocks + 2 distinct suffix blocks.
         assert_eq!(m.used_blocks(), 4);
-        assert_eq!(m.cached_tokens(&s2), 32);
+        assert_eq!(s2.cached_tokens(), 32);
         m.free(s1, t(2));
         m.free(s2, t(3));
         m.check_invariants().unwrap();
@@ -787,7 +736,7 @@ mod tests {
         assert_eq!(m.evictable_blocks(), 0);
         assert_eq!(m.free_blocks(), 16);
         let s2 = m.allocate(&p, t(2)).unwrap();
-        assert_eq!(m.cached_tokens(&s2), 0);
+        assert_eq!(s2.cached_tokens(), 0);
         m.check_invariants().unwrap();
     }
 
@@ -823,7 +772,7 @@ mod tests {
         assert_eq!(m.stats().rejections, 1);
         // A refused admission changes nothing, so a retry is refused (and
         // counted) again.
-        assert_eq!(m.allocate(&p2, t(2)), Err(err));
+        assert_eq!(m.allocate(&p2, t(2)).unwrap_err(), err);
         assert_eq!(m.stats().rejections, 2);
         assert_eq!(m.used_blocks(), 4);
         m.check_invariants().unwrap();
@@ -833,7 +782,7 @@ mod tests {
     fn decode_growth_allocates_blocks_and_registers_hashes() {
         let mut m = mgr(16, true);
         let p = TokenBuf::from_segment(1, 24); // 1 full + 1 partial
-        let s = m.allocate(&p, t(0)).unwrap();
+        let mut s = m.allocate(&p, t(0)).unwrap();
         assert_eq!(m.used_blocks(), 2);
 
         // Grow by 8 tokens: fills the partial block (now hashed).
@@ -841,15 +790,15 @@ mod tests {
         full.push_segment(777, 8);
         for i in 0..8u64 {
             let tok = crate::tokens::segment_token(777, i);
-            m.append_token(s, tok, t(10 + i)).unwrap();
+            m.append_token(&mut s, tok, t(10 + i)).unwrap();
         }
-        assert_eq!(m.seq_len(&s), 32);
+        assert_eq!(s.len, 32);
         assert_eq!(m.used_blocks(), 2);
         m.free(s, t(100));
 
         // A new prompt with the same 32 tokens hits both blocks.
         let s2 = m.allocate(&full, t(101)).unwrap();
-        assert_eq!(m.cached_tokens(&s2), 31);
+        assert_eq!(s2.cached_tokens(), 31);
         m.check_invariants().unwrap();
     }
 
@@ -857,9 +806,9 @@ mod tests {
     fn decode_crossing_boundary_takes_new_block() {
         let mut m = mgr(4, true);
         let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
+        let mut s = m.allocate(&p, t(0)).unwrap();
         assert_eq!(m.used_blocks(), 1);
-        m.append_token(s, 123, t(1)).unwrap();
+        m.append_token(&mut s, 123, t(1)).unwrap();
         assert_eq!(m.used_blocks(), 2);
         m.check_invariants().unwrap();
     }
@@ -868,8 +817,8 @@ mod tests {
     fn decode_oom_is_reported() {
         let mut m = mgr(1, true);
         let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
-        let err = m.append_token(s, 1, t(1)).unwrap_err();
+        let mut s = m.allocate(&p, t(0)).unwrap();
+        let err = m.append_token(&mut s, 1, t(1)).unwrap_err();
         assert!(matches!(err, AllocError::Insufficient { .. }));
     }
 
@@ -911,7 +860,7 @@ mod tests {
         let mut p2 = TokenBuf::from_segment(1, 32);
         p2.push_segment(3, 32);
         let s2 = m.allocate(&p2, t(2)).unwrap();
-        assert_eq!(m.cached_tokens(&s2), 32);
+        assert_eq!(s2.cached_tokens(), 32);
         assert_eq!(m.stats().evictions, 2);
         m.check_invariants().unwrap();
     }
@@ -927,7 +876,7 @@ mod tests {
         let p = TokenBuf::from_segment(1, 48); // 3 full blocks
         let hashes = p.chain_hashes_cached(16).to_vec();
         let s = m.allocate(&p, t(0)).unwrap();
-        let old = m.seqs[&s.0].blocks.clone();
+        let old = s.blocks.clone();
         m.free(s, t(1));
         // One-token sequences hold partial blocks, which free straight
         // back to the free list. Six of them drain the 5 free blocks and
@@ -946,8 +895,8 @@ mod tests {
         // blocks 2-3 land on fresh blocks too, which take the
         // registration over from the old holders.
         let s = m.allocate(&p, t(4)).unwrap();
-        assert_eq!(m.cached_tokens(&s), 16);
-        let new = m.seqs[&s.0].blocks.clone();
+        assert_eq!(s.cached_tokens(), 16);
+        let new = s.blocks.clone();
         for k in 1..3 {
             assert_eq!(m.cache[&hashes[k]], new[k]);
             assert!(!m.metas[old[k].0 as usize].registered);
@@ -971,7 +920,7 @@ mod tests {
         }
         m.free(s, t(7));
         let again = m.allocate(&p, t(8)).unwrap();
-        assert_eq!(m.cached_tokens(&again), 47);
+        assert_eq!(again.cached_tokens(), 47);
         m.check_invariants().unwrap();
     }
 
@@ -981,12 +930,12 @@ mod tests {
         let full = TokenBuf::from_segment(1, 16);
         let owner = m.allocate(&full, t(0)).unwrap();
         // A second sequence decodes the same 16 tokens into its own block.
-        let copy = m.allocate(&TokenBuf::from_segment(1, 8), t(1)).unwrap();
+        let mut copy = m.allocate(&TokenBuf::from_segment(1, 8), t(1)).unwrap();
         for i in 8..16 {
             let tok = crate::tokens::segment_token(1, i);
-            m.append_token(copy, tok, t(2)).unwrap();
+            m.append_token(&mut copy, tok, t(2)).unwrap();
         }
-        let copy_block = m.seqs[&copy.0].blocks[0];
+        let copy_block = copy.blocks[0];
         assert!(!m.metas[copy_block.0 as usize].registered);
         m.check_invariants().unwrap();
         m.free(copy, t(3));
@@ -1003,7 +952,7 @@ mod tests {
         let p = TokenBuf::from_segment(1, 40); // 2 full + 1 partial block
         let s = m.import(&p, t(0)).unwrap();
         assert_eq!(m.used_blocks(), 3);
-        assert_eq!(m.seq_len(&s), 40);
+        assert_eq!(s.len, 40);
         let st = m.stats();
         assert_eq!(st.imported_tokens, 40);
         assert_eq!(st.hit_tokens, 0);
@@ -1059,45 +1008,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown sequence handle")]
-    fn double_free_panics() {
+    fn dropped_seq_still_counts_as_live() {
         let mut m = mgr(4, true);
         let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
-        m.free(s, t(1));
+        drop(m.allocate(&p, t(0)).unwrap());
+        assert_eq!(m.live_sequences(), 1, "a leaked sequence stays visible");
+        assert_eq!(m.used_blocks(), 1);
+        let s = m.allocate(&p, t(1)).unwrap();
         m.free(s, t(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "stale SeqHandle")]
-    fn cached_tokens_on_freed_handle_panics() {
-        let mut m = mgr(4, true);
-        let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
-        m.free(s, t(1));
-        let _ = m.cached_tokens(&s);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale SeqHandle")]
-    fn seq_len_on_freed_handle_panics() {
-        let mut m = mgr(4, true);
-        let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
-        m.free(s, t(1));
-        let _ = m.seq_len(&s);
-    }
-
-    #[test]
-    fn try_accessors_report_staleness_instead() {
-        let mut m = mgr(4, true);
-        let p = TokenBuf::from_segment(1, 16);
-        let s = m.allocate(&p, t(0)).unwrap();
-        assert_eq!(m.try_cached_tokens(&s), Some(0));
-        assert_eq!(m.try_seq_len(&s), Some(16));
-        m.free(s, t(1));
-        assert_eq!(m.try_cached_tokens(&s), None);
-        assert_eq!(m.try_seq_len(&s), None);
+        assert_eq!(m.live_sequences(), 1);
     }
 
     mod offload {
@@ -1145,7 +1064,7 @@ mod tests {
             // p1 returns: its 4 blocks promote from host instead of
             // recomputing — same cached_tokens a pure HBM hit would give.
             let s1b = m.allocate(&p1, t(4)).unwrap();
-            assert_eq!(m.cached_tokens(&s1b), 63);
+            assert_eq!(s1b.cached_tokens(), 63);
             assert_eq!(m.stats().promoted_blocks_host, 4);
             assert_eq!(m.stats().promoted_tokens, 63);
             // p1's copies left the tier; the fresh blocks its readmission
@@ -1192,7 +1111,7 @@ mod tests {
                 let s3 = m.allocate(&p1, t(4)).unwrap();
                 m.check_invariants().unwrap();
                 (
-                    m.cached_tokens(&s3),
+                    s3.cached_tokens(),
                     m.stats().evictions,
                     m.stats().hit_tokens,
                     m.stats().miss_tokens,
@@ -1383,33 +1302,34 @@ mod tests {
             ]
         }
 
-        /// A live sequence: its handle, every token it holds, the
+        /// A live sequence: its block table, every token it holds, the
         /// generation seed and how many tokens it has decoded.
-        type Live = (SeqHandle, TokenBuf, u64, u64);
+        type Live = (Seq, TokenBuf, u64, u64);
 
         /// Every full block of `seq` carries the chain hash of its token
         /// stream, and the tail state is that stream's partial block
         /// folded onto the last full block's hash.
-        fn check_seq(m: &KvBlockManager, (h, tokens, _, _): &Live) -> Result<(), String> {
+        fn check_seq(m: &KvBlockManager, (seq, tokens, _, _): &Live) -> Result<(), String> {
             let bs = m.config.block_size as usize;
-            let state = &m.seqs[&h.0];
             let ids: Vec<Token> = tokens.ids().collect();
             let want = chain_hashes(&ids, bs);
-            if state.len_tokens != tokens.len() || state.blocks.len() != tokens.len().div_ceil(bs) {
-                return Err(format!("{h:?} holds the wrong number of tokens or blocks"));
+            if seq.len != tokens.len() || seq.blocks.len() != tokens.len().div_ceil(bs) {
+                return Err(format!(
+                    "{seq:?} holds the wrong number of tokens or blocks"
+                ));
             }
-            for (j, (id, hash)) in state.blocks.iter().zip(&want).enumerate() {
+            for (j, (id, hash)) in seq.blocks.iter().zip(&want).enumerate() {
                 let meta = &m.metas[id.0 as usize];
                 if meta.chain_hash != Some(*hash) {
                     return Err(format!(
-                        "{h:?} block {j} ({id}) hashed {:?}",
+                        "{seq:?} block {j} ({id}) hashed {:?}",
                         meta.chain_hash
                     ));
                 }
             }
             let parent = want.last().copied().unwrap_or(CHAIN_ROOT);
-            if state.tail_state != chain_hash(parent, &ids[want.len() * bs..]) {
-                return Err(format!("{h:?} tail state diverged"));
+            if seq.tail_state != chain_hash(parent, &ids[want.len() * bs..]) {
+                return Err(format!("{seq:?} tail state diverged"));
             }
             Ok(())
         }
@@ -1431,16 +1351,16 @@ mod tests {
                     match *op {
                         Op::Alloc { seed, len } => {
                             let prompt = TokenBuf::from_segment(seed, len);
-                            if let Ok(h) = m.allocate(&prompt, now) {
-                                live.push((h, prompt, seed, 0));
+                            if let Ok(seq) = m.allocate(&prompt, now) {
+                                live.push((seq, prompt, seed, 0));
                             }
                         }
                         Op::Append { k, n } if !live.is_empty() => {
                             let k = k % live.len();
-                            let (h, tokens, seed, out) = &mut live[k];
+                            let (seq, tokens, seed, out) = &mut live[k];
                             for _ in 0..n {
                                 let token = generated_token(*seed, *out);
-                                if m.append_token(*h, token, now).is_err() {
+                                if m.append_token(seq, token, now).is_err() {
                                     break;
                                 }
                                 tokens.push_generated(*seed, *out);
@@ -1448,8 +1368,8 @@ mod tests {
                             }
                         }
                         Op::Free { k } if !live.is_empty() => {
-                            let (h, ..) = live.swap_remove(k % live.len());
-                            m.free(h, now);
+                            let (seq, ..) = live.swap_remove(k % live.len());
+                            m.free(seq, now);
                         }
                         _ => {}
                     }

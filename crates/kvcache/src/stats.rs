@@ -75,8 +75,6 @@ pub struct KvStats {
     pub exported_tokens: u64,
     /// Time-weighted active (referenced) block occupancy.
     pub used_blocks: UsageTracker,
-    /// Time-weighted resident occupancy (active + evictable cached).
-    pub resident_blocks: UsageTracker,
     /// Blocks demoted HBM → host tier (offload hierarchy only).
     pub demoted_blocks_host: u64,
     /// Blocks demoted onto the NVMe tier (host overflow, or direct with

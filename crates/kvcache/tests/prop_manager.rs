@@ -4,7 +4,7 @@
 //! *which* work completes — only how much of it is reused.
 
 use agentsim_kvcache::{
-    AllocError, EvictionPolicy, KvBlockManager, KvConfig, OffloadSpec, SeqHandle, Tier, TierDir,
+    AllocError, EvictionPolicy, KvBlockManager, KvConfig, OffloadSpec, Seq, Tier, TierDir,
     TierTransfer, TokenBuf,
 };
 use agentsim_simkit::SimTime;
@@ -35,7 +35,7 @@ fn run_script(ops: &[Op], num_blocks: u32, prefix_caching: bool) -> (KvBlockMana
         block_size: 16,
         prefix_caching,
     });
-    let mut live: Vec<SeqHandle> = Vec::new();
+    let mut live: Vec<Seq> = Vec::new();
     let mut clock = 0u64;
     let mut total_appended = 0u64;
     for op in ops {
@@ -45,21 +45,19 @@ fn run_script(ops: &[Op], num_blocks: u32, prefix_caching: bool) -> (KvBlockMana
             Op::Alloc { seed, tokens } => {
                 let prompt = TokenBuf::from_segment(*seed, *tokens);
                 match mgr.allocate(&prompt, now) {
-                    Ok(h) => live.push(h),
+                    Ok(seq) => live.push(seq),
                     Err(AllocError::Insufficient { .. }) => {}
-                    Err(e) => panic!("unexpected alloc error: {e}"),
                 }
             }
             Op::Append { k, n } => {
                 if live.is_empty() {
                     continue;
                 }
-                let h = live[k % live.len()];
+                let k = k % live.len();
                 for i in 0..*n {
-                    match mgr.append_token(h, (clock << 8) ^ i as u64, now) {
+                    match mgr.append_token(&mut live[k], (clock << 8) ^ i as u64, now) {
                         Ok(()) => total_appended += 1,
                         Err(AllocError::Insufficient { .. }) => break,
-                        Err(e) => panic!("unexpected append error: {e}"),
                     }
                 }
             }
@@ -67,17 +65,17 @@ fn run_script(ops: &[Op], num_blocks: u32, prefix_caching: bool) -> (KvBlockMana
                 if live.is_empty() {
                     continue;
                 }
-                let h = live.swap_remove(k % live.len());
-                mgr.free(h, now);
+                let seq = live.swap_remove(k % live.len());
+                mgr.free(seq, now);
             }
         }
         mgr.check_invariants()
             .unwrap_or_else(|e| panic!("invariant broken after {op:?}: {e}"));
     }
     // Drain.
-    for h in live {
+    for seq in live {
         clock += 1;
-        mgr.free(h, SimTime::from_micros(clock));
+        mgr.free(seq, SimTime::from_micros(clock));
     }
     mgr.check_invariants().expect("invariants after drain");
     (mgr, total_appended)
@@ -144,7 +142,7 @@ fn run_tiered_script(
     if let Some(spec) = spec {
         mgr.enable_offload(spec);
     }
-    let mut live: Vec<(SeqHandle, TokenBuf)> = Vec::new();
+    let mut live: Vec<(Seq, TokenBuf)> = Vec::new();
     let mut clock = 0u64;
     let mut ledger = TransferLedger::default();
     let mut events = Vec::new();
@@ -155,21 +153,19 @@ fn run_tiered_script(
             TieredOp::Base(Op::Alloc { seed, tokens }) => {
                 let prompt = TokenBuf::from_segment(*seed, *tokens);
                 match mgr.allocate(&prompt, now) {
-                    Ok(h) => live.push((h, prompt)),
+                    Ok(seq) => live.push((seq, prompt)),
                     Err(AllocError::Insufficient { .. }) => {}
-                    Err(e) => panic!("unexpected alloc error: {e}"),
                 }
             }
             TieredOp::Base(Op::Append { k, n }) => {
                 if live.is_empty() {
                     continue;
                 }
-                let h = live[k % live.len()].0;
+                let k = k % live.len();
                 for i in 0..*n {
-                    match mgr.append_token(h, (clock << 8) ^ i as u64, now) {
+                    match mgr.append_token(&mut live[k].0, (clock << 8) ^ i as u64, now) {
                         Ok(()) => {}
                         Err(AllocError::Insufficient { .. }) => break,
-                        Err(e) => panic!("unexpected append error: {e}"),
                     }
                 }
             }
@@ -177,8 +173,8 @@ fn run_tiered_script(
                 if live.is_empty() {
                     continue;
                 }
-                let (h, _) = live.swap_remove(k % live.len());
-                mgr.free(h, now);
+                let (seq, _) = live.swap_remove(k % live.len());
+                mgr.free(seq, now);
             }
             TieredOp::Hint { k, delta_ms } => {
                 if live.is_empty() {
@@ -196,9 +192,9 @@ fn run_tiered_script(
         ledger.absorb(&events);
         events.clear();
     }
-    for (h, _) in live {
+    for (seq, _) in live {
         clock += 1;
-        mgr.free(h, SimTime::from_micros(clock * 1_000));
+        mgr.free(seq, SimTime::from_micros(clock * 1_000));
     }
     mgr.check_invariants().expect("invariants after drain");
     mgr.take_tier_transfers(&mut events);
@@ -261,9 +257,9 @@ proptest! {
         let mut last_cached = 0;
         for i in 0..repeats {
             let now = SimTime::from_micros(i as u64 + 1);
-            let h = mgr.allocate(&prompt, now).expect("fits");
-            last_cached = mgr.cached_tokens(&h);
-            mgr.free(h, now);
+            let seq = mgr.allocate(&prompt, now).expect("fits");
+            last_cached = seq.cached_tokens();
+            mgr.free(seq, now);
         }
         // All full blocks hit (minus the recompute-last-token rule).
         let full_blocks = (len as usize / 16) * 16;

@@ -5,9 +5,7 @@ use std::collections::VecDeque;
 use agentsim_gpu::perf::PrefillItem;
 use agentsim_gpu::{EnergyModel, Link, PerfModel};
 use agentsim_kvcache::tokens::generated_token;
-use agentsim_kvcache::{
-    KvBlockManager, KvConfig, SeqHandle, Tier, TierDir, TierTransfer, TokenBuf,
-};
+use agentsim_kvcache::{KvBlockManager, KvConfig, Seq, Tier, TierDir, TierTransfer, TokenBuf};
 use agentsim_simkit::{SimDuration, SimTime};
 
 use crate::config::{EngineConfig, EngineRole, SchedulerPolicy};
@@ -15,57 +13,87 @@ use crate::metrics::EngineMetrics;
 use crate::observer::{EngineEvent, EngineObserver, StepKind};
 use crate::request::{LlmCompletion, MigratedRequest, RequestId};
 
-/// A queued (not yet scheduled) request.
+/// One request's record. It moves whole between the waiting queue and
+/// the running set, so everything carried across preemptions lives here.
 #[derive(Debug)]
-struct Waiting {
+struct Request {
     id: RequestId,
     priority: u32,
-    prompt: TokenBuf,
+    arrived: SimTime,
+    /// First admission; preemption keeps it.
+    started: Option<SimTime>,
+    /// Prompt length at submission, before any preemption or migration
+    /// grew the context.
+    orig_prompt_tokens: u32,
     target_out: u32,
     generated: u32,
     gen_seed: u64,
-    arrived: SimTime,
-    orig_prompt_tokens: u32,
     /// KV content already exists elsewhere: admit via KV import, skipping
     /// prefill entirely (disaggregated decode pools).
     imported: bool,
-    // Carried across preemptions:
-    started: Option<SimTime>,
     prefill_time: SimDuration,
     decode_time: SimDuration,
     flops: f64,
     preemptions: u32,
 }
 
+impl Request {
+    /// A request that has generated nothing and was never admitted.
+    fn new(
+        id: RequestId,
+        arrived: SimTime,
+        priority: u32,
+        target_out: u32,
+        gen_seed: u64,
+        orig_prompt_tokens: u32,
+    ) -> Self {
+        Request {
+            id,
+            priority,
+            arrived,
+            started: None,
+            orig_prompt_tokens,
+            target_out,
+            generated: 0,
+            gen_seed,
+            imported: false,
+            prefill_time: SimDuration::ZERO,
+            decode_time: SimDuration::ZERO,
+            flops: 0.0,
+            preemptions: 0,
+        }
+    }
+
+    fn started(&self) -> SimTime {
+        self.started.expect("a running request was admitted")
+    }
+}
+
+/// A queued (not yet scheduled) request.
+#[derive(Debug)]
+struct Waiting {
+    req: Request,
+    prompt: TokenBuf,
+}
+
 /// A sequence in the running (decode) set, or mid-prefill when chunked.
 #[derive(Debug)]
 struct Running {
-    id: RequestId,
-    priority: u32,
+    req: Request,
     /// The context as admitted. Tokens generated since stay out of it
     /// (see `unappended`) until the context is handed on.
     ctx: TokenBuf,
-    seq: SeqHandle,
-    target_out: u32,
-    generated: u32,
+    seq: Seq,
     /// The last `unappended` of the `generated` tokens, not yet in `ctx`.
     unappended: u32,
-    gen_seed: u64,
-    arrived: SimTime,
-    started: SimTime,
-    orig_prompt_tokens: u32,
-    prompt_tokens: u32,
     /// Uncached prompt tokens still to prefill (chunked mode only).
     prefill_remaining: u32,
     /// Whether the step being completed carries a prefill chunk of this
     /// sequence; set for every running sequence as the step completes.
     in_chunk: bool,
-    imported: bool,
-    prefill_time: SimDuration,
-    decode_time: SimDuration,
-    flops: f64,
+    /// Context tokens whose KV needed no local prefill: prefix-cache hits,
+    /// or the whole context of an import.
     cached_tokens: u32,
-    preemptions: u32,
 }
 
 impl Running {
@@ -79,8 +107,8 @@ impl Running {
     /// the admitted context followed by the tokens generated since.
     fn take_ctx(&mut self) -> TokenBuf {
         self.ctx.push_generated_run(
-            self.gen_seed,
-            (self.generated - self.unappended).into(),
+            self.req.gen_seed,
+            (self.req.generated - self.unappended).into(),
             self.unappended.into(),
         );
         self.unappended = 0;
@@ -348,41 +376,10 @@ impl Engine {
         assert!(!self.draining, "draining engine refuses new submissions");
         assert!(!prompt.is_empty(), "prompt must be non-empty");
         assert!(out_tokens > 0, "out_tokens must be at least 1");
-        let total = prompt.len() + out_tokens as usize;
-        assert!(
-            total <= self.config.cluster.model.max_context as usize,
-            "sequence of {total} tokens exceeds the {}-token context window",
-            self.config.cluster.model.max_context
-        );
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
         let prompt_tokens = prompt.len() as u32;
-        self.waiting.push_back(Waiting {
-            id,
-            priority,
-            orig_prompt_tokens: prompt_tokens,
-            prompt,
-            target_out: out_tokens,
-            generated: 0,
-            gen_seed,
-            arrived: now,
-            imported: false,
-            started: None,
-            prefill_time: SimDuration::ZERO,
-            decode_time: SimDuration::ZERO,
-            flops: 0.0,
-            preemptions: 0,
-        });
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_event(&EngineEvent::Submitted {
-                id,
-                at: now,
-                prompt_tokens,
-                out_tokens,
-                priority,
-            });
-        }
-        id
+        self.enqueue(prompt, |id| {
+            Request::new(id, now, priority, out_tokens, gen_seed, prompt_tokens)
+        })
     }
 
     /// Enqueues a mid-life request whose KV content was prefilled elsewhere
@@ -407,40 +404,49 @@ impl Engine {
             migrated.remaining_tokens() > 0,
             "migrated request has no output tokens left to decode"
         );
-        let total = migrated.ctx.len() + migrated.remaining_tokens() as usize;
+        let MigratedRequest {
+            ctx,
+            priority,
+            target_out,
+            generated,
+            gen_seed,
+            prompt_tokens,
+            ..
+        } = migrated;
+        self.enqueue(ctx, |id| Request {
+            generated,
+            imported: true,
+            ..Request::new(id, now, priority, target_out, gen_seed, prompt_tokens)
+        })
+    }
+
+    /// Queues the request `req` builds under the next id, to run from
+    /// `prompt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prompt plus the tokens left to generate exceed the
+    /// model's context window.
+    fn enqueue(&mut self, prompt: TokenBuf, req: impl FnOnce(RequestId) -> Request) -> RequestId {
+        let req = req(RequestId(self.next_id));
+        self.next_id += 1;
+        let total = prompt.len() + (req.target_out - req.generated) as usize;
         assert!(
             total <= self.config.cluster.model.max_context as usize,
             "sequence of {total} tokens exceeds the {}-token context window",
             self.config.cluster.model.max_context
         );
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let prompt_tokens = migrated.ctx.len() as u32;
-        self.waiting.push_back(Waiting {
-            id,
-            priority: migrated.priority,
-            orig_prompt_tokens: migrated.prompt_tokens,
-            prompt: migrated.ctx,
-            target_out: migrated.target_out,
-            generated: migrated.generated,
-            gen_seed: migrated.gen_seed,
-            arrived: now,
-            imported: true,
-            started: None,
-            prefill_time: SimDuration::ZERO,
-            decode_time: SimDuration::ZERO,
-            flops: 0.0,
-            preemptions: 0,
-        });
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_event(&EngineEvent::Submitted {
-                id,
-                at: now,
-                prompt_tokens,
-                out_tokens: migrated.target_out,
-                priority: migrated.priority,
+                id: req.id,
+                at: req.arrived,
+                prompt_tokens: prompt.len() as u32,
+                out_tokens: req.target_out,
+                priority: req.priority,
             });
         }
+        let id = req.id;
+        self.waiting.push_back(Waiting { req, prompt });
         id
     }
 
@@ -484,7 +490,7 @@ impl Engine {
             panic!(
                 "KV pool ({} blocks) can never admit {} with a {}-token prompt",
                 self.kv.config().num_blocks,
-                head.id,
+                head.req.id,
                 head.prompt.len()
             );
         }
@@ -535,13 +541,13 @@ impl Engine {
         // cursor finds each.
         let mut chunks = step.prefill_chunks.iter().peekable();
         for r in &mut self.running {
-            let chunk = chunks.next_if(|&&(id, _)| id == r.id);
+            let chunk = chunks.next_if(|&&(id, _)| id == r.req.id);
             r.in_chunk = chunk.is_some();
             if let Some(&(_, chunk)) = chunk {
-                r.prefill_time += step.duration;
+                r.req.prefill_time += step.duration;
                 r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
             } else if step.kind != StepKind::Prefill && r.prefill_remaining == 0 {
-                r.decode_time += step.duration;
+                r.req.decode_time += step.duration;
             }
         }
         debug_assert!(
@@ -558,7 +564,7 @@ impl Engine {
                 self.running
                     .iter()
                     .filter(|r| r.prefill_remaining == 0 && !r.in_chunk)
-                    .map(|r| r.id)
+                    .map(|r| r.req.id)
                     .collect()
             };
             let event = EngineEvent::StepCompleted {
@@ -674,23 +680,25 @@ impl Engine {
     fn purge_cancelled(&mut self, at: SimTime) {
         let ids = std::mem::take(&mut self.cancelled);
         for id in ids {
-            let (generated, prefill, decode) =
-                if let Some(pos) = self.waiting.iter().position(|w| w.id == id) {
-                    let w = self.waiting.remove(pos).expect("position found");
-                    (w.generated, w.prefill_time, w.decode_time)
-                } else if let Some(pos) = self.running.iter().position(|r| r.id == id) {
-                    let r = self.running.remove(pos);
-                    self.kv.free(r.seq, at);
-                    (r.generated, r.prefill_time, r.decode_time)
-                } else {
-                    // Already completed or migrated in its final step.
-                    continue;
-                };
+            let req = if let Some(pos) = self.waiting.iter().position(|w| w.req.id == id) {
+                self.waiting.remove(pos).expect("position found").req
+            } else if let Some(pos) = self.running.iter().position(|r| r.req.id == id) {
+                let r = self.running.remove(pos);
+                self.kv.free(r.seq, at);
+                r.req
+            } else {
+                // Already completed or migrated in its final step.
+                continue;
+            };
             self.metrics.abandoned += 1;
-            self.metrics.wasted_prefill += prefill;
-            self.metrics.wasted_decode += decode;
+            self.metrics.wasted_prefill += req.prefill_time;
+            self.metrics.wasted_decode += req.decode_time;
             if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_event(&EngineEvent::Abandoned { id, at, generated });
+                obs.on_event(&EngineEvent::Abandoned {
+                    id,
+                    at,
+                    generated: req.generated,
+                });
             }
         }
     }
@@ -789,8 +797,8 @@ impl Engine {
             let admitted = &self.scratch.admitted;
             let mut pending = admitted.iter().peekable();
             for r in &mut self.running {
-                if let Some(&(_, new, cached)) = pending.next_if(|a| a.0 == r.id) {
-                    r.flops += self.perf.prefill_flops(new as u64, cached as u64);
+                if let Some(&(_, new, cached)) = pending.next_if(|a| a.0 == r.req.id) {
+                    r.req.flops += self.perf.prefill_flops(new as u64, cached as u64);
                 }
             }
             prefill_chunks.extend(admitted.iter().map(|&(id, new, _)| (id, new)));
@@ -828,7 +836,7 @@ impl Engine {
         let model = &self.config.cluster.model;
         for r in &mut self.running {
             if r.prefill_remaining == 0 {
-                r.flops += model.flops_per_token(r.ctx_len());
+                r.req.flops += model.flops_per_token(r.ctx_len());
             }
         }
     }
@@ -888,14 +896,14 @@ impl Engine {
             if r.prefill_remaining > 0 && remaining_budget > 0 {
                 let chunk = r.prefill_remaining.min(remaining_budget);
                 remaining_budget -= chunk;
-                let already = (r.prompt_tokens - r.cached_tokens - r.prefill_remaining) as u64;
+                let already = (r.ctx.len() as u32 - r.cached_tokens - r.prefill_remaining) as u64;
                 let item = PrefillItem {
                     new_tokens: chunk as u64,
                     cached_tokens: r.cached_tokens as u64 + already,
                 };
-                r.flops += self.perf.prefill_flops(item.new_tokens, item.cached_tokens);
+                r.req.flops += self.perf.prefill_flops(item.new_tokens, item.cached_tokens);
                 items.push(item);
-                chunks.push((r.id, chunk));
+                chunks.push((r.req.id, chunk));
             }
         }
 
@@ -940,9 +948,9 @@ impl Engine {
         // unique), so popping the sorted front yields exactly the sequence
         // of per-admission maxima the previous rescan-per-admission found.
         if self.config.scheduler == SchedulerPolicy::DeepestFirst && self.waiting.len() > 1 {
-            self.waiting
-                .make_contiguous()
-                .sort_unstable_by_key(|w| (std::cmp::Reverse(w.priority), w.arrived, w.id));
+            self.waiting.make_contiguous().sort_unstable_by_key(|w| {
+                (std::cmp::Reverse(w.req.priority), w.req.arrived, w.req.id)
+            });
         }
         self.scratch.admitted.clear();
         let mut budget_used: u32 = 0;
@@ -950,98 +958,54 @@ impl Engine {
             if self.running.len() >= self.config.max_running as usize {
                 break;
             }
-            if head.imported {
-                let seq = match self.kv.import(&head.prompt, now) {
-                    Ok(seq) => seq,
-                    Err(_) => break, // FCFS head-of-line blocking on memory.
-                };
-                let w = self.waiting.pop_front().expect("non-empty");
-                let cached = w.prompt.len() as u32;
-                self.metrics.imported += 1;
-                self.running.push(Running {
-                    id: w.id,
-                    priority: w.priority,
-                    ctx: w.prompt,
-                    seq,
-                    target_out: w.target_out,
-                    generated: w.generated,
-                    unappended: 0,
-                    gen_seed: w.gen_seed,
-                    arrived: w.arrived,
-                    started: w.started.unwrap_or(now),
-                    orig_prompt_tokens: w.orig_prompt_tokens,
-                    prompt_tokens: 0, // set below
-                    prefill_remaining: 0,
-                    in_chunk: false,
-                    imported: true,
-                    prefill_time: w.prefill_time,
-                    decode_time: w.decode_time,
-                    flops: w.flops,
-                    cached_tokens: cached,
-                    preemptions: w.preemptions,
-                });
-                let r = self.running.last_mut().expect("just pushed");
-                r.prompt_tokens = r.ctx.len() as u32;
-                let id = r.id;
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_event(&EngineEvent::Admitted {
-                        id,
-                        at: now,
-                        new_tokens: 0,
-                        cached_tokens: cached,
-                    });
-                }
-                continue;
-            }
-            let seq = match self.kv.allocate(&head.prompt, now) {
-                Ok(seq) => seq,
-                Err(_) => break, // FCFS head-of-line blocking on memory.
+            let imported = head.req.imported;
+            let admitted = if imported {
+                self.kv.import(&head.prompt, now)
+            } else {
+                self.kv.allocate(&head.prompt, now)
             };
-            let cached = self.kv.cached_tokens(&seq) as u32;
-            let uncached = head.prompt.len() as u32 - cached;
+            let Ok(seq) = admitted else {
+                break; // FCFS head-of-line blocking on memory.
+            };
+            let len = head.prompt.len() as u32;
+            let cached = if imported {
+                len
+            } else {
+                seq.cached_tokens() as u32
+            };
+            let uncached = len - cached;
             // Budget check: a request may exceed the budget only if it is
             // the sole occupant of the step (vLLM non-chunked behaviour).
+            // An import needs no prefill, so it always fits.
             if !self.scratch.admitted.is_empty() && budget_used + uncached > budget_tokens {
                 self.kv.free(seq, now);
                 break;
             }
             budget_used = budget_used.saturating_add(uncached);
-            let w = self.waiting.pop_front().expect("non-empty");
-            self.scratch.admitted.push((w.id, uncached, cached));
-            self.running.push(Running {
-                id: w.id,
-                priority: w.priority,
-                ctx: w.prompt,
-                seq,
-                target_out: w.target_out,
-                generated: w.generated,
-                unappended: 0,
-                gen_seed: w.gen_seed,
-                arrived: w.arrived,
-                started: w.started.unwrap_or(now),
-                orig_prompt_tokens: w.orig_prompt_tokens,
-                prompt_tokens: 0, // set below
-                prefill_remaining: uncached,
-                in_chunk: false,
-                imported: false,
-                prefill_time: w.prefill_time,
-                decode_time: w.decode_time,
-                flops: w.flops,
-                cached_tokens: cached,
-                preemptions: w.preemptions,
-            });
-            let r = self.running.last_mut().expect("just pushed");
-            r.prompt_tokens = r.ctx.len() as u32;
+            let Waiting { mut req, prompt } = self.waiting.pop_front().expect("non-empty");
+            req.started.get_or_insert(now);
+            if imported {
+                self.metrics.imported += 1;
+            } else {
+                self.scratch.admitted.push((req.id, uncached, cached));
+            }
             if let Some(obs) = self.observer.as_deref_mut() {
-                let &(id, new_tokens, cached_tokens) =
-                    self.scratch.admitted.last().expect("just admitted");
                 obs.on_event(&EngineEvent::Admitted {
-                    id,
+                    id: req.id,
                     at: now,
-                    new_tokens,
-                    cached_tokens,
+                    new_tokens: uncached,
+                    cached_tokens: cached,
                 });
             }
+            self.running.push(Running {
+                req,
+                ctx: prompt,
+                seq,
+                unappended: 0,
+                prefill_remaining: uncached,
+                in_chunk: false,
+                cached_tokens: cached,
+            });
             if budget_used >= budget_tokens {
                 break;
             }
@@ -1054,28 +1018,28 @@ impl Engine {
     /// sequence on KV exhaustion. Returns what happened to the entry.
     fn produce_token(&mut self, idx: usize, now: SimTime) -> TokenOutcome {
         loop {
-            let r = &self.running[idx];
-            let token = generated_token(r.gen_seed, r.generated as u64);
-            match self.kv.append_token(r.seq, token, now) {
+            let r = &mut self.running[idx];
+            let token = generated_token(r.req.gen_seed, r.req.generated as u64);
+            match self.kv.append_token(&mut r.seq, token, now) {
                 Ok(()) => {
-                    let r = &mut self.running[idx];
-                    r.generated += 1;
+                    r.req.generated += 1;
                     r.unappended += 1;
-                    if r.generated >= r.target_out {
+                    if r.req.generated >= r.req.target_out {
                         let r = self.running.swap_remove(idx);
                         self.kv.free(r.seq, now);
+                        let req = r.req;
                         return TokenOutcome::Completed(LlmCompletion {
-                            id: r.id,
-                            arrived: r.arrived,
-                            started: r.started,
+                            id: req.id,
+                            arrived: req.arrived,
+                            started: req.started(),
                             finished: now,
-                            prompt_tokens: r.orig_prompt_tokens,
-                            cached_tokens: r.cached_tokens.min(r.orig_prompt_tokens),
-                            output_tokens: r.generated,
-                            prefill_time: r.prefill_time,
-                            decode_time: r.decode_time,
-                            flops: r.flops,
-                            preemptions: r.preemptions,
+                            prompt_tokens: req.orig_prompt_tokens,
+                            cached_tokens: r.cached_tokens.min(req.orig_prompt_tokens),
+                            output_tokens: req.generated,
+                            prefill_time: req.prefill_time,
+                            decode_time: req.decode_time,
+                            flops: req.flops,
+                            preemptions: req.preemptions,
                         });
                     }
                     if self.config.role == EngineRole::Prefill {
@@ -1087,21 +1051,22 @@ impl Engine {
                         let tokens = self.kv.export(r.seq, now);
                         let kv_blocks = self.kv.config().blocks_for(tokens) as u32;
                         let kv_bytes = kv_blocks as u64 * self.config.kv_bytes_per_block();
+                        let req = r.req;
                         return TokenOutcome::Migrated(MigratedRequest {
-                            id: r.id,
-                            arrived: r.arrived,
-                            started: r.started,
+                            id: req.id,
+                            arrived: req.arrived,
+                            started: req.started(),
                             released: now,
-                            prompt_tokens: r.orig_prompt_tokens,
-                            cached_tokens: r.cached_tokens.min(r.orig_prompt_tokens),
-                            priority: r.priority,
+                            prompt_tokens: req.orig_prompt_tokens,
+                            cached_tokens: r.cached_tokens.min(req.orig_prompt_tokens),
+                            priority: req.priority,
                             ctx,
-                            generated: r.generated,
-                            target_out: r.target_out,
-                            gen_seed: r.gen_seed,
-                            prefill_time: r.prefill_time,
-                            flops: r.flops,
-                            preemptions: r.preemptions,
+                            generated: req.generated,
+                            target_out: req.target_out,
+                            gen_seed: req.gen_seed,
+                            prefill_time: req.prefill_time,
+                            flops: req.flops,
+                            preemptions: req.preemptions,
                             kv_blocks,
                             kv_bytes,
                         });
@@ -1115,19 +1080,16 @@ impl Engine {
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| *i != idx)
-                        .max_by_key(|(_, r)| (r.started, r.id))
+                        .max_by_key(|(_, r)| (r.req.started, r.req.id))
                         .map(|(i, _)| i);
                     match victim {
                         Some(v) => {
                             self.preempt(v, now);
-                            if v < idx {
-                                // swap_remove moved the tail into v; idx may
-                                // have shifted if idx was the tail.
-                                if idx == self.running.len() {
-                                    return self.resume_after_self_move(v, now);
-                                }
+                            // swap_remove moved the tail into v: if that
+                            // was this sequence, continue from its new slot.
+                            if v < idx && idx == self.running.len() {
+                                return self.produce_token(v, now);
                             }
-                            continue;
                         }
                         None => {
                             // Only this sequence remains and it cannot grow.
@@ -1140,44 +1102,26 @@ impl Engine {
         }
     }
 
-    /// After a `swap_remove` moved the producing sequence into slot `v`,
-    /// continue producing from its new index.
-    fn resume_after_self_move(&mut self, new_idx: usize, now: SimTime) -> TokenOutcome {
-        self.produce_token(new_idx, now)
-    }
-
     /// Preempts `running[idx]`: frees its KV (hashed blocks stay cached)
     /// and requeues it at the front with its context-so-far as the prompt
-    /// (recompute-style preemption).
+    /// (recompute-style preemption). Imported KV is re-fetched on
+    /// re-admission (still no local prefill): decode pools never run
+    /// prefill steps.
     fn preempt(&mut self, idx: usize, now: SimTime) {
         let mut r = self.running.swap_remove(idx);
+        let prompt = r.take_ctx();
         self.kv.free(r.seq, now);
         self.metrics.preemptions += 1;
+        let mut req = r.req;
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_event(&EngineEvent::Preempted {
-                id: r.id,
+                id: req.id,
                 at: now,
-                generated: r.generated,
+                generated: req.generated,
             });
         }
-        self.waiting.push_front(Waiting {
-            id: r.id,
-            priority: r.priority,
-            prompt: r.take_ctx(),
-            target_out: r.target_out,
-            generated: r.generated,
-            gen_seed: r.gen_seed,
-            arrived: r.arrived,
-            orig_prompt_tokens: r.orig_prompt_tokens,
-            // Imported KV is re-fetched on re-admission (still no local
-            // prefill): decode pools never run prefill steps.
-            imported: r.imported,
-            started: Some(r.started),
-            prefill_time: r.prefill_time,
-            decode_time: r.decode_time,
-            flops: r.flops,
-            preemptions: r.preemptions + 1,
-        });
+        req.preemptions += 1;
+        self.waiting.push_front(Waiting { req, prompt });
     }
 }
 
@@ -1773,15 +1717,15 @@ mod edge_tests {
         while let Some(end) = e.start_step_if_idle(now) {
             now = end;
             let _ = e.complete_step(now);
-            for w in e.waiting.iter().filter(|w| w.preemptions > 0) {
+            for Waiting { req, prompt } in e.waiting.iter().filter(|w| w.req.preemptions > 0) {
                 let want =
-                    prompt_then_generated(&prompts[w.id.0 as usize], w.gen_seed, w.generated);
-                assert_eq!(w.prompt, want, "{} requeued with the wrong context", w.id);
+                    prompt_then_generated(&prompts[req.id.0 as usize], req.gen_seed, req.generated);
+                assert_eq!(*prompt, want, "{} requeued with the wrong context", req.id);
                 // Every decode token since the first admission, across
                 // repeated preemptions, extends one generated run.
-                let runs = prompts[w.id.0 as usize].run_count() + usize::from(w.generated > 0);
-                assert_eq!(w.prompt.run_count(), runs);
-                requeued_mid_decode += usize::from(w.generated > 0);
+                let runs = prompts[req.id.0 as usize].run_count() + usize::from(req.generated > 0);
+                assert_eq!(prompt.run_count(), runs);
+                requeued_mid_decode += usize::from(req.generated > 0);
             }
         }
         assert!(

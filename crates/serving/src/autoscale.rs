@@ -41,7 +41,7 @@ impl FlipDirection {
 }
 
 /// A point-in-time snapshot of pool demand, handed to
-/// [`PoolController::observe`] once per simulation event.
+/// [`PoolController::observe`] once per simulation event outside a flip.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolObservation {
     /// Current simulated time.
@@ -50,9 +50,6 @@ pub struct PoolObservation {
     pub prefill_replicas: usize,
     /// Live decode-pool members (excludes any draining replica).
     pub decode_replicas: usize,
-    /// Whether a flip is already in progress (the driver ignores new
-    /// flip requests while one is).
-    pub flip_in_progress: bool,
     /// Requests queued across the prefill pool.
     pub prefill_queue: usize,
     /// Sequences running across the prefill pool.
@@ -94,8 +91,8 @@ impl PoolObservation {
 /// only if controllers never consult outside state.
 pub trait PoolController: std::fmt::Debug {
     /// Observes current demand; returns a flip request, or `None` to
-    /// leave the pools alone. Called once per simulation event. The
-    /// driver ignores requests while a flip is in progress or when the
+    /// leave the pools alone. Called once per simulation event, except
+    /// while a flip is in progress. The driver ignores requests when the
     /// source pool is at its floor of one replica.
     fn observe(&mut self, obs: &PoolObservation) -> Option<FlipDirection>;
 }
@@ -164,13 +161,6 @@ impl HysteresisController {
 
 impl PoolController for HysteresisController {
     fn observe(&mut self, obs: &PoolObservation) -> Option<FlipDirection> {
-        if obs.flip_in_progress {
-            // Demand during a drain is distorted (one replica is
-            // leaving); restart the timers afterwards.
-            self.above_since = None;
-            self.below_since = None;
-            return None;
-        }
         // An idle cluster (no demand anywhere) says nothing about the
         // split; keep the timers running only on live signal.
         let prefill = obs.prefill_demand();
@@ -233,9 +223,6 @@ impl ScheduleController {
 
 impl PoolController for ScheduleController {
     fn observe(&mut self, obs: &PoolObservation) -> Option<FlipDirection> {
-        if obs.flip_in_progress {
-            return None;
-        }
         match self.schedule.get(self.next) {
             Some(&(at, direction)) if at <= obs.now => {
                 self.next += 1;
@@ -246,32 +233,18 @@ impl PoolController for ScheduleController {
     }
 }
 
-/// A controller pinned to the static split: observes everything, flips
-/// nothing. Exists to prove the controller plumbing itself does not
-/// perturb a run (the pinned report must match the autoscaling-disabled
-/// golden fingerprints bit for bit).
-#[derive(Debug, Default)]
-pub(crate) struct PinnedController;
-
-impl PoolController for PinnedController {
-    fn observe(&mut self, _obs: &PoolObservation) -> Option<FlipDirection> {
-        None
-    }
-}
-
 /// Which controller (if any) a role-split fleet runs with.
 #[derive(Debug, Clone)]
 pub enum AutoscalePolicy {
     /// No controller at all — the exact static-split code path.
     Disabled,
-    /// A controller pinned to the static split: full controller
-    /// plumbing, zero flips.
-    Pinned,
     /// The default controller: a hysteresis band on the per-replica
     /// prefill/decode demand ratio, with a dwell timer.
     Hysteresis(HysteresisConfig),
     /// Replays a fixed flip schedule: each entry fires once its time is
-    /// reached, in time order.
+    /// reached, in time order. An empty schedule pins the static split
+    /// behind the full controller plumbing: it observes every event and
+    /// flips nothing.
     Schedule(Vec<(SimTime, FlipDirection)>),
 }
 
@@ -280,7 +253,6 @@ impl AutoscalePolicy {
     pub fn build(&self) -> Option<Box<dyn PoolController>> {
         match self {
             AutoscalePolicy::Disabled => None,
-            AutoscalePolicy::Pinned => Some(Box::new(PinnedController)),
             AutoscalePolicy::Hysteresis(cfg) => {
                 Some(Box::new(HysteresisController::new(cfg.clone())))
             }
@@ -300,7 +272,6 @@ mod tests {
             now: SimTime::from_secs_f64(now_s as f64),
             prefill_replicas: 2,
             decode_replicas: 2,
-            flip_in_progress: false,
             prefill_queue: pq,
             prefill_running: 0,
             decode_queue: dq,
@@ -372,9 +343,6 @@ mod tests {
             ..HysteresisConfig::default()
         });
         assert_eq!(c.observe(&obs(1, 0, 0)), None, "idle cluster");
-        let mut busy = obs(2, 20, 2);
-        busy.flip_in_progress = true;
-        assert_eq!(c.observe(&busy), None, "mid-flip");
     }
 
     #[test]
@@ -408,7 +376,7 @@ mod tests {
 
     #[test]
     fn pinned_never_flips() {
-        let mut c = PinnedController;
+        let mut c = ScheduleController::new(Vec::new());
         assert_eq!(c.observe(&obs(1, 100, 0)), None);
         assert_eq!(c.observe(&obs(2, 0, 100)), None);
     }
@@ -416,7 +384,6 @@ mod tests {
     #[test]
     fn policy_builds_the_matching_controller() {
         assert!(AutoscalePolicy::Disabled.build().is_none());
-        assert!(AutoscalePolicy::Pinned.build().is_some());
         assert!(AutoscalePolicy::Hysteresis(HysteresisConfig::default())
             .build()
             .is_some());

@@ -1479,7 +1479,6 @@ impl FleetSim {
                     now,
                     prefill_replicas: self.tiers[0].len(),
                     decode_replicas: roles.decode.len(),
-                    flip_in_progress: false,
                     prefill_queue,
                     prefill_running,
                     decode_queue,
@@ -2502,7 +2501,7 @@ mod tests {
     fn role_split_autoscaling_rejects_admission_limits() {
         FleetSim::new(
             split_cfg(2, 2)
-                .autoscale(AutoscalePolicy::Pinned)
+                .autoscale(AutoscalePolicy::Schedule(Vec::new()))
                 .overload(OverloadPolicy::none().admission(AdmissionPolicy::aimd_default())),
         );
     }

@@ -83,9 +83,9 @@ mod tests {
         assert!(matches!(cfg.autoscale, AutoscalePolicy::Disabled));
         assert_eq!(cfg.flip_cost, FlipCostModel::warm());
         let cfg = cfg
-            .autoscale(AutoscalePolicy::Pinned)
+            .autoscale(AutoscalePolicy::Schedule(Vec::new()))
             .flip_cost(FlipCostModel::zero());
-        assert!(matches!(cfg.autoscale, AutoscalePolicy::Pinned));
+        assert!(matches!(cfg.autoscale, AutoscalePolicy::Schedule(ref s) if s.is_empty()));
         assert!(cfg.flip_cost.flip_time().is_zero());
     }
 

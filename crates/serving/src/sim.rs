@@ -172,7 +172,7 @@ mod tests {
             .seed(9)
             .pools(2, 2);
         let disabled = DisaggSim::new(cfg.clone()).run();
-        let pinned = DisaggSim::new(cfg.autoscale(AutoscalePolicy::Pinned)).run();
+        let pinned = DisaggSim::new(cfg.autoscale(AutoscalePolicy::Schedule(Vec::new()))).run();
         assert_eq!(disabled.calls, pinned.calls);
         assert_eq!(disabled.p95_s.to_bits(), pinned.p95_s.to_bits());
         assert_eq!(disabled.energy_wh.to_bits(), pinned.energy_wh.to_bits());
@@ -233,7 +233,7 @@ mod tests {
     fn autoscaling_the_colocated_baseline_panics() {
         let cfg = FleetConfig::new(Workload::Chatbot, 1.0, 4)
             .pools(2, 0)
-            .autoscale(AutoscalePolicy::Pinned);
+            .autoscale(AutoscalePolicy::Schedule(Vec::new()));
         let _ = DisaggSim::new(cfg);
     }
 
