@@ -29,7 +29,8 @@ use agentsim_serving::{FleetConfig, FleetSim, Routing};
 
 const OUTPUT: &str = "BENCH_fleet.json";
 
-/// Timing repetitions of the smoke scenario; the minimum is reported.
+/// Timed repetitions of the smoke scenario, after one warm-up; the
+/// minimum is reported.
 const REPS: usize = 3;
 
 /// One fleet load point: ReAct/HotpotQA traffic over least-loaded
@@ -105,11 +106,13 @@ fn run_fleet(s: FleetScenario) -> (f64, FleetFingerprint) {
     (seconds, fp)
 }
 
-/// Best-of-[`REPS`] wall time of the smoke scenario; every repetition
-/// must reproduce the pinned fingerprint.
+/// Best-of-[`REPS`] wall time of the smoke scenario, after one untimed
+/// warm-up repetition (a cold first run reads well above the steady
+/// time); every repetition, the warm-up included, must reproduce the
+/// pinned fingerprint.
 fn time_smoke() -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+    for rep in 0..=REPS {
         let (seconds, fp) = run_fleet(SMOKE);
         assert_eq!(
             fp, SMOKE_FINGERPRINT,
@@ -117,7 +120,9 @@ fn time_smoke() -> f64 {
              simulation semantics; repin SMOKE_FINGERPRINT only alongside an \
              intentional semantic change"
         );
-        best = best.min(seconds);
+        if rep > 0 {
+            best = best.min(seconds);
+        }
     }
     best
 }

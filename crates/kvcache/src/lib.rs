@@ -41,6 +41,7 @@ pub mod hash;
 mod heap;
 pub mod hierarchy;
 pub mod manager;
+mod prefix;
 pub mod stats;
 pub mod tokens;
 

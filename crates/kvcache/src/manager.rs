@@ -4,17 +4,22 @@
 //! own block tables; full blocks are chain-hashed and registered in a
 //! prefix cache; unreferenced hashed blocks stay resident (evictable, LRU)
 //! until memory pressure reclaims them.
+//!
+//! The pool grows with use: construction does no per-block work, and a
+//! block's record is created when its id is first handed out. Recycled
+//! ids come first (last freed, first reused), then never-used ids in
+//! ascending order, then eviction, so ids are handed out in the order a
+//! pool whose free list started full would hand them out.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
 
-use agentsim_simkit::rng::KeyMap;
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
 use crate::hash::{chain_start, chain_step, CHAIN_ROOT};
 use crate::heap::{EvictionHeap, Key};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
+use crate::prefix::PrefixTable;
 use crate::stats::KvStats;
 use crate::tokens::{Token, TokenBuf};
 
@@ -106,14 +111,19 @@ impl Seq {
 #[derive(Debug)]
 pub struct KvBlockManager {
     config: KvConfig,
-    /// One record per block: lifecycle, prefix-cache ownership and
-    /// eviction key (the rank is always zero under plain LRU; see
-    /// [`EvictionPolicy`]).
+    /// One record per block handed out so far: lifecycle, prefix-cache
+    /// ownership and last-use tick. Ids at and above its length have
+    /// never been used and count as free.
     metas: Vec<BlockMeta>,
+    /// Each block's eviction rank, beside `metas`, only under
+    /// [`EvictionPolicy::InvocationDistance`]; every rank is zero
+    /// otherwise.
+    ranks: Option<Vec<u64>>,
+    /// Freed ids, reused last in, first out before any never-used id.
     free: Vec<BlockId>,
     /// chain hash -> resident block holding that content; that block's
     /// `registered` flag is set.
-    cache: KeyMap<BlockId>,
+    cache: PrefixTable,
     /// Evictable blocks keyed (rank, last-use tick, block): the minimum
     /// is the next victim. Rank is zero without an offload hierarchy (or
     /// under its LRU baseline), making the order exactly LRU. A key is
@@ -142,9 +152,10 @@ impl KvBlockManager {
         assert!(config.block_size > 0, "block size must be positive");
         KvBlockManager {
             config,
-            metas: vec![BlockMeta::free(); config.num_blocks as usize],
-            free: (0..config.num_blocks).rev().map(BlockId).collect(),
-            cache: KeyMap::default(),
+            metas: Vec::with_capacity(config.num_blocks as usize),
+            ranks: None,
+            free: Vec::new(),
+            cache: PrefixTable::default(),
             evictable: EvictionHeap::default(),
             live: 0,
             tick: 0,
@@ -175,6 +186,11 @@ impl KvBlockManager {
             self.config.prefix_caching,
             "KV offload requires prefix caching (tier content is chain-hashed)"
         );
+        if spec.policy == EvictionPolicy::InvocationDistance {
+            let mut ranks = Vec::with_capacity(self.config.num_blocks as usize);
+            ranks.resize(self.metas.len(), 0);
+            self.ranks = Some(ranks);
+        }
         self.hierarchy = Some(MemoryHierarchy::new(spec));
     }
 
@@ -192,10 +208,25 @@ impl KvBlockManager {
     }
 
     /// Whether `key` is `id`'s current eviction key (see `evictable`).
-    fn live_key(metas: &[BlockMeta]) -> impl Fn(&Key<BlockId>) -> bool + '_ {
+    fn live_key<'a>(
+        metas: &'a [BlockMeta],
+        ranks: &'a Option<Vec<u64>>,
+    ) -> impl Fn(&Key<BlockId>) -> bool + 'a {
         move |&(rank, tick, id)| {
             let m = &metas[id.0 as usize];
-            m.state == BlockState::Cached && m.rank == rank && m.tick == tick
+            m.state() == BlockState::Cached
+                && m.tick == tick
+                && ranks.as_ref().map_or(0, |r| r[id.0 as usize]) == rank
+        }
+    }
+
+    /// Reads a registered block's chain hash, confirming a prefix-table
+    /// hit.
+    fn key_of(metas: &[BlockMeta]) -> impl Fn(BlockId) -> u64 + '_ {
+        |id| {
+            metas[id.0 as usize]
+                .chain_hash()
+                .expect("a registered block is hashed")
         }
     }
 
@@ -257,16 +288,17 @@ impl KvBlockManager {
         // The leading hit run, resolved once into the new block table.
         let mut blocks = Vec::with_capacity(total);
         if self.config.prefix_caching {
-            blocks.extend(hashes.iter().map_while(|h| self.cache.get(h).copied()));
+            let key_of = Self::key_of(&self.metas);
+            blocks.extend(hashes.iter().map_while(|&h| self.cache.get(h, &key_of)));
         }
         let hits = blocks.len();
         // Cached hit blocks are revived, not evicted, so they do not count
         // as available for fresh allocation.
         let revivable = blocks
             .iter()
-            .filter(|id| self.metas[id.0 as usize].state == BlockState::Cached)
+            .filter(|id| self.metas[id.0 as usize].state() == BlockState::Cached)
             .count();
-        let available = self.free.len() + self.evictable.len();
+        let available = self.free_blocks() + self.evictable.len();
         if total - hits > available - revivable {
             self.stats.rejections += 1;
             return Err(AllocError::Insufficient {
@@ -277,10 +309,11 @@ impl KvBlockManager {
 
         // Revive / share cached prefix blocks.
         for &id in &blocks {
-            if self.metas[id.0 as usize].state == BlockState::Cached {
-                self.metas[id.0 as usize].state = BlockState::Active;
+            if self.metas[id.0 as usize].state() == BlockState::Cached {
+                self.metas[id.0 as usize].set_state(BlockState::Active);
                 self.active += 1;
-                self.evictable.invalidate(Self::live_key(&self.metas));
+                self.evictable
+                    .invalidate(Self::live_key(&self.metas, &self.ranks));
             }
             self.touch(id);
             self.metas[id.0 as usize].ref_count += 1;
@@ -325,16 +358,16 @@ impl KvBlockManager {
         for (k, h) in hashes[hits..].iter().enumerate() {
             let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
-            meta.state = BlockState::Active;
+            meta.set_state(BlockState::Active);
             meta.ref_count = 1;
             self.active += 1;
             if self.config.prefix_caching {
-                meta.chain_hash = Some(*h);
-                meta.registered = true;
+                meta.set_chain_hash(*h);
+                meta.set_registered(true);
                 // A resident block behind the hit run may hold this chain
                 // already; the fresh block takes its registration over.
-                if let Some(prev) = self.cache.insert(*h, id) {
-                    self.metas[prev.0 as usize].registered = false;
+                if let Some(prev) = self.cache.insert(*h, id, Self::key_of(&self.metas)) {
+                    self.metas[prev.0 as usize].set_registered(false);
                 }
                 // Recomputed content invalidates any stale offloaded copy:
                 // a hash lives in exactly one place. The promotion scan
@@ -355,7 +388,7 @@ impl KvBlockManager {
         if rem != 0 {
             let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
-            meta.state = BlockState::Active;
+            meta.set_state(BlockState::Active);
             meta.ref_count = 1;
             self.active += 1;
             blocks.push(id);
@@ -408,7 +441,7 @@ impl KvBlockManager {
         if seq.len.is_multiple_of(bs) {
             let id = self.obtain_block()?;
             let meta = &mut self.metas[id.0 as usize];
-            meta.state = BlockState::Active;
+            meta.set_state(BlockState::Active);
             meta.ref_count = 1;
             self.active += 1;
             seq.blocks.push(id);
@@ -422,13 +455,14 @@ impl KvBlockManager {
             seq.tail_state = chain_start(h);
             let id = *seq.blocks.last().expect("tail block exists");
             if self.config.prefix_caching {
-                let meta = &mut self.metas[id.0 as usize];
-                meta.chain_hash = Some(h);
+                self.metas[id.0 as usize].set_chain_hash(h);
                 // Content collisions (another block already holds this
                 // chain) keep the existing entry.
-                if let Entry::Vacant(slot) = self.cache.entry(h) {
-                    slot.insert(id);
-                    meta.registered = true;
+                if self
+                    .cache
+                    .insert_if_absent(h, id, Self::key_of(&self.metas))
+                {
+                    self.metas[id.0 as usize].set_registered(true);
                 }
                 // Freshly decoded content invalidates a stale offloaded
                 // copy of the same chain.
@@ -454,19 +488,21 @@ impl KvBlockManager {
             }
             self.active -= 1;
             // Only registered blocks (prefix caching on) stay resident.
-            if meta.registered {
-                meta.state = BlockState::Cached;
-                let hash = meta.chain_hash.expect("registered");
-                meta.rank = self
-                    .hierarchy
-                    .as_ref()
-                    .map_or(0, |hier| hier.rank_for(hash));
+            if meta.registered() {
+                meta.set_state(BlockState::Cached);
+                let hash = meta.chain_hash().expect("registered");
+                let rank = match (&mut self.ranks, &self.hierarchy) {
+                    (Some(ranks), Some(hier)) => {
+                        ranks[id.0 as usize] = hier.rank_for(hash);
+                        ranks[id.0 as usize]
+                    }
+                    _ => 0,
+                };
                 self.touch(id);
-                let meta = &self.metas[id.0 as usize];
-                self.evictable.push((meta.rank, meta.tick, id));
+                self.evictable
+                    .push((rank, self.metas[id.0 as usize].tick, id));
             } else {
-                meta.chain_hash = None;
-                meta.state = BlockState::Free;
+                meta.release();
                 self.free.push(id);
             }
         }
@@ -480,23 +516,23 @@ impl KvBlockManager {
     /// [`EvictionPolicy::InvocationDistance`]; a no-op without a
     /// hierarchy or under the LRU baseline.
     pub fn hint_next_use(&mut self, hashes: &[u64], now: SimTime, at: SimTime) {
-        let Some(hier) = &mut self.hierarchy else {
+        // Ranks are kept only under invocation-distance eviction.
+        let (Some(hier), Some(_)) = (&mut self.hierarchy, &self.ranks) else {
             return;
         };
-        if hier.policy() != EvictionPolicy::InvocationDistance {
-            return;
-        }
         for &h in hashes {
             // `predict` re-keys an offloaded copy. A hash lives in exactly
             // one place, so one the prefix cache holds has no such copy.
             let rank = hier.predict(h, at);
-            if let Some(&id) = self.cache.get(&h) {
+            if let Some(id) = self.cache.get(h, Self::key_of(&self.metas)) {
                 // Re-key a resident evictable copy under its new rank.
-                let meta = &mut self.metas[id.0 as usize];
-                if meta.state == BlockState::Cached && rank != meta.rank {
-                    meta.rank = rank;
+                let meta = &self.metas[id.0 as usize];
+                let old = &mut self.ranks.as_mut().expect("ranked")[id.0 as usize];
+                if meta.state() == BlockState::Cached && rank != *old {
+                    *old = rank;
                     self.evictable.push((rank, meta.tick, id));
-                    self.evictable.invalidate(Self::live_key(&self.metas));
+                    self.evictable
+                        .invalidate(Self::live_key(&self.metas, &self.ranks));
                 }
             }
         }
@@ -508,9 +544,9 @@ impl KvBlockManager {
         self.active
     }
 
-    /// Blocks on the free list.
+    /// Free blocks: those on the free list and those never handed out.
     pub fn free_blocks(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.config.num_blocks as usize - self.metas.len()
     }
 
     /// Unreferenced cached blocks (evictable).
@@ -534,14 +570,23 @@ impl KvBlockManager {
             self.touch(id);
             return Ok(id);
         }
+        if self.metas.len() < self.config.num_blocks as usize {
+            let id = BlockId(self.metas.len() as u32);
+            self.metas.push(BlockMeta::free());
+            if let Some(ranks) = &mut self.ranks {
+                ranks.push(0);
+            }
+            self.touch(id);
+            return Ok(id);
+        }
         // Evict the lowest-ranked cached block (exact LRU without an
         // offload hierarchy).
-        let victim = self.evictable.pop(Self::live_key(&self.metas));
+        let victim = self.evictable.pop(Self::live_key(&self.metas, &self.ranks));
         if let Some((_, _, id)) = victim {
             let meta = &mut self.metas[id.0 as usize];
-            if meta.registered {
-                let h = meta.chain_hash.expect("registered");
-                self.cache.remove(&h);
+            if meta.registered() {
+                let h = meta.chain_hash().expect("registered");
+                self.cache.remove(h, id);
                 // Spill the evicted content down the hierarchy rather
                 // than destroying it; the engine prices the copy as an
                 // asynchronous transfer on the offload link.
@@ -569,21 +614,36 @@ impl KvBlockManager {
         self.stats.used_blocks.set(now, self.active as u64);
     }
 
-    /// Internal-consistency check used by tests: every block is in exactly
-    /// one of {free list, eviction order, active} (a `Cached` block by
-    /// exactly one live key), refcounts match liveness, the cache map
-    /// points at resident hashed blocks, and a block is `registered`
-    /// exactly when the cache maps its chain hash to it.
+    /// Internal-consistency check used by tests: every block handed out is
+    /// in exactly one of {free list, eviction order, active} (a `Cached`
+    /// block by exactly one live key), refcounts match liveness, the
+    /// prefix table is well formed and points at resident blocks holding
+    /// its hashes, and a block is `registered` exactly when the table maps
+    /// its chain hash to it.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.config.num_blocks as usize;
+        let n = self.metas.len();
+        if n > self.config.num_blocks as usize {
+            return Err(format!(
+                "{n} block records in a pool of {}",
+                self.config.num_blocks
+            ));
+        }
+        if let Some(ranks) = self.ranks.as_ref().filter(|r| r.len() != n) {
+            return Err(format!("{} ranks for {n} block records", ranks.len()));
+        }
         let mut seen = vec![0u8; n];
         for id in &self.free {
+            let Some(meta) = self.metas.get(id.0 as usize) else {
+                return Err(format!("{id} on free list but never handed out"));
+            };
             seen[id.0 as usize] += 1;
-            if self.metas[id.0 as usize].state != BlockState::Free {
+            if meta.state() != BlockState::Free {
                 return Err(format!("{id} on free list but not Free"));
             }
         }
-        let live = self.evictable.live_keys(Self::live_key(&self.metas));
+        let live = self
+            .evictable
+            .live_keys(Self::live_key(&self.metas, &self.ranks));
         if live.len() != self.evictable.len() {
             return Err(format!(
                 "{} live eviction keys for {} evictable blocks",
@@ -597,24 +657,25 @@ impl KvBlockManager {
                 return Err(format!("{id} evictable with refs"));
             }
         }
+        let key_of = Self::key_of(&self.metas);
         for (i, m) in self.metas.iter().enumerate() {
-            let owner = m.chain_hash.and_then(|h| self.cache.get(&h));
-            if m.registered != (owner == Some(&BlockId(i as u32))) {
+            let owner = m.chain_hash().and_then(|h| self.cache.get(h, &key_of));
+            if m.registered() != (owner == Some(BlockId(i as u32))) {
                 return Err(format!(
                     "blk#{i} registered {} but the cache maps its hash to {owner:?}",
-                    m.registered
+                    m.registered()
                 ));
             }
-            match m.state {
+            match m.state() {
                 BlockState::Active => {
                     if m.ref_count == 0 {
                         return Err(format!("blk#{i} active with zero refs"));
                     }
                     seen[i] += 1;
                 }
-                BlockState::Free | BlockState::Cached => {
+                state @ (BlockState::Free | BlockState::Cached) => {
                     if m.ref_count != 0 {
-                        return Err(format!("blk#{i} {:?} with refs", m.state));
+                        return Err(format!("blk#{i} {state:?} with refs"));
                     }
                 }
             }
@@ -625,7 +686,7 @@ impl KvBlockManager {
         let active_scan = self
             .metas
             .iter()
-            .filter(|m| m.state == BlockState::Active)
+            .filter(|m| m.state() == BlockState::Active)
             .count();
         if active_scan != self.active {
             return Err(format!(
@@ -633,22 +694,27 @@ impl KvBlockManager {
                 self.active
             ));
         }
-        for (h, id) in &self.cache {
-            if self.metas[id.0 as usize].chain_hash != Some(*h) {
+        self.cache.check_invariants()?;
+        for (tag, id) in self.cache.entries() {
+            let Some(meta) = self.metas.get(id.0 as usize) else {
+                return Err(format!("cache entry {tag:#x} points at unused {id}"));
+            };
+            if meta.chain_hash().map(|h| (h >> 32) as u32) != Some(tag) {
                 return Err(format!(
-                    "cache entry {h:#x} points at {id} without that hash"
+                    "cache entry {tag:#x} points at {id} without that hash"
                 ));
             }
-            if self.metas[id.0 as usize].state == BlockState::Free {
-                return Err(format!("cache entry {h:#x} points at free {id}"));
+            if !meta.registered() || meta.state() == BlockState::Free {
+                return Err(format!("cache entry {tag:#x} points at {meta:?} {id}"));
             }
         }
         if let Some(hier) = &self.hierarchy {
             hier.check_invariants()?;
             // A chain hash lives in exactly one place: the HBM prefix
             // cache, the host tier, or the NVMe tier.
-            for h in self.cache.keys() {
-                if let Some(tier) = hier.tier_of(*h) {
+            for (_, id) in self.cache.entries() {
+                let h = key_of(id);
+                if let Some(tier) = hier.tier_of(h) {
                     return Err(format!(
                         "hash {h:#x} resident in HBM and the {} tier",
                         tier.name()
@@ -682,7 +748,7 @@ mod tests {
     fn count_hits(m: &KvBlockManager, hashes: &[u64]) -> usize {
         hashes
             .iter()
-            .take_while(|h| m.cache.contains_key(h))
+            .take_while(|&&h| m.cache.get(h, KvBlockManager::key_of(&m.metas)).is_some())
             .count()
     }
 
@@ -898,9 +964,10 @@ mod tests {
         assert_eq!(s.cached_tokens(), 16);
         let new = s.blocks.clone();
         for k in 1..3 {
-            assert_eq!(m.cache[&hashes[k]], new[k]);
-            assert!(!m.metas[old[k].0 as usize].registered);
-            assert_eq!(m.metas[old[k].0 as usize].state, BlockState::Cached);
+            let key_of = KvBlockManager::key_of(&m.metas);
+            assert_eq!(m.cache.get(hashes[k], key_of), Some(new[k]));
+            assert!(!m.metas[old[k].0 as usize].registered());
+            assert_eq!(m.metas[old[k].0 as usize].state(), BlockState::Cached);
         }
         m.check_invariants().unwrap();
         // Evicting the old holders must neither drop nor demote the new
@@ -936,10 +1003,10 @@ mod tests {
             m.append_token(&mut copy, tok, t(2)).unwrap();
         }
         let copy_block = copy.blocks[0];
-        assert!(!m.metas[copy_block.0 as usize].registered);
+        assert!(!m.metas[copy_block.0 as usize].registered());
         m.check_invariants().unwrap();
         m.free(copy, t(3));
-        assert_eq!(m.metas[copy_block.0 as usize].state, BlockState::Free);
+        assert_eq!(m.metas[copy_block.0 as usize].state(), BlockState::Free);
         assert_eq!((m.free_blocks(), m.evictable_blocks()), (15, 0));
         m.free(owner, t(4));
         assert_eq!((m.free_blocks(), m.evictable_blocks()), (15, 1));
@@ -1005,6 +1072,117 @@ mod tests {
     fn empty_prompt_panics() {
         let mut m = mgr(4, true);
         let _ = m.allocate(&TokenBuf::new(), t(0));
+    }
+
+    /// `m` as a constructor that wrote every record and a full free list
+    /// would have built it.
+    fn eager(mut m: KvBlockManager) -> KvBlockManager {
+        let n = m.config.num_blocks;
+        m.metas = vec![BlockMeta::free(); n as usize];
+        m.free = (0..n).rev().map(BlockId).collect();
+        if let Some(ranks) = &mut m.ranks {
+            *ranks = vec![0; n as usize];
+        }
+        m
+    }
+
+    /// Drives a lazily grown pool and its eager twin through one seeded
+    /// allocate/append/free/hint script, comparing every block table.
+    /// Returns the lazy pool.
+    fn lockstep(config: KvConfig, offload: Option<OffloadSpec>, seed: u64) -> KvBlockManager {
+        let mut lazy = KvBlockManager::new(config);
+        if let Some(spec) = offload {
+            lazy.enable_offload(spec);
+        }
+        assert!(lazy.metas.is_empty(), "construction touches no block");
+        let n = config.num_blocks as usize;
+        assert_eq!(
+            lazy.free_blocks() + lazy.evictable_blocks() + lazy.used_blocks(),
+            n
+        );
+        let mut twin = KvBlockManager::new(config);
+        if let Some(spec) = offload {
+            twin.enable_offload(spec);
+        }
+        let mut twin = eager(twin);
+        let mut live: Vec<(Seq, Seq, TokenBuf)> = Vec::new();
+        let mut x = seed;
+        for step in 0..2_000u64 {
+            x = agentsim_simkit::rng::splitmix64(x);
+            let now = t(step);
+            match x % 8 {
+                0..=2 => {
+                    let prompt = TokenBuf::from_segment(x >> 8 & 7, 1 + (x >> 16) as u32 % 90);
+                    match (lazy.allocate(&prompt, now), twin.allocate(&prompt, now)) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a.blocks, b.blocks, "step {step}: admission");
+                            live.push((a, b, prompt));
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b),
+                        (a, b) => panic!("step {step}: {a:?} vs {b:?}"),
+                    }
+                }
+                3 | 4 if !live.is_empty() => {
+                    let k = (x >> 8) as usize % live.len();
+                    let (a, b, _) = &mut live[k];
+                    for i in 0..(x >> 20) % 40 {
+                        let token = generated_token(step, i);
+                        let ra = lazy.append_token(a, token, now);
+                        assert_eq!(ra, twin.append_token(b, token, now));
+                        if ra.is_err() {
+                            break;
+                        }
+                    }
+                    assert_eq!(a.blocks, b.blocks, "step {step}: decode");
+                }
+                5 | 6 if !live.is_empty() => {
+                    let (a, b, prompt) = live.swap_remove((x >> 8) as usize % live.len());
+                    lazy.free(a, now);
+                    twin.free(b, now);
+                    let hashes = prompt.chain_hashes_cached(16).to_vec();
+                    let at = t(step + (x >> 24) % 500);
+                    lazy.hint_next_use(&hashes, now, at);
+                    twin.hint_next_use(&hashes, now, at);
+                }
+                _ => {}
+            }
+            let counts = |m: &KvBlockManager| {
+                (
+                    m.free_blocks(),
+                    m.evictable_blocks(),
+                    m.used_blocks(),
+                    m.stats().evictions,
+                )
+            };
+            assert_eq!(counts(&lazy), counts(&twin), "step {step}");
+            assert_eq!(
+                lazy.free_blocks() + lazy.evictable_blocks() + lazy.used_blocks(),
+                n
+            );
+            lazy.check_invariants().unwrap();
+        }
+        lazy
+    }
+
+    #[test]
+    fn lazy_pool_hands_out_the_eager_pools_ids() {
+        let config = |prefix_caching| KvConfig {
+            num_blocks: 24,
+            block_size: 16,
+            prefix_caching,
+        };
+        let distance = OffloadSpec {
+            host_blocks: 8,
+            nvme_blocks: 4,
+            policy: EvictionPolicy::InvocationDistance,
+        };
+        for seed in 0..8 {
+            let m = lockstep(config(true), None, seed);
+            assert!(m.stats().evictions > 0, "the script evicts");
+            let m = lockstep(config(true), Some(distance), seed);
+            assert!(m.stats().demoted_blocks_host > 0, "the script demotes");
+            lockstep(config(false), None, seed);
+        }
     }
 
     #[test]
@@ -1320,10 +1498,10 @@ mod tests {
             }
             for (j, (id, hash)) in seq.blocks.iter().zip(&want).enumerate() {
                 let meta = &m.metas[id.0 as usize];
-                if meta.chain_hash != Some(*hash) {
+                if meta.chain_hash() != Some(*hash) {
                     return Err(format!(
                         "{seq:?} block {j} ({id}) hashed {:?}",
-                        meta.chain_hash
+                        meta.chain_hash()
                     ));
                 }
             }
